@@ -49,16 +49,6 @@ let scheduler_conv =
   Cmdliner.Arg.conv
     (parse_scheduler, fun fmt s -> Format.pp_print_string fmt (Runtime.Scheduler.describe s))
 
-let parse_engine s =
-  match Flatcore.kind_of_string s with
-  | Some k -> Ok k
-  | None -> Error (`Msg (Printf.sprintf "unknown engine %S (classic | flat)" s))
-
-let engine_conv =
-  Cmdliner.Arg.conv
-    ( parse_engine,
-      fun fmt k -> Format.pp_print_string fmt (Flatcore.string_of_kind k) )
-
 (* {1 Common terms} *)
 
 open Cmdliner
@@ -74,17 +64,6 @@ let scheduler_t =
     value
     & opt scheduler_conv Runtime.Scheduler.Fifo
     & info [ "scheduler" ] ~docv:"SCHED" ~doc:"fifo | lifo | random:SEED")
-
-let engine_t =
-  Arg.(
-    value
-    & opt engine_conv Flatcore.Classic
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "classic | flat.  The flat engine executes on the CSR-compiled \
-           graph with arena-backed messages; it runs the identical delivery \
-           schedule, so reports match the classic engine byte for byte — a \
-           pure performance knob.")
 
 let payload_t =
   Arg.(
@@ -329,7 +308,7 @@ let run_cmd =
   in
   (* One unified path: resolve the protocol module, pick the sequential or
      sharded engine, thread the optional [Obs] sink through either. *)
-  let run g protocol scheduler engine payload domains churn_rate churn_t
+  let run g protocol scheduler payload domains churn_rate churn_t
       churn_seed sample trace_out metrics_out csv_out lineage_out
       lineage_sample =
     match protocol_of_name protocol with
@@ -337,9 +316,6 @@ let run_cmd =
     | Some (module P : Runtime.Protocol_intf.PROTOCOL) -> (
         try
           if domains < 1 then invalid_arg "--domains must be at least 1";
-          if engine = Flatcore.Flat && domains > 1 then
-            invalid_arg
-              "--engine flat is the sequential fast engine; drop --domains";
           let obs = make_obs ~sample trace_out metrics_out csv_out in
           let lineage = make_lineage ~sample:lineage_sample lineage_out obs in
           let churn = churn_of ~rate:churn_rate ~t:churn_t ~seed:churn_seed g in
@@ -348,10 +324,8 @@ let run_cmd =
             pf "protocol: %s, domains: %d (sharded engine), payload: %d bits\n\n"
               protocol domains payload
           else
-            pf "protocol: %s, scheduler: %s, engine: %s, payload: %d bits\n\n"
-              protocol
+            pf "protocol: %s, scheduler: %s, payload: %d bits\n\n" protocol
               (Runtime.Scheduler.describe scheduler)
-              (Flatcore.string_of_kind engine)
               payload;
           let r, churn_stats =
             if domains > 1 then
@@ -361,16 +335,9 @@ let run_cmd =
               in
               (Anonet.stats_of_report r, r.E.churn_stats)
             else
+              let module En = Runtime.Engine.Make (P) in
               let r =
-                match engine with
-                | Flatcore.Flat ->
-                    let module En = Flatcore.Engine.Make (P) in
-                    En.run ~scheduler ~payload_bits:payload ~churn ?obs
-                      ?lineage g
-                | Flatcore.Classic ->
-                    let module En = Runtime.Engine.Make (P) in
-                    En.run ~scheduler ~payload_bits:payload ~churn ?obs
-                      ?lineage g
+                En.run ~scheduler ~payload_bits:payload ~churn ?obs ?lineage g
               in
               (Anonet.stats_of_report r, r.E.churn_stats)
           in
@@ -386,8 +353,8 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run a protocol on a generated network and print stats.")
     Term.(
-      ret (const run $ family_t $ protocol_t $ scheduler_t $ engine_t
-         $ payload_t $ domains_t $ churn_rate_t $ churn_t_t $ churn_seed_t
+      ret (const run $ family_t $ protocol_t $ scheduler_t $ payload_t
+         $ domains_t $ churn_rate_t $ churn_t_t $ churn_seed_t
          $ sample_t $ trace_out_t $ metrics_out_t $ csv_out_t $ lineage_out_t
          $ lineage_sample_t))
 
@@ -641,7 +608,7 @@ let faults_cmd =
              sends, receive-side dedup, and a checksum that turns bit corruption \
              into detected drops.")
   in
-  let run g protocol scheduler engine drop duplicate delay corrupt kill seeds k
+  let run g protocol scheduler drop duplicate delay corrupt kill seeds k
       domains sample trace_out metrics_out csv_out lineage_out lineage_sample =
     match protocol_of_name protocol with
     | None -> `Error (false, Printf.sprintf "unknown protocol %S" protocol)
@@ -663,25 +630,13 @@ let faults_cmd =
                         (P))
           in
           if domains < 1 then invalid_arg "--domains must be at least 1";
-          if engine = Flatcore.Flat && domains > 1 then
-            invalid_arg
-              "--engine flat is the sequential fast engine; drop --domains";
           (* One sink across the sweep: counters accumulate over all seeds. *)
           let obs = make_obs ~sample trace_out metrics_out csv_out in
           let module En = Runtime.Engine.Make (Q) in
-          let module Fn = Flatcore.Engine.Make (Q) in
           let module Pn = Par.Engine.Make (Q) in
-          (* The faulty runs share one CSR: compiled once, swept many times. *)
-          let csr =
-            if engine = Flatcore.Flat then Some (Flatcore.Csr.of_digraph g)
-            else None
-          in
           let engine_run ~faults ?lineage g =
             if domains > 1 then Pn.run ~domains ~faults ?obs ?lineage g
-            else
-              match csr with
-              | Some csr -> Fn.run_csr ~scheduler ~faults ?obs ?lineage csr
-              | None -> En.run ~scheduler ~faults ?obs ?lineage g
+            else En.run ~scheduler ~faults ?obs ?lineage g
           in
           (* Lineage over a sweep: a fresh recorder per seed, keeping the
              deepest causal forest observed — the sweep's worst-case chain
@@ -691,9 +646,8 @@ let faults_cmd =
           if domains > 1 then
             pf "protocol: %s, domains: %d (sharded engine)\n" Q.name domains
           else
-            pf "protocol: %s, scheduler: %s, engine: %s\n" Q.name
-              (Runtime.Scheduler.describe scheduler)
-              (Flatcore.string_of_kind engine);
+            pf "protocol: %s, scheduler: %s\n" Q.name
+              (Runtime.Scheduler.describe scheduler);
           pf "faults  : drop=%.3f duplicate=%.3f delay<=%d corrupt=%.3f kill=%.3f\n\n"
             drop duplicate delay corrupt kill;
           let n = G.n_vertices g in
@@ -754,7 +708,7 @@ let faults_cmd =
           and print a per-seed outcome table with fault counters.")
     Term.(
       ret
-        (const run $ family_t $ protocol_t $ scheduler_t $ engine_t $ drop_t
+        (const run $ family_t $ protocol_t $ scheduler_t $ drop_t
        $ duplicate_t $ delay_t $ corrupt_t $ kill_t $ seeds_t $ redundancy_t
        $ domains_t $ sample_t $ trace_out_t $ metrics_out_t $ csv_out_t
        $ lineage_out_t $ lineage_sample_t))
@@ -792,7 +746,7 @@ let check_cmd =
              Its split ships the whole commodity on one out-edge, so this must \
              find a false-termination counterexample and exit 1.")
   in
-  let run max_edges protocol engine max_states sabotage domains sample
+  let run max_edges protocol max_states sabotage domains sample
       trace_out metrics_out csv_out =
     let module X = Runtime.Explore in
     let module CS = Anonet.Check_suite in
@@ -843,7 +797,7 @@ let check_cmd =
             pf "\n%s on %s: %s\n" c.c_protocol c.c_family (X.describe_kind v.kind);
             pf "schedule: [%s]\n"
               (String.concat "; " (List.map string_of_int v.schedule));
-            let rep = c.c_replay ~engine v.schedule in
+            let rep = c.c_replay v.schedule in
             pf "replayed through the engine: %s, %d deliveries, unvisited: [%s]\n"
               (match rep.r_outcome with
               | E.Terminated -> "terminated"
@@ -876,7 +830,7 @@ let check_cmd =
           with status 1.")
     Term.(
       ret
-        (const run $ max_edges_t $ protocol_t $ engine_t $ max_states_t
+        (const run $ max_edges_t $ protocol_t $ max_states_t
        $ sabotage_t $ domains_t $ sample_t $ trace_out_t $ metrics_out_t
        $ csv_out_t))
 
@@ -1242,7 +1196,7 @@ let churn_cmd =
                ~back_edges:2 ~t_edge_prob:0.3 ()));
     }
   in
-  let run amnesiac budget seed rate t_interval engine json_out sample trace_out
+  let run amnesiac budget seed rate t_interval json_out sample trace_out
       metrics_out csv_out lineage_out lineage_sample =
     try
       if budget < 1 then invalid_arg "--budget must be at least 1";
@@ -1318,24 +1272,13 @@ let churn_cmd =
             | None -> churn
             | Some t -> Runtime.Churn.with_contract ~t_interval:t g churn
           in
-          (* Engine parity covers the replay scheduler too, so the trace of
-             the violating schedule is identical either way. *)
           let replay_one (module P : Runtime.Protocol_intf.PROTOCOL) =
-            match engine with
-            | Flatcore.Flat ->
-                let module En = Flatcore.Engine.Make (P) in
-                ignore
-                  (En.run
-                     ~scheduler:(Runtime.Scheduler.Replay w.Ch.w_schedule)
-                     ~faults ~vfaults ~churn ?supervisor
-                     ~step_limit:cfg.Ch.step_limit ?obs ?lineage g)
-            | Flatcore.Classic ->
-                let module En = Runtime.Engine.Make (P) in
-                ignore
-                  (En.run
-                     ~scheduler:(Runtime.Scheduler.Replay w.Ch.w_schedule)
-                     ~faults ~vfaults ~churn ?supervisor
-                     ~step_limit:cfg.Ch.step_limit ?obs ?lineage g)
+            let module En = Runtime.Engine.Make (P) in
+            ignore
+              (En.run
+                 ~scheduler:(Runtime.Scheduler.Replay w.Ch.w_schedule)
+                 ~faults ~vfaults ~churn ?supervisor
+                 ~step_limit:cfg.Ch.step_limit ?obs ?lineage g)
           in
           replay_one
             (if amnesiac then (module Anonet.Amnesiac_flood)
@@ -1370,7 +1313,7 @@ let churn_cmd =
     Term.(
       ret
         (const run $ amnesiac_t $ budget_t $ seed_t $ rate_t $ t_interval_t
-       $ engine_t $ json_out_t $ sample_t $ trace_out_t $ metrics_out_t
+       $ json_out_t $ sample_t $ trace_out_t $ metrics_out_t
        $ csv_out_t $ lineage_out_t $ lineage_sample_t))
 
 (* {1 Serving}
@@ -1471,8 +1414,8 @@ let serve_cmd =
              submissions whose deadline the backlog would blow are refused \
              with a retry-after hint instead of queued.  0 disables.")
   in
-  let run graphs socket stdio workers max_queue credits step_limit engine
-      journal no_sync watchdog_ms shed_watermark_ms =
+  let run graphs socket stdio workers max_queue credits step_limit journal
+      no_sync watchdog_ms shed_watermark_ms =
     let parse_pair spec =
       match String.index_opt spec '=' with
       | Some i ->
@@ -1502,7 +1445,6 @@ let serve_cmd =
               max_queue;
               credits;
               step_limit;
-              default_engine = Flatcore.string_of_kind engine;
               journal;
               journal_sync = not no_sync;
               shed_watermark_ms;
@@ -1522,11 +1464,9 @@ let serve_cmd =
           | Error e -> `Error (false, e)
           | Ok server ->
               if not stdio then begin
-                pf "anonet serve: graphs [%s], %d workers, queue %d, \
-                    default engine %s\n"
+                pf "anonet serve: graphs [%s], %d workers, queue %d\n"
                   (String.concat "; " (List.map fst pairs))
-                  workers max_queue
-                  (Flatcore.string_of_kind engine);
+                  workers max_queue;
                 Option.iter
                   (fun (r : Serve.Server.recovery) ->
                     pf
@@ -1557,7 +1497,7 @@ let serve_cmd =
     Term.(
       ret
         (const run $ graph_t $ socket_t $ stdio_t $ workers_t $ max_queue_t
-       $ credits_t $ step_limit_t $ engine_t $ journal_t $ no_sync_t
+       $ credits_t $ step_limit_t $ journal_t $ no_sync_t
        $ watchdog_t $ shed_t))
 
 let client_cmd =

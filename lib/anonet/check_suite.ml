@@ -12,12 +12,11 @@ type case = {
     ?obs:Obs.t ->
     unit ->
     Runtime.Explore.result;
-  c_replay : ?engine:Flatcore.kind -> int list -> Runtime.Explore.replay;
+  c_replay : int list -> Runtime.Explore.replay;
 }
 
 let make (module P : Runtime.Protocol_intf.CHECKABLE) ~family g =
   let module X = Runtime.Explore.Make (P) in
-  let module Fl = Flatcore.Engine.Make (P) in
   {
     c_protocol = P.name;
     c_family = family;
@@ -26,11 +25,7 @@ let make (module P : Runtime.Protocol_intf.CHECKABLE) ~family g =
     c_explore =
       (fun ?max_states ?max_depth ?walks ?obs () ->
         X.explore ?max_states ?max_depth ?walks ?obs g);
-    c_replay =
-      (fun ?(engine = Flatcore.Classic) schedule ->
-        match engine with
-        | Flatcore.Classic -> X.replay g schedule
-        | Flatcore.Flat -> X.replay ~engine:(module Fl) g schedule);
+    c_replay = X.replay g;
   }
 
 (* The graph classes a protocol's correctness theorem quantifies over.

@@ -20,12 +20,9 @@ type case = {
     ?obs:Obs.t ->
     unit ->
     Runtime.Explore.result;
-  c_replay : ?engine:Flatcore.kind -> int list -> Runtime.Explore.replay;
-      (** Replay a recorded schedule through a real engine —
-          [Flatcore.Classic] (the default) or [Flatcore.Flat].  Both must
-          reproduce a recorded counterexample byte-for-byte: seq numbers
-          are engine-independent because the flat engine assigns them in
-          the identical send order. *)
+  c_replay : int list -> Runtime.Explore.replay;
+      (** Replay a recorded schedule through {!Runtime.Engine}; it must
+          reproduce a recorded counterexample byte-for-byte. *)
 }
 
 val make :

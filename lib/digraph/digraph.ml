@@ -7,9 +7,5 @@
 
 include Graph
 
-module Graph_sig = Graph_sig
 module Families = Families
 module Dot = Dot
-
-(* [Graph] itself must satisfy the representation-agnostic query seam. *)
-module _ : Graph_sig.S with type t = Graph.t = Graph

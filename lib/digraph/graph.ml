@@ -1,102 +1,111 @@
 type vertex = int
 
+(* Compressed sparse row: six int arrays, built once in O(n + m).  Dense
+   edge [e] is [src.(e)]'s out-port [e - row.(src.(e))]: the out-edges of
+   vertex 0 come first, then those of vertex 1, and so on. *)
 type t = {
   n : int;
   s : vertex;
   t : vertex;
-  out_adj : vertex array array;
-  (* in_adj.(v).(i) = (u, j): v's i-th in-edge is u's j-th out-edge. *)
-  in_adj : (vertex * int) array array;
-  (* Dense edge numbering: edge_base.(u) + j indexes u's j-th out-edge. *)
-  edge_base : int array;
-  n_edges : int;
+  m : int;
+  row : int array;  (* n+1: out-edges of u are row.(u) .. row.(u+1)-1 *)
+  head : int array;  (* m: target vertex of edge e *)
+  tgt_port : int array;  (* m: in-port of head.(e) that e lands on *)
+  src : int array;  (* m: source vertex of edge e *)
+  in_row : int array;  (* n+1: in-edges of v are in_row.(v) .. in_row.(v+1)-1 *)
+  in_edge : int array;  (* m: the edge on each (vertex, in-port) *)
 }
 
 let make ~n ~s ~t edge_list =
   if n < 2 then invalid_arg "Graph.make: need at least s and t";
   if s < 0 || s >= n || t < 0 || t >= n then invalid_arg "Graph.make: s/t out of range";
+  let row = Array.make (n + 1) 0 and in_row = Array.make (n + 1) 0 in
   List.iter
     (fun (u, v) ->
       if u < 0 || u >= n || v < 0 || v >= n then
-        invalid_arg "Graph.make: edge endpoint out of range")
+        invalid_arg "Graph.make: edge endpoint out of range";
+      row.(u + 1) <- row.(u + 1) + 1;
+      in_row.(v + 1) <- in_row.(v + 1) + 1)
     edge_list;
-  let out_lists = Array.make n [] in
-  let in_lists = Array.make n [] in
-  (* First pass assigns out-ports in list order. *)
-  let out_count = Array.make n 0 in
+  for v = 1 to n do
+    row.(v) <- row.(v) + row.(v - 1);
+    in_row.(v) <- in_row.(v) + in_row.(v - 1)
+  done;
+  let m = row.(n) in
+  let head = Array.make m 0 and tgt_port = Array.make m 0 in
+  let src = Array.make m 0 and in_edge = Array.make m 0 in
+  (* Ports, out and in alike, are numbered in list order. *)
+  let out_fill = Array.make n 0 and in_fill = Array.make n 0 in
   List.iter
     (fun (u, v) ->
-      let j = out_count.(u) in
-      out_count.(u) <- j + 1;
-      out_lists.(u) <- v :: out_lists.(u);
-      in_lists.(v) <- (u, j) :: in_lists.(v))
+      let e = row.(u) + out_fill.(u) and i = in_fill.(v) in
+      out_fill.(u) <- out_fill.(u) + 1;
+      in_fill.(v) <- i + 1;
+      head.(e) <- v;
+      src.(e) <- u;
+      tgt_port.(e) <- i;
+      in_edge.(in_row.(v) + i) <- e)
     edge_list;
-  let out_adj = Array.map (fun l -> Array.of_list (List.rev l)) out_lists in
-  let in_adj = Array.map (fun l -> Array.of_list (List.rev l)) in_lists in
-  let edge_base = Array.make n 0 in
-  let total = ref 0 in
-  for v = 0 to n - 1 do
-    edge_base.(v) <- !total;
-    total := !total + Array.length out_adj.(v)
-  done;
-  { n; s; t; out_adj; in_adj; edge_base; n_edges = !total }
+  { n; s; t; m; row; head; tgt_port; src; in_row; in_edge }
 
 let n_vertices g = g.n
-let n_edges g = g.n_edges
+let n_edges g = g.m
 let source g = g.s
 let terminal g = g.t
 
-let out_degree g v = Array.length g.out_adj.(v)
-let in_degree g v = Array.length g.in_adj.(v)
-let out_neighbor g v j = g.out_adj.(v).(j)
-let in_origin g v i = g.in_adj.(v).(i)
+let out_degree g v = g.row.(v + 1) - g.row.(v)
+let in_degree g v = g.in_row.(v + 1) - g.in_row.(v)
+
+let out_edge g v j =
+  if j < 0 || j >= out_degree g v then invalid_arg "Graph: out-port out of range";
+  g.row.(v) + j
+
+let out_neighbor g v j = g.head.(out_edge g v j)
+
+let in_origin g v i =
+  if i < 0 || i >= in_degree g v then invalid_arg "Graph.in_origin: in-port out of range";
+  let e = g.in_edge.(g.in_row.(v) + i) in
+  let u = g.src.(e) in
+  (u, e - g.row.(u))
 
 let iter_out g v f =
-  let a = g.out_adj.(v) in
-  for j = 0 to Array.length a - 1 do
-    f j (Array.unsafe_get a j)
+  let lo = g.row.(v) and hi = g.row.(v + 1) in
+  for e = lo to hi - 1 do
+    f (e - lo) (Array.unsafe_get g.head e)
   done
 
 let fold_out g v ~init f =
-  let a = g.out_adj.(v) in
+  let lo = g.row.(v) and hi = g.row.(v + 1) in
   let acc = ref init in
-  for j = 0 to Array.length a - 1 do
-    acc := f !acc j (Array.unsafe_get a j)
+  for e = lo to hi - 1 do
+    acc := f !acc (e - lo) (Array.unsafe_get g.head e)
   done;
   !acc
 
 let out_port_target_port g u j =
-  let v = g.out_adj.(u).(j) in
-  (* Find which in-port of v corresponds to (u, j). *)
-  let rec find i =
-    if i >= Array.length g.in_adj.(v) then
-      invalid_arg "Graph.out_port_target_port: inconsistent adjacency"
-    else begin
-      let u', j' = g.in_adj.(v).(i) in
-      if u' = u && j' = j then (v, i) else find (i + 1)
-    end
-  in
-  find 0
+  let e = out_edge g u j in
+  (g.head.(e), g.tgt_port.(e))
 
-let edges g =
-  List.concat_map
-    (fun u -> Array.to_list (Array.map (fun v -> (u, v)) g.out_adj.(u)))
-    (List.init g.n (fun v -> v))
+let edges g = List.init g.m (fun e -> (g.src.(e), g.head.(e)))
 
-let edge_index g u j = g.edge_base.(u) + j
+let edge_index g u j = g.row.(u) + j
 
-let edge_of_index g idx =
-  if idx < 0 || idx >= g.n_edges then invalid_arg "Graph.edge_of_index";
-  (* Binary search over edge_base. *)
-  let lo = ref 0 and hi = ref (g.n - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi + 1) / 2 in
-    if g.edge_base.(mid) <= idx then lo := mid else hi := mid - 1
-  done;
-  (!lo, idx - g.edge_base.(!lo))
+let edge_of_index g e =
+  if e < 0 || e >= g.m then invalid_arg "Graph.edge_of_index";
+  let u = g.src.(e) in
+  (u, e - g.row.(u))
+
+let out_offsets g = g.row
+let edge_heads g = g.head
+let edge_sources g = g.src
+let edge_target_ports g = g.tgt_port
 
 let max_out_degree g =
-  Array.fold_left (fun acc a -> max acc (Array.length a)) 1 g.out_adj
+  let best = ref 1 in
+  for v = 0 to g.n - 1 do
+    best := max !best (out_degree g v)
+  done;
+  !best
 
 let vertices g = List.init g.n (fun v -> v)
 
@@ -110,13 +119,11 @@ let bfs_forward g start =
   Queue.add start q;
   while not (Queue.is_empty q) do
     let v = Queue.pop q in
-    Array.iter
-      (fun w ->
+    iter_out g v (fun _ w ->
         if not seen.(w) then begin
           seen.(w) <- true;
           Queue.add w q
         end)
-      g.out_adj.(v)
   done;
   seen
 
@@ -129,13 +136,13 @@ let coreachable_to_t g =
   Queue.add g.t q;
   while not (Queue.is_empty q) do
     let v = Queue.pop q in
-    Array.iter
-      (fun (u, _) ->
-        if not seen.(u) then begin
-          seen.(u) <- true;
-          Queue.add u q
-        end)
-      g.in_adj.(v)
+    for k = g.in_row.(v) to g.in_row.(v + 1) - 1 do
+      let u = g.src.(g.in_edge.(k)) in
+      if not seen.(u) then begin
+        seen.(u) <- true;
+        Queue.add u q
+      end
+    done
   done;
   seen
 
@@ -145,7 +152,7 @@ let all_coreachable g = Array.for_all (fun b -> b) (coreachable_to_t g)
 let topological_order g =
   (* Kahn's algorithm. *)
   let indeg = Array.make g.n 0 in
-  Array.iter (Array.iter (fun v -> indeg.(v) <- indeg.(v) + 1)) g.out_adj;
+  Array.iter (fun v -> indeg.(v) <- indeg.(v) + 1) g.head;
   let q = Queue.create () in
   for v = 0 to g.n - 1 do
     if indeg.(v) = 0 then Queue.add v q
@@ -155,11 +162,9 @@ let topological_order g =
     let v = Queue.pop q in
     incr seen;
     order := v :: !order;
-    Array.iter
-      (fun w ->
+    iter_out g v (fun _ w ->
         indeg.(w) <- indeg.(w) - 1;
         if indeg.(w) = 0 then Queue.add w q)
-      g.out_adj.(v)
   done;
   if !seen = g.n then Some (List.rev !order) else None
 
@@ -209,9 +214,9 @@ let scc g =
     Stack.push (root, 0) frames;
     while not (Stack.is_empty frames) do
       let v, i = Stack.pop frames in
-      if i < Array.length g.out_adj.(v) then begin
+      if i < out_degree g v then begin
         Stack.push (v, i + 1) frames;
-        let w = g.out_adj.(v).(i) in
+        let w = g.head.(g.row.(v) + i) in
         if index.(w) = -1 then begin
           discover w;
           Stack.push (w, 0) frames
@@ -242,16 +247,14 @@ let validate ?(allow_multi_root = false) g =
   else Ok ()
 
 let equal a b =
-  a.n = b.n && a.s = b.s && a.t = b.t && a.out_adj = b.out_adj
+  a.n = b.n && a.s = b.s && a.t = b.t && a.row = b.row && a.head = b.head
 
 let transpose g =
+  (* [in_edge] lists every vertex's in-edges in in-port order. *)
   let edges =
-    List.concat_map
-      (fun v ->
-        List.init (in_degree g v) (fun i ->
-            let u, _ = g.in_adj.(v).(i) in
-            (v, u)))
-      (vertices g)
+    List.init g.m (fun k ->
+        let e = g.in_edge.(k) in
+        (g.head.(e), g.src.(e)))
   in
   make ~n:g.n ~s:g.t ~t:g.s edges
 
@@ -290,13 +293,11 @@ let distances_from g start =
   Queue.add start q;
   while not (Queue.is_empty q) do
     let v = Queue.pop q in
-    Array.iter
-      (fun w ->
+    iter_out g v (fun _ w ->
         if dist.(w) = -1 then begin
           dist.(w) <- dist.(v) + 1;
           Queue.add w q
         end)
-      g.out_adj.(v)
   done;
   dist
 
@@ -310,9 +311,8 @@ let longest_path_dag g =
       let best = Array.make g.n 0 in
       List.iter
         (fun v ->
-          Array.iter
-            (fun w -> if best.(v) + 1 > best.(w) then best.(w) <- best.(v) + 1)
-            g.out_adj.(v))
+          iter_out g v (fun _ w ->
+              if best.(v) + 1 > best.(w) then best.(w) <- best.(v) + 1))
         order;
       Array.fold_left Stdlib.max 0 best
 
@@ -331,14 +331,12 @@ let canonical_signature g =
   let edges = ref [] in
   while not (Queue.is_empty q) do
     let v = Queue.pop q in
-    Array.iteri
-      (fun j w ->
+    iter_out g v (fun j w ->
         if id.(w) = -1 then begin
           assign w;
           Queue.add w q
         end;
         edges := (id.(v), j, id.(w)) :: !edges)
-      g.out_adj.(v)
   done;
   (!next, id.(g.t), List.sort Stdlib.compare !edges)
 
@@ -346,12 +344,13 @@ let isomorphic a b = canonical_signature a = canonical_signature b
 
 let pp fmt g =
   Format.fprintf fmt "@[<v>digraph: %d vertices, %d edges, s=%d, t=%d@," g.n
-    g.n_edges g.s g.t;
+    g.m g.s g.t;
   List.iter
     (fun u ->
       if out_degree g u > 0 then
         Format.fprintf fmt "  %d -> %s@," u
           (String.concat ", "
-             (Array.to_list (Array.map string_of_int g.out_adj.(u)))))
+             (List.rev
+                (fold_out g u ~init:[] (fun acc _ w -> string_of_int w :: acc)))))
     (vertices g);
   Format.fprintf fmt "@]"

@@ -4,7 +4,13 @@
     Vertices are integers [0 .. n-1].  Each vertex orders its outgoing and
     incoming edges by *port*: a vertex can distinguish its ports but knows
     nothing else, which is exactly the information an anonymous protocol's
-    [f] and [g] receive.  Multi-edges and self-loops are allowed. *)
+    [f] and [g] receive.  Multi-edges and self-loops are allowed.
+
+    The representation is compressed sparse row, built once by {!make} in
+    O(n + m): every local query below is a constant number of int-array
+    loads, and edges are numbered densely (the out-edges of vertex 0, then
+    those of vertex 1, ...), which is the numbering per-edge reports,
+    fault plans, churn clocks and replay schedules all share. *)
 
 type vertex = int
 
@@ -41,7 +47,7 @@ val in_origin : t -> vertex -> int -> vertex * int
 
 val out_port_target_port : t -> vertex -> int -> vertex * int
 (** [out_port_target_port g u j] is [(v, i)]: [u]'s [j]-th out-edge lands on
-    [v]'s [i]-th in-port. *)
+    [v]'s [i]-th in-port.  O(1). *)
 
 val edges : t -> (vertex * vertex) list
 (** In global edge-index order. *)
@@ -51,6 +57,27 @@ val edge_index : t -> vertex -> int -> int
     instrumentation to account per-edge traffic. *)
 
 val edge_of_index : t -> int -> vertex * int
+(** Inverse of {!edge_index}: [(u, j)] for a dense edge index.  O(1).
+    @raise Invalid_argument outside [\[0, n_edges)]. *)
+
+(** {2 The arrays themselves}
+
+    For executors that walk edges by dense index in their inner loop.  The
+    arrays are the graph's own storage, shared rather than copied: callers
+    must treat them as read-only. *)
+
+val out_offsets : t -> int array
+(** [n + 1] offsets: the out-edges of [u] are the dense indices
+    [out_offsets.(u) .. out_offsets.(u+1) - 1], in port order. *)
+
+val edge_heads : t -> int array
+(** Per dense edge: the target vertex. *)
+
+val edge_sources : t -> int array
+(** Per dense edge: the source vertex. *)
+
+val edge_target_ports : t -> int array
+(** Per dense edge: the in-port of the target the edge lands on. *)
 
 val max_out_degree : t -> int
 (** The paper's [d_out]; at least 1 even for edgeless graphs so that

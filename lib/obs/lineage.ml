@@ -1,9 +1,8 @@
 (* Causal-provenance recorder: a happens-before forest over deliveries.
 
    Every delivery (pop) gets a node whose id is the engine's 1-based
-   delivery counter — identical across the classic and flat engines for
-   the same schedule, which is what makes lineage parity testable
-   byte-for-byte.  Each message copy carries the node id of the receive
+   delivery counter — a function of the schedule alone, which is what
+   makes the engine's fast and generic paths comparable byte-for-byte.  Each message copy carries the node id of the receive
    that caused its send (its parent) and its causal depth (parent depth
    + 1; root emissions have depth 1), so every aggregate below is O(1)
    per delivery with no lookups:

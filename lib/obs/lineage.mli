@@ -11,7 +11,7 @@
 
     The record is exposed concretely so engine hot paths can update the
     sampling countdown inline; treat the fields as read-only outside
-    [lib/runtime], [lib/flatcore] and [lib/par]. *)
+    [lib/runtime] and [lib/par]. *)
 
 type journal = {
   j_packed : int array;  (** edge lor (parent lsl journal_shift) *)

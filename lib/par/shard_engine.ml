@@ -559,7 +559,7 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
     (match lineage with
     | Some l -> Array.iter (fun s -> Obs.Lineage.merge ~into:l s) lins
     | None -> ());
-    (* Same telemetry epilogue as the sequential engines: GC deltas as
+    (* Same telemetry epilogue as the sequential engine: GC deltas as
        gauges (the whole run, all domains' allocations folded by the
        runtime into one [quick_stat]) and the timeline-overwrite mirror. *)
     (match (obs, gc0) with

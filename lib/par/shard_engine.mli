@@ -105,7 +105,7 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) : sig
       recorders merged into the caller's after join.  Node ids come from
       the global delivery-slot claim (unique, 1-based, reconciling with
       [deliveries]); [n_track] is the delivering shard.  Unlike the
-      sequential engines the id {e assignment} is schedule-dependent, so
+      sequential engine the id {e assignment} is schedule-dependent, so
       there is no cross-engine parity contract here — only the
       node-count reconciliation. *)
 

@@ -164,25 +164,103 @@ let obs_hooks ?(track = 0) (o : Obs.t) =
     g_residual = Obs.Registry.gauge reg "engine.cut_residual";
   }
 
+(* {1 The executor}
+
+   The graph is read through its CSR arrays ({!Digraph.out_offsets} and
+   friends), so resolving a copy's edge to its source, target and ports is
+   a few int loads.  A message is encoded once per physically-distinct
+   value at send time (a pointer-equality memo catches the common case of
+   a protocol re-sending one value on every port) into a bump arena of
+   bytes; the slot id rides with the copy, so a delivery charges bits and
+   dedups symbols with two int loads and a byte flag.  When a pre-run
+   probe certifies the protocol as flood-shaped, a specialized loop keeps
+   the whole in-flight pool as one int array of edge indices.
+
+   {2 The message arena}
+
+   One slot per distinct wire encoding: the bytes live in a single growing
+   buffer, the per-slot tables give offset and exact bit length, and
+   [seen] marks slots whose encoding crossed an edge at least once — the
+   distinct-symbol table behind [distinct_messages]. *)
+
+type arena = {
+  mutable buf : Bytes.t;
+  mutable used : int;
+  mutable off : int array;  (* per slot: byte offset into [buf] *)
+  mutable len_bits : int array;  (* per slot: exact encoded length *)
+  mutable seen : Bytes.t;  (* per slot: '\001' once delivered across an edge *)
+  mutable n_slots : int;
+  mutable distinct : int;  (* slots marked seen *)
+  index : (string, int) Hashtbl.t;  (* encoding key -> slot *)
+}
+
+let arena_create () =
+  {
+    buf = Bytes.create 256;
+    used = 0;
+    off = Array.make 16 0;
+    len_bits = Array.make 16 0;
+    seen = Bytes.make 16 '\000';
+    n_slots = 0;
+    distinct = 0;
+    index = Hashtbl.create 64;
+  }
+
+let arena_add a bytes len_bits =
+  let blen = String.length bytes in
+  if a.used + blen > Bytes.length a.buf then begin
+    let cap = Stdlib.max (a.used + blen) (2 * Bytes.length a.buf) in
+    let bigger = Bytes.create cap in
+    Bytes.blit a.buf 0 bigger 0 a.used;
+    a.buf <- bigger
+  end;
+  Bytes.blit_string bytes 0 a.buf a.used blen;
+  if a.n_slots = Array.length a.off then begin
+    let cap = 2 * a.n_slots in
+    let grow arr = Array.append arr (Array.make a.n_slots 0) in
+    a.off <- grow a.off;
+    a.len_bits <- grow a.len_bits;
+    let seen = Bytes.make cap '\000' in
+    Bytes.blit a.seen 0 seen 0 a.n_slots;
+    a.seen <- seen
+  end;
+  let slot = a.n_slots in
+  a.off.(slot) <- a.used;
+  a.len_bits.(slot) <- len_bits;
+  a.used <- a.used + blen;
+  a.n_slots <- slot + 1;
+  slot
+
+(* The stored encoding, re-materialized as a string (corrupt/verify paths
+   only — never on the fault-free hot path). *)
+let arena_string a slot =
+  Bytes.sub_string a.buf a.off.(slot) ((a.len_bits.(slot) + 7) / 8)
+
+let arena_mark_seen a slot =
+  if Bytes.get a.seen slot = '\000' then begin
+    Bytes.set a.seen slot '\001';
+    a.distinct <- a.distinct + 1
+  end
+
 module Make (P : Protocol_intf.PROTOCOL) = struct
   type state = P.state
   type message = P.message
 
+  (* A copy in flight.  Source, target and both ports are recoverable from
+     [edge] via the CSR arrays, so only the scheduling identity, the fault
+     bit, the protocol value (for [receive]), the arena slot (for
+     everything charged by wire size) and the causal provenance travel:
+     [lp] is the lineage node id of the receive that caused this send
+     (0 = root emission or supervisor retransmission) and [ld] this copy's
+     causal depth (parent depth + 1; root copies have depth 1). *)
   type flight = {
     seq : int;
-    fv : Digraph.vertex;
-    fp : int;
-    tv : Digraph.vertex;
-    tp : int;
     edge : int;
     corrupt : bool;
-    (* Causal provenance, carried by every copy: the lineage node id of
-       the receive that caused this send (0 = root emission or
-       supervisor retransmission) and this copy's causal depth (parent
-       depth + 1; root copies have depth 1). *)
     lp : int;
     ld : int;
     msg : P.message;
+    slot : int;
   }
 
   (* In-flight message pool, specialized per scheduling policy.  Returns
@@ -285,22 +363,308 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       (Char.chr (Char.code (Bytes.get bytes i) lxor (1 lsl (7 - (b mod 8)))));
     Bytes.to_string bytes
 
-  let run ?(scheduler = Scheduler.Fifo) ?(payload_bits = 0)
-      ?(step_limit = 10_000_000) ?(faults = Faults.none)
-      ?(vfaults = Vfaults.none) ?(churn = Churn.none) ?supervisor
-      ?(verify_codec = false) ?stop ?obs ?lineage ?on_deliver ?on_pop
-      ?on_undelivered g =
-    (* Cooperative cancellation: polled between deliveries, so a [true]
-       stops the run at a message boundary with the accounting intact
-       (undelivered copies stay counted in [final_in_flight] and reach
-       [on_undelivered], exactly as under [Step_limit]). *)
-    let stop_now = match stop with None -> (fun () -> false) | Some f -> f in
-    let oh = Option.map (fun o -> obs_hooks o) obs in
-    let gc0 =
-      match obs with
-      | Some _ -> Some (Gc.quick_stat (), Gc.minor_words ())
-      | None -> None
+  (* {1 The flood certificate}
+
+     The fast path replaces [P.receive] on already-saturated vertices with
+     nothing at all, which is sound only for protocols whose behavior it
+     can certify up front:
+
+     - the root emits one physically-shared message value [m0], and every
+       send any receive ever produces is pointer-equal to it (checked live
+       on each executed receive — a pointer compare per send);
+     - from the state one receive of [m0] produces, any further receive of
+       [m0] on any in-port returns that very state (pointer-equal) and no
+       sends — the vertex is {e absorbing}.
+
+     Absorption is probed per distinct (out_degree, in_degree) pair over
+     every in-port, assuming only that [receive] is a pure function of its
+     arguments — the same purity the checkpoint snapshots already rely on
+     to share state values.  Probing is O(sum in_degree^2) over the
+     distinct degree pairs; a budget keeps pathological degree profiles on
+     the generic path instead. *)
+  let certify_flood g =
+    let od_s = Digraph.out_degree g (Digraph.source g) in
+    match P.root_emit ~out_degree:od_s with
+    | [] -> None
+    | (_, m0) :: _ as emits ->
+        if not (List.for_all (fun (_, m) -> m == m0) emits) then None
+        else begin
+          let n = Digraph.n_vertices g and m = Digraph.n_edges g in
+          let pairs = Hashtbl.create 16 in
+          for v = 0 to n - 1 do
+            let idg = Digraph.in_degree g v in
+            if idg > 0 then Hashtbl.replace pairs (Digraph.out_degree g v, idg) ()
+          done;
+          let budget =
+            Hashtbl.fold (fun (_, idg) () acc -> acc + (idg * (idg + 1))) pairs 0
+          in
+          if budget > (4 * m) + 4096 then None
+          else begin
+            let ok = ref true in
+            let check_pair (od, idg) () =
+              if !ok then begin
+                let st0 = P.initial_state ~out_degree:od ~in_degree:idg in
+                for i = 0 to idg - 1 do
+                  if !ok then begin
+                    let st1, sends =
+                      P.receive ~out_degree:od ~in_degree:idg st0 m0 ~in_port:i
+                    in
+                    if not (List.for_all (fun (_, s) -> s == m0) sends) then
+                      ok := false
+                    else
+                      for i' = 0 to idg - 1 do
+                        if !ok then
+                          match
+                            P.receive ~out_degree:od ~in_degree:idg st1 m0
+                              ~in_port:i'
+                          with
+                          | st2, [] when st2 == st1 -> ()
+                          | _ -> ok := false
+                      done
+                  end
+                done
+              end
+            in
+            Hashtbl.iter check_pair pairs;
+            if !ok then Some (m0, emits) else None
+          end
+        end
+
+  (* {1 The fast path}
+
+     Fault-free FIFO only: the pool degenerates to one int array of edge
+     indices consumed left to right (send order is delivery order, so the
+     k-th pop is seq k), and a vertex's first receive — executed for real,
+     so final states match the generic path bit-for-bit — flips it to
+     absorbed, after which its deliveries touch two arrays and nothing
+     else.  Total pushes are bounded by [root emissions + m] because an
+     absorbing vertex emits at most once. *)
+  let run_flood g ~payload_bits ~step_limit ~stop ~oh ~lineage (m0 : P.message)
+      (emits : (int * P.message) list) =
+    let n = Digraph.n_vertices g and ne = Digraph.n_edges g in
+    let s = Digraph.source g and t = Digraph.terminal g in
+    let row = Digraph.out_offsets g
+    and head_arr = Digraph.edge_heads g
+    and tgt_port = Digraph.edge_target_ports g in
+    let bpm =
+      let w = Bitio.Bit_writer.create () in
+      P.encode w m0;
+      Bitio.Bit_writer.length w + payload_bits
     in
+    let states =
+      Array.init n (fun v ->
+          P.initial_state
+            ~out_degree:(Digraph.out_degree g v)
+            ~in_degree:(Digraph.in_degree g v))
+    in
+    let visited = Array.make n false in
+    let absorbed = Bytes.make n '\000' in
+    let edge_messages = Array.make (Stdlib.max ne 1) 0 in
+    let deliveries = ref 0 in
+    let n_visited = ref 0 in
+    let max_state_bits = ref 0 in
+    (* One push per root emission plus at most one emission burst per
+       vertex; grown defensively since the certificate does not bound a
+       burst's length. *)
+    let ring = ref (Array.make (List.length emits + ne + 1) 0) in
+    let tail = ref 0 and head = ref 0 in
+    let max_in_flight = ref 0 in
+    (* Lineage rides in the unused upper bits of the edge ring itself:
+       each pushed slot packs [edge lor (parent_id lsl journal_shift)]
+       (edge and delivery counts are both far below 2^31).  With no
+       recorder [lin_parent] stays 0, the pack is the identity, and the
+       bare fast path pays one OR per push and one AND per pop. *)
+    let lin_on = lineage <> None in
+    (match lineage with
+    | Some l -> Obs.Lineage.bind l ~n_vertices:n ~n_edges:ne
+    | None -> ());
+    let lin_parent = ref 0 in
+    let stop_now = match stop with None -> (fun () -> false) | Some f -> f in
+    let until_sample =
+      ref (match oh with Some h -> h.oh_sample_every | None -> max_int)
+    in
+    let time_receive = ref false in
+    (* [bits_total] is passed in because the generic path samples
+       [engine.total_bits] {e before} charging the current delivery. *)
+    let obs_sample ~bits_total =
+      match oh with
+      | None -> ()
+      | Some h ->
+          let tl = h.oh_timeline and track = h.oh_track in
+          let in_flight = !tail - !head in
+          Obs.Registry.set h.g_in_flight in_flight;
+          Obs.Registry.set h.g_wavefront !n_visited;
+          (* entered - delivered - in_flight: every pop is a delivery here,
+             so the residual is identically 0 — sampled anyway to keep the
+             reconciliation series present. *)
+          Obs.Registry.set h.g_residual 0;
+          Obs.Timeline.sample tl ~track "engine.in_flight" (float_of_int in_flight);
+          Obs.Timeline.sample tl ~track "engine.wavefront" (float_of_int !n_visited);
+          Obs.Timeline.sample tl ~track "engine.cut_residual" 0.0;
+          Obs.Timeline.sample tl ~track "engine.deliveries" (float_of_int !deliveries);
+          Obs.Timeline.sample tl ~track "engine.total_bits"
+            (float_of_int bits_total)
+    in
+    (match oh with
+    | Some h -> Obs.Timeline.begin_span h.oh_timeline ~track:h.oh_track "engine.run"
+    | None -> ());
+    let push_edge e =
+      let r = !ring in
+      let r =
+        if !tail = Array.length r then begin
+          let bigger = Array.make (2 * Array.length r) 0 in
+          Array.blit r 0 bigger 0 !tail;
+          ring := bigger;
+          bigger
+        end
+        else r
+      in
+      r.(!tail) <- e lor (!lin_parent lsl Obs.Lineage.journal_shift);
+      incr tail;
+      let fl = !tail - !head in
+      if fl > !max_in_flight then max_in_flight := fl
+    in
+    List.iter
+      (fun (j, _) ->
+        (match oh with Some h -> Obs.Registry.incr h.c_sends | None -> ());
+        push_edge (row.(s) + j))
+      emits;
+    visited.(s) <- true;
+    incr n_visited;
+    let outcome = ref Quiescent in
+    let running = ref true in
+    while !running do
+      if !deliveries >= step_limit then begin
+        outcome := Step_limit;
+        running := false
+      end
+      else if stop_now () then begin
+        outcome := Cancelled;
+        running := false
+      end
+      else if !head = !tail then begin
+        outcome := (if P.accepting states.(t) then Terminated else Quiescent);
+        running := false
+      end
+      else begin
+        let e =
+          Array.unsafe_get !ring !head
+          land ((1 lsl Obs.Lineage.journal_shift) - 1)
+        in
+        incr head;
+        incr deliveries;
+        (match oh with
+        | Some h ->
+            Obs.Registry.incr h.c_deliveries;
+            Obs.Registry.add h.c_bits bpm;
+            Obs.Registry.observe h.h_message_bits bpm;
+            decr until_sample;
+            if !until_sample <= 0 then begin
+              until_sample := h.oh_sample_every;
+              time_receive := true;
+              obs_sample ~bits_total:((!deliveries - 1) * bpm)
+            end
+        | None -> ());
+        Array.unsafe_set edge_messages e (Array.unsafe_get edge_messages e + 1);
+        let tv = Array.unsafe_get head_arr e in
+        if Bytes.unsafe_get absorbed tv = '\001' then begin
+          (* The generic path would run a receive returning the same
+             state and no sends; the sampled-receive histogram still gets
+             its observation so counts reconcile. *)
+          match oh with
+          | Some h when !time_receive ->
+              time_receive := false;
+              Obs.Registry.observe h.h_receive_ns 0
+          | _ -> ()
+        end
+        else begin
+          if not visited.(tv) then begin
+            visited.(tv) <- true;
+            incr n_visited
+          end;
+          let t0 =
+            match oh with
+            | Some h when !time_receive -> Obs.Timeline.now h.oh_timeline
+            | _ -> 0.0
+          in
+          let st', sends =
+            P.receive
+              ~out_degree:(Digraph.out_degree g tv)
+              ~in_degree:(Digraph.in_degree g tv)
+              states.(tv) m0 ~in_port:(Array.unsafe_get tgt_port e)
+          in
+          (match oh with
+          | Some h when !time_receive ->
+              time_receive := false;
+              let ns =
+                int_of_float ((Obs.Timeline.now h.oh_timeline -. t0) *. 1e9)
+              in
+              Obs.Registry.add h.c_receive_ns ns;
+              Obs.Registry.observe h.h_receive_ns ns
+          | _ -> ());
+          states.(tv) <- st';
+          let b = P.state_bits st' in
+          if b > !max_state_bits then max_state_bits := b;
+          Bytes.unsafe_set absorbed tv '\001';
+          if lin_on then lin_parent := !deliveries;
+          let base = row.(tv) in
+          List.iter
+            (fun (j, m) ->
+              if m != m0 then
+                failwith "Engine: protocol violated its flood certificate";
+              (match oh with Some h -> Obs.Registry.incr h.c_sends | None -> ());
+              push_edge (base + j))
+            sends;
+          if tv = t && P.accepting st' then begin
+            outcome := Terminated;
+            running := false
+          end
+        end
+      end
+    done;
+    (* The ring never reuses a slot — [head] only advances, and growth
+       blits the whole [0, tail) prefix — so slots [0, head) are the pop
+       journal in delivery order (id = slot + 1).  Hand the rings to the
+       recorder wholesale: they are dead here, and it replays them into
+       its aggregates lazily on first query, so the ~100ns/pop loop
+       above paid only the two ring stores per push. *)
+    (match lineage with
+    | Some l ->
+        Obs.Lineage.note_journal l ~packed:!ring ~heads:head_arr
+          ~count:!head ~track:0
+    | None -> ());
+    (match oh with
+    | Some h ->
+        obs_sample ~bits_total:(!deliveries * bpm);
+        Obs.Timeline.end_span h.oh_timeline ~track:h.oh_track "engine.run"
+    | None -> ());
+    let edge_bits = Array.map (fun c -> c * bpm) edge_messages in
+    {
+      outcome = !outcome;
+      deliveries = !deliveries;
+      total_bits = !deliveries * bpm;
+      max_edge_bits = Array.fold_left Stdlib.max 0 edge_bits;
+      max_message_bits = (if !deliveries > 0 then bpm else 0);
+      max_state_bits = !max_state_bits;
+      max_in_flight = !max_in_flight;
+      final_in_flight = !tail - !head;
+      distinct_messages = (if !deliveries > 0 then 1 else 0);
+      edge_messages;
+      edge_bits;
+      visited;
+      states;
+      fault_stats = no_faults_stats;
+      vfault_stats = no_vfaults_stats;
+      churn_stats = no_churn_stats;
+    }
+
+  (* {1 The generic path}
+
+     Every scheduler, fault layer, supervisor, hook and codec check. *)
+  let run_generic g ~scheduler ~payload_bits ~step_limit ~faults ~vfaults
+      ~churn ~supervisor ~verify_codec ~stop ~oh ~lineage ~on_deliver ~on_pop
+      ~on_undelivered () =
+    let stop_now = match stop with None -> (fun () -> false) | Some f -> f in
     let n = Digraph.n_vertices g in
     let ne = Digraph.n_edges g in
     (match lineage with
@@ -312,34 +676,20 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
        fresh chains. *)
     let lin_parent = ref 0 in
     let lin_depth = ref 0 in
-    (* Pop journal: one packed [edge lor (parent lsl journal_shift)]
-       slot per consumed copy, handed to the recorder wholesale at run
-       end and replayed into its aggregates on first query — the run
-       itself pays one store per delivery.  Depths reconstruct exactly
-       because [ld] is always parent depth + 1 with retransmissions
-       restarting at parent 0. *)
-    let lin_on = lineage <> None in
-    let lin_j = ref (if lin_on then Array.make 1024 0 else [||]) in
-    let lin_n = ref 0 in
     let t = Digraph.terminal g in
-    (* Dense edge -> (target vertex, target in-port), filled by walking the
-       in-adjacency: [in_origin] and [edge_index] are O(1), so the table
-       costs O(n + m) — not the O(m * in_degree) port search of
-       [out_port_target_port]. *)
-    let target = Array.make (Stdlib.max ne 1) (0, 0) in
-    for v = 0 to n - 1 do
-      for i = 0 to Digraph.in_degree g v - 1 do
-        let u, j = Digraph.in_origin g v i in
-        target.(Digraph.edge_index g u j) <- (v, i)
-      done
-    done;
+    let row = Digraph.out_offsets g
+    and head_arr = Digraph.edge_heads g
+    and tgt_port = Digraph.edge_target_ports g
+    and src = Digraph.edge_sources g in
     let states =
       Array.init n (fun v ->
-          P.initial_state ~out_degree:(Digraph.out_degree g v)
+          P.initial_state
+            ~out_degree:(Digraph.out_degree g v)
             ~in_degree:(Digraph.in_degree g v))
     in
     let initial_of v =
-      P.initial_state ~out_degree:(Digraph.out_degree g v)
+      P.initial_state
+        ~out_degree:(Digraph.out_degree g v)
         ~in_degree:(Digraph.in_degree g v)
     in
     let visited = Array.make n false in
@@ -351,7 +701,32 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     let corrupted_deliveries = ref 0 in
     let garbled_drops = ref 0 in
     let checksum_rejects = ref 0 in
-    let seen : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+    let arena = arena_create () in
+    (* Encode-once memo: protocols overwhelmingly re-send one physical
+       message value (flood's token, a just-built commodity fanned over
+       every port), so most sends resolve their slot with one pointer
+       compare. *)
+    let memo : (P.message * int) option ref = ref None in
+    let slot_of msg =
+      match !memo with
+      | Some (m, s) when m == msg -> s
+      | _ ->
+          let w = Bitio.Bit_writer.create () in
+          P.encode w msg;
+          let len_bits = Bitio.Bit_writer.length w in
+          let bytes = Bitio.Bit_writer.to_string w in
+          let key = string_of_int len_bits ^ ":" ^ bytes in
+          let slot =
+            match Hashtbl.find_opt arena.index key with
+            | Some s -> s
+            | None ->
+                let s = arena_add arena bytes len_bits in
+                Hashtbl.add arena.index key s;
+                s
+          in
+          memo := Some (msg, slot);
+          slot
+    in
     let push, pop, drain = make_pool scheduler in
     let faulty = not (Faults.is_none faults) in
     let fi = Faults.Instance.start faults in
@@ -377,7 +752,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     let replayed = ref 0 in
     (* Copies held back by a delay fault, keyed by (release step, seq); they
        still count as in flight. *)
-    let delayed : ((int * int), flight) Binheap.t = Binheap.create () in
+    let delayed : (int * int, flight) Binheap.t = Binheap.create () in
     let next_seq = ref 0 in
     let max_state_bits = ref 0 in
     let in_flight = ref 0 in
@@ -390,10 +765,9 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       end
     in
     (* Copies that ever entered flight; [entered - deliveries - in_flight]
-       is the engine's message-conservation residual, sampled as the
+       is the message-conservation residual, sampled as the
        [engine.cut_residual] series (always 0 unless the accounting is
-       broken — a live self-check, not a tautology for readers of the
-       trace). *)
+       broken). *)
     let entered = ref 0 in
     let note_state st =
       let b = P.state_bits st in
@@ -403,11 +777,9 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       incr in_flight;
       incr entered;
       if !in_flight > !max_in_flight then max_in_flight := !in_flight;
-      if delay = 0 then push f else Binheap.push delayed (!deliveries + delay, f.seq) f
+      if delay = 0 then push f
+      else Binheap.push delayed (!deliveries + delay, f.seq) f
     in
-    (* Countdown to the next sampled delivery — one decrement/compare on
-       the hot path instead of a [mod] — and a flag marking the current
-       delivery as the one whose [P.receive] gets timed. *)
     let until_sample =
       ref (match oh with Some h -> h.oh_sample_every | None -> max_int)
     in
@@ -427,34 +799,29 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
           Obs.Timeline.sample tl ~track "engine.deliveries" (float_of_int !deliveries);
           Obs.Timeline.sample tl ~track "engine.total_bits" (float_of_int !total_bits)
     in
-    (* Supervisor retransmission state: the last message emitted on each
-       dense edge (the only thing a feedback-free repeater can re-send),
-       plus the edge's source endpoint for re-injection. *)
     let last_msg : P.message option array =
       Array.make (if supervised then Stdlib.max ne 1 else 1) None
     in
-    let source_of = Array.make (if supervised then Stdlib.max ne 1 else 1) (0, 0) in
-    if supervised then
-      for u = 0 to n - 1 do
-        Digraph.iter_out g u (fun j _ ->
-            source_of.(Digraph.edge_index g u j) <- (u, j))
-      done;
     let sup_prng =
-      Prng.create (match supervisor with Some (c : Supervisor.config) -> c.seed | None -> 0)
+      Prng.create
+        (match supervisor with Some (c : Supervisor.config) -> c.seed | None -> 0)
     in
     let retries_left =
-      ref (match supervisor with Some (c : Supervisor.config) -> c.max_retries | None -> 0)
+      ref
+        (match supervisor with
+        | Some (c : Supervisor.config) -> c.max_retries
+        | None -> 0)
     in
     let sup_round = ref 0 in
     let send ?(extra_delay = 0) fv fp msg =
-      let edge = Digraph.edge_index g fv fp in
-      let tv, tp = target.(edge) in
+      let edge = row.(fv) + fp in
       (match oh with Some h -> Obs.Registry.incr h.c_sends | None -> ());
       if supervised then last_msg.(edge) <- Some msg;
+      let slot = slot_of msg in
       let lp = !lin_parent and ld = !lin_depth + 1 in
       if not faulty then begin
         enter
-          { seq = !next_seq; fv; fp; tv; tp; edge; corrupt = false; lp; ld; msg }
+          { seq = !next_seq; edge; corrupt = false; lp; ld; msg; slot }
           ~delay:extra_delay;
         incr next_seq
       end
@@ -462,31 +829,24 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
         List.iter
           (fun ({ delay; flip_bit = corrupt } : Faults.copy_fate) ->
             enter
-              { seq = !next_seq; fv; fp; tv; tp; edge; corrupt; lp; ld; msg }
+              { seq = !next_seq; edge; corrupt; lp; ld; msg; slot }
               ~delay:(delay + extra_delay);
             incr next_seq)
           (Faults.Instance.on_send fi ~edge)
     in
-    (* One retransmission round: re-send the last message of every edge
-       whose source is still healthy, held back by the round's backoff.
-       Retransmitted copies run the same per-edge fault gauntlet as
-       originals, and a {!Redundant}-wrapped receiver dedups them by wire
-       encoding.  Returns whether anything was actually re-injected. *)
     let retransmit () =
       match supervisor with
       | None -> false
       | Some (cfg : Supervisor.config) ->
-          (* Retransmissions start fresh causal chains: nothing "caused"
-             them but the supervisor's clock. *)
           lin_parent := 0;
           lin_depth := 0;
           let sent = ref false in
           for e = 0 to ne - 1 do
             match last_msg.(e) with
-            | Some msg when Vfaults.Instance.is_up vfi ~vertex:(fst source_of.(e)) ->
-                let fv, fp = source_of.(e) in
+            | Some msg when Vfaults.Instance.is_up vfi ~vertex:src.(e) ->
+                let fv = src.(e) in
                 let extra_delay = Supervisor.backoff cfg sup_prng ~round:!sup_round in
-                send ~extra_delay fv fp msg;
+                send ~extra_delay fv (e - row.(fv)) msg;
                 incr replayed;
                 (match oh with Some h -> Obs.Registry.incr h.c_replayed | None -> ());
                 sent := true
@@ -496,7 +856,6 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
           decr retries_left;
           !sent
     in
-    (* Move every delay-expired copy back into the scheduler's pool. *)
     let release_due () =
       let continue = ref true in
       while !continue do
@@ -511,11 +870,11 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     (match oh with
     | Some h -> Obs.Timeline.begin_span h.oh_timeline ~track:h.oh_track "engine.run"
     | None -> ());
-    (* The root spontaneously emits sigma0. *)
+    let se = Digraph.source g in
     List.iter
-      (fun (j, msg) -> send (Digraph.source g) j msg)
-      (P.root_emit ~out_degree:(Digraph.out_degree g (Digraph.source g)));
-    mark_visited (Digraph.source g);
+      (fun (j, msg) -> send se j msg)
+      (P.root_emit ~out_degree:(Digraph.out_degree g se));
+    mark_visited se;
     let outcome = ref Quiescent in
     let running = ref true in
     while !running do
@@ -531,15 +890,9 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
         release_due ();
         match pop () with
         | None -> (
-            (* Nothing deliverable; fast-forward idle time to the next
-               delayed copy, if any. *)
             match Binheap.pop delayed with
             | Some (_, f) -> push f
             | None ->
-                (* True quiescence.  If the terminal has not accepted and a
-                   supervisor is installed, burn a retransmission round
-                   before giving up — losses (drops, crashes, stutter) are
-                   the only way a terminating protocol goes quiet early. *)
                 if P.accepting states.(t) then begin
                   outcome := Terminated;
                   running := false
@@ -552,23 +905,11 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
         | Some f -> (
             incr deliveries;
             decr in_flight;
-            (* Every consumed copy gets a journal slot — including copies
-               a churn-absent edge or a down vertex swallows — so the
-               node count reconciles exactly with [report.deliveries]. *)
-            if lin_on then begin
-              if !lin_n = Array.length !lin_j then begin
-                let bigger = Array.make (2 * !lin_n) 0 in
-                Array.blit !lin_j 0 bigger 0 !lin_n;
-                lin_j := bigger
-              end;
-              Array.unsafe_set !lin_j !lin_n
-                (f.edge lor (f.lp lsl Obs.Lineage.journal_shift));
-              incr lin_n
-            end;
-            (* [on_pop] sees every consumed copy — including copies a down
-               vertex swallows or a garble destroys — because a faithful
-               replay schedule must re-deliver exactly those seqs to keep
-               the per-vertex fault clocks aligned. *)
+            (match lineage with
+            | Some l ->
+                Obs.Lineage.note l ~id:!deliveries ~parent:f.lp ~depth:f.ld
+                  ~edge:f.edge ~vertex:head_arr.(f.edge) ~track:0
+            | None -> ());
             (match on_pop with Some hook -> hook f.seq | None -> ());
             (* The churn fate comes first, on the edge's own offer clock: a
                copy offered on an absent edge is consumed (it occupies a
@@ -603,228 +944,207 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                   | Churn.Down | Churn.Cross -> ())
             end
             else begin
-            (* Charge the exact wire size. *)
-            let w = Bitio.Bit_writer.create () in
-            P.encode w f.msg;
-            let bits = Bitio.Bit_writer.length w + payload_bits in
-            (match oh with
-            | Some h ->
-                Obs.Registry.incr h.c_deliveries;
-                Obs.Registry.add h.c_bits bits;
-                Obs.Registry.observe h.h_message_bits bits;
-                decr until_sample;
-                if !until_sample <= 0 then begin
-                  until_sample := h.oh_sample_every;
-                  time_receive := true;
-                  obs_sample ()
-                end
-            | None -> ());
-            if verify_codec then begin
-              let r =
-                Bitio.Bit_reader.of_string
-                  ~length_bits:(Bitio.Bit_writer.length w)
-                  (Bitio.Bit_writer.to_string w)
-              in
-              let decoded =
-                try P.decode r
-                with exn ->
+              let len_bits = arena.len_bits.(f.slot) in
+              let bits = len_bits + payload_bits in
+              (match oh with
+              | Some h ->
+                  Obs.Registry.incr h.c_deliveries;
+                  Obs.Registry.add h.c_bits bits;
+                  Obs.Registry.observe h.h_message_bits bits;
+                  decr until_sample;
+                  if !until_sample <= 0 then begin
+                    until_sample := h.oh_sample_every;
+                    time_receive := true;
+                    obs_sample ()
+                  end
+              | None -> ());
+              if verify_codec then begin
+                let r =
+                  Bitio.Bit_reader.of_string ~length_bits:len_bits
+                    (arena_string arena f.slot)
+                in
+                let decoded =
+                  try P.decode r
+                  with exn ->
+                    raise
+                      (Codec_mismatch
+                         (Printf.sprintf "%s: decode raised %s" P.name
+                            (Printexc.to_string exn)))
+                in
+                if not (P.equal_message decoded f.msg) then
                   raise
                     (Codec_mismatch
-                       (Printf.sprintf "%s: decode raised %s" P.name
-                          (Printexc.to_string exn)))
+                       (Format.asprintf "%s: %a decoded as %a" P.name
+                          P.pp_message f.msg P.pp_message decoded));
+                if not (Bitio.Bit_reader.at_end r) then
+                  raise
+                    (Codec_mismatch
+                       (Printf.sprintf "%s: %d trailing bits after decode"
+                          P.name
+                          (Bitio.Bit_reader.remaining r)))
+              end;
+              arena_mark_seen arena f.slot;
+              total_bits := !total_bits + bits;
+              edge_messages.(f.edge) <- edge_messages.(f.edge) + 1;
+              edge_bits.(f.edge) <- edge_bits.(f.edge) + bits;
+              if bits > !max_message_bits then max_message_bits := bits;
+              (* The vertex-fault fate is decided before decode: a delivery
+                 consumed by a down, stuttering or crashing vertex is
+                 charged to the edge (it did cross the channel) but never
+                 reaches [P.receive], and skips the corrupt-bit draw. *)
+              let tv = head_arr.(f.edge) in
+              let vfate =
+                if vfaulty then Vfaults.Instance.on_deliver vfi ~vertex:tv
+                else Vfaults.Deliver
               in
-              if not (P.equal_message decoded f.msg) then
-                raise
-                  (Codec_mismatch
-                     (Format.asprintf "%s: %a decoded as %a" P.name P.pp_message
-                        f.msg P.pp_message decoded));
-              if not (Bitio.Bit_reader.at_end r) then
-                raise
-                  (Codec_mismatch
-                     (Printf.sprintf "%s: %d trailing bits after decode" P.name
-                        (Bitio.Bit_reader.remaining r)))
-            end;
-            let key =
-              string_of_int (Bitio.Bit_writer.length w)
-              ^ ":"
-              ^ Bitio.Bit_writer.to_string w
-            in
-            if not (Hashtbl.mem seen key) then Hashtbl.add seen key ();
-            total_bits := !total_bits + bits;
-            edge_messages.(f.edge) <- edge_messages.(f.edge) + 1;
-            edge_bits.(f.edge) <- edge_bits.(f.edge) + bits;
-            if bits > !max_message_bits then max_message_bits := bits;
-            (* The vertex-fault fate is decided before decode: a delivery
-               consumed by a down, stuttering or crashing vertex is charged
-               to the edge (it did cross the channel) but never reaches
-               [P.receive] — and skips the corrupt-bit draw, since nobody
-               observes the flipped encoding. *)
-            let vfate =
-              if vfaulty then Vfaults.Instance.on_deliver vfi ~vertex:f.tv
-              else Vfaults.Deliver
-            in
-            match vfate with
-            | Vfaults.Stutter ->
-                (match oh with
-                | Some h -> Obs.Registry.incr h.c_stuttered
-                | None -> ())
-            | Vfaults.Down_drop ->
-                (match oh with
-                | Some h ->
-                    Obs.Registry.incr h.c_down_drops;
-                    (* A restart fires on the down-drop that drains the
-                       vertex's downtime; mirror the instance's count
-                       exactly (a vertex still down at run end never
-                       restarted). *)
-                    let nr = Vfaults.Instance.restarts vfi in
-                    let seen = Obs.Registry.value h.c_restarts in
-                    if nr > seen then Obs.Registry.add h.c_restarts (nr - seen)
-                | None -> ())
-            | Vfaults.Crash (recovery, _downtime) -> (
-                (match oh with
-                | Some h -> Obs.Registry.incr h.c_crashes
-                | None -> ());
-                let old_bits = P.state_bits states.(f.tv) in
-                match recovery with
-                | Vfaults.Stop ->
-                    (* The corpse keeps its state; it is simply deaf.  Its
-                       visited flag stands — it {e was} reached. *)
-                    ()
-                | Vfaults.Amnesia when not supervised ->
-                    lost_state_bits := !lost_state_bits + old_bits;
-                    (match oh with
-                    | Some h -> Obs.Registry.add h.c_lost_state_bits old_bits
-                    | None -> ());
-                    states.(f.tv) <- initial_of f.tv;
-                    if visited.(f.tv) then begin
-                      visited.(f.tv) <- false;
-                      decr n_visited
-                    end
-                (* With a supervisor armed its checkpoints are durable
-                   storage, so even "full" state loss degrades to a
-                   restore: without this, an amnesia crash after a vertex
-                   has forwarded its flow erases coverage that no
-                   conservation argument can ever notice — the terminal
-                   still collects flow 1 and falsely terminates. *)
-                | Vfaults.Amnesia | Vfaults.Restore ->
-                    let restored = ckpt.(f.tv) in
-                    let lost = Stdlib.max 0 (old_bits - P.state_bits restored) in
-                    lost_state_bits := !lost_state_bits + lost;
-                    (match oh with
-                    | Some h -> Obs.Registry.add h.c_lost_state_bits lost
-                    | None -> ());
-                    states.(f.tv) <- restored;
-                    if ckpt_visited.(f.tv) then mark_visited f.tv
-                    else if visited.(f.tv) then begin
-                      visited.(f.tv) <- false;
-                      decr n_visited
-                    end)
-            | Vfaults.Deliver -> (
-            (* A corrupted copy flows through the real decode path: what the
-               vertex processes is whatever the flipped encoding decodes to,
-               a checksum-bearing codec rejects the flip outright, and an
-               unparseable encoding is consumed undelivered. *)
-            let delivered =
-              if not f.corrupt then Some f.msg
-              else
-                let len = Bitio.Bit_writer.length w in
-                if len = 0 then Some f.msg
-                else begin
-                  let b = Faults.Instance.corrupt_bit fi ~edge:f.edge ~length_bits:len in
-                  let s = flip_bit (Bitio.Bit_writer.to_string w) b in
-                  let r = Bitio.Bit_reader.of_string ~length_bits:len s in
-                  match P.decode r with
-                  | decoded ->
-                      if not (P.equal_message decoded f.msg) then begin
-                        incr corrupted_deliveries;
-                        match oh with
-                        | Some h -> Obs.Registry.incr h.c_corrupted
-                        | None -> ()
-                      end;
-                      Some decoded
-                  | exception Protocol_intf.Checksum_reject ->
-                      incr checksum_rejects;
-                      (match oh with
-                      | Some h -> Obs.Registry.incr h.c_checksum_rejects
-                      | None -> ());
-                      None
-                  | exception _ ->
-                      incr garbled_drops;
-                      (match oh with
-                      | Some h -> Obs.Registry.incr h.c_garbled
-                      | None -> ());
-                      None
-                end
-            in
-            match delivered with
-            | None -> ()
-            | Some msg ->
-                (match on_deliver with
-                | Some hook ->
-                    hook
-                      {
-                        step = !deliveries;
-                        seq = f.seq;
-                        from_vertex = f.fv;
-                        from_port = f.fp;
-                        to_vertex = f.tv;
-                        to_port = f.tp;
-                        bits;
-                      }
-                      msg
-                | None -> ());
-                mark_visited f.tv;
-                (* Receive cost is measured only on sampled deliveries —
-                   two clock reads per delivery would dominate the cheap
-                   protocols, and the histogram only needs a time series,
-                   not a total. *)
-                let t0 =
+              match vfate with
+              | Vfaults.Stutter -> (
                   match oh with
-                  | Some h when !time_receive -> Obs.Timeline.now h.oh_timeline
-                  | _ -> 0.0
-                in
-                let state', sends =
-                  P.receive
-                    ~out_degree:(Digraph.out_degree g f.tv)
-                    ~in_degree:(Digraph.in_degree g f.tv)
-                    states.(f.tv) msg ~in_port:f.tp
-                in
-                (match oh with
-                | Some h when !time_receive ->
-                    time_receive := false;
-                    let ns =
-                      int_of_float ((Obs.Timeline.now h.oh_timeline -. t0) *. 1e9)
-                    in
-                    Obs.Registry.add h.c_receive_ns ns;
-                    Obs.Registry.observe h.h_receive_ns ns
-                | _ -> ());
-                states.(f.tv) <- state';
-                note_state state';
-                if need_ckpt then begin
-                  vdeliv.(f.tv) <- vdeliv.(f.tv) + 1;
-                  if vdeliv.(f.tv) mod ckpt_cadence = 0 then begin
-                    ckpt.(f.tv) <- state';
-                    ckpt_visited.(f.tv) <- true;
-                    incr checkpoints;
-                    match oh with
-                    | Some h -> Obs.Registry.incr h.c_checkpoints
-                    | None -> ()
-                  end
-                end;
-                lin_parent := !deliveries;
-                lin_depth := f.ld;
-                List.iter (fun (j, msg) -> send f.tv j msg) sends;
-                lin_parent := 0;
-                lin_depth := 0;
-                if f.tv = t && P.accepting state' then begin
-                  outcome := Terminated;
-                  running := false
-                end)
+                  | Some h -> Obs.Registry.incr h.c_stuttered
+                  | None -> ())
+              | Vfaults.Down_drop -> (
+                  match oh with
+                  | Some h ->
+                      Obs.Registry.incr h.c_down_drops;
+                      let nr = Vfaults.Instance.restarts vfi in
+                      let seen = Obs.Registry.value h.c_restarts in
+                      if nr > seen then Obs.Registry.add h.c_restarts (nr - seen)
+                  | None -> ())
+              | Vfaults.Crash (recovery, _downtime) -> (
+                  (match oh with
+                  | Some h -> Obs.Registry.incr h.c_crashes
+                  | None -> ());
+                  let old_bits = P.state_bits states.(tv) in
+                  match recovery with
+                  | Vfaults.Stop -> ()
+                  | Vfaults.Amnesia when not supervised ->
+                      lost_state_bits := !lost_state_bits + old_bits;
+                      (match oh with
+                      | Some h -> Obs.Registry.add h.c_lost_state_bits old_bits
+                      | None -> ());
+                      states.(tv) <- initial_of tv;
+                      if visited.(tv) then begin
+                        visited.(tv) <- false;
+                        decr n_visited
+                      end
+                  (* With a supervisor armed its checkpoints are durable
+                     storage, so even "full" state loss degrades to a
+                     restore: otherwise an amnesia crash after a vertex
+                     forwarded its flow erases coverage no conservation
+                     argument can notice. *)
+                  | Vfaults.Amnesia | Vfaults.Restore ->
+                      let restored = ckpt.(tv) in
+                      let lost = Stdlib.max 0 (old_bits - P.state_bits restored) in
+                      lost_state_bits := !lost_state_bits + lost;
+                      (match oh with
+                      | Some h -> Obs.Registry.add h.c_lost_state_bits lost
+                      | None -> ());
+                      states.(tv) <- restored;
+                      if ckpt_visited.(tv) then mark_visited tv
+                      else if visited.(tv) then begin
+                        visited.(tv) <- false;
+                        decr n_visited
+                      end)
+              | Vfaults.Deliver -> (
+                  let delivered =
+                    if not f.corrupt then Some f.msg
+                    else if len_bits = 0 then Some f.msg
+                    else begin
+                      let b =
+                        Faults.Instance.corrupt_bit fi ~edge:f.edge
+                          ~length_bits:len_bits
+                      in
+                      let s = flip_bit (arena_string arena f.slot) b in
+                      let r = Bitio.Bit_reader.of_string ~length_bits:len_bits s in
+                      match P.decode r with
+                      | decoded ->
+                          if not (P.equal_message decoded f.msg) then begin
+                            incr corrupted_deliveries;
+                            match oh with
+                            | Some h -> Obs.Registry.incr h.c_corrupted
+                            | None -> ()
+                          end;
+                          Some decoded
+                      | exception Protocol_intf.Checksum_reject ->
+                          incr checksum_rejects;
+                          (match oh with
+                          | Some h -> Obs.Registry.incr h.c_checksum_rejects
+                          | None -> ());
+                          None
+                      | exception _ ->
+                          incr garbled_drops;
+                          (match oh with
+                          | Some h -> Obs.Registry.incr h.c_garbled
+                          | None -> ());
+                          None
+                    end
+                  in
+                  match delivered with
+                  | None -> ()
+                  | Some msg ->
+                      let tp = tgt_port.(f.edge) in
+                      (match on_deliver with
+                      | Some hook ->
+                          let fv = src.(f.edge) in
+                          hook
+                            {
+                              step = !deliveries;
+                              seq = f.seq;
+                              from_vertex = fv;
+                              from_port = f.edge - row.(fv);
+                              to_vertex = tv;
+                              to_port = tp;
+                              bits;
+                            }
+                            msg
+                      | None -> ());
+                      mark_visited tv;
+                      let t0 =
+                        match oh with
+                        | Some h when !time_receive -> Obs.Timeline.now h.oh_timeline
+                        | _ -> 0.0
+                      in
+                      let state', sends =
+                        P.receive
+                          ~out_degree:(Digraph.out_degree g tv)
+                          ~in_degree:(Digraph.in_degree g tv)
+                          states.(tv) msg ~in_port:tp
+                      in
+                      (match oh with
+                      | Some h when !time_receive ->
+                          time_receive := false;
+                          let ns =
+                            int_of_float
+                              ((Obs.Timeline.now h.oh_timeline -. t0) *. 1e9)
+                          in
+                          Obs.Registry.add h.c_receive_ns ns;
+                          Obs.Registry.observe h.h_receive_ns ns
+                      | _ -> ());
+                      states.(tv) <- state';
+                      note_state state';
+                      if need_ckpt then begin
+                        vdeliv.(tv) <- vdeliv.(tv) + 1;
+                        if vdeliv.(tv) mod ckpt_cadence = 0 then begin
+                          ckpt.(tv) <- state';
+                          ckpt_visited.(tv) <- true;
+                          incr checkpoints;
+                          match oh with
+                          | Some h -> Obs.Registry.incr h.c_checkpoints
+                          | None -> ()
+                        end
+                      end;
+                      lin_parent := !deliveries;
+                      lin_depth := f.ld;
+                      List.iter (fun (j, msg) -> send tv j msg) sends;
+                      lin_parent := 0;
+                      lin_depth := 0;
+                      if tv = t && P.accepting state' then begin
+                        outcome := Terminated;
+                        running := false
+                      end)
             end)
       end
     done;
-    (* Surface what never got delivered — the in-flight part of the final
-       linear cut.  Consumers fold these into a conservation accumulator. *)
     (match on_undelivered with
     | None -> ()
     | Some hook ->
@@ -835,27 +1155,15 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
           | Some (_, f) -> hook f.msg
           | None -> continue := false
         done);
-    (match lineage with
-    | Some l ->
-        Obs.Lineage.note_journal l ~packed:!lin_j
-          ~heads:(Array.map fst target) ~count:!lin_n ~track:0
-    | None -> ());
     (match oh with
     | Some h ->
         obs_sample ();
         if faulty then begin
-          (* The per-edge fault draws live in the Faults instance; folding
-             its end-of-run totals into cumulative counters keeps the
-             registry reconciled with [fault_stats] across any number of
-             runs sharing one sink. *)
           Obs.Registry.add h.c_dropped (Faults.Instance.dropped_copies fi);
           Obs.Registry.add h.c_extra (Faults.Instance.extra_copies fi);
           Obs.Registry.add h.c_delayed (Faults.Instance.delayed_copies fi)
         end;
         if churny then begin
-          (* Same folding discipline as the edge-fault counters: the churn
-             instance is the source of truth, so [engine.churn.*] reconciles
-             exactly with [churn_stats] across runs sharing one sink. *)
           Obs.Registry.add h.c_churn_adds (Churn.Instance.adds ci);
           Obs.Registry.add h.c_churn_removes (Churn.Instance.removes ci);
           Obs.Registry.add h.c_churn_heals (Churn.Instance.heals ci);
@@ -865,30 +1173,10 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
         end;
         Obs.Timeline.end_span h.oh_timeline ~track:h.oh_track "engine.run"
     | None -> ());
-    (match (obs, gc0) with
-    | Some o, Some (g0, mw0) ->
-        (* GC cost of the run, as gauges: words are deltas (what this run
-           allocated), heap size is the absolute end-of-run footprint. *)
-        let g1 = Gc.quick_stat () in
-        let set name v =
-          Obs.Registry.set (Obs.Registry.gauge o.Obs.registry name) v
-        in
-        set "engine.gc.minor_words" (int_of_float (Gc.minor_words () -. mw0));
-        set "engine.gc.major_words"
-          (int_of_float (g1.Gc.major_words -. g0.Gc.major_words));
-        set "engine.gc.heap_words" g1.Gc.heap_words;
-        set "engine.gc.compactions" (g1.Gc.compactions - g0.Gc.compactions);
-        (* Mirror the timeline ring's overwrite count into the registry
-           (same folding discipline as [c_restarts]: the timeline is the
-           source of truth, the counter tracks it monotonically). *)
-        let c = Obs.Registry.counter o.Obs.registry "timeline.dropped" in
-        let d = Obs.Timeline.dropped o.Obs.timeline in
-        let seen = Obs.Registry.value c in
-        if d > seen then Obs.Registry.add c (d - seen)
-    | _ -> ());
     let fault_stats =
       if not faulty then
-        { no_faults_stats with
+        {
+          no_faults_stats with
           corrupted_deliveries = !corrupted_deliveries;
           garbled_drops = !garbled_drops;
           checksum_rejects = !checksum_rejects;
@@ -936,7 +1224,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       max_state_bits = !max_state_bits;
       max_in_flight = !max_in_flight;
       final_in_flight = !in_flight;
-      distinct_messages = Hashtbl.length seen;
+      distinct_messages = arena.distinct;
       edge_messages;
       edge_bits;
       visited;
@@ -945,4 +1233,52 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       vfault_stats;
       churn_stats;
     }
+
+  let run ?(scheduler = Scheduler.Fifo) ?(payload_bits = 0)
+      ?(step_limit = 10_000_000) ?(faults = Faults.none)
+      ?(vfaults = Vfaults.none) ?(churn = Churn.none) ?supervisor
+      ?(verify_codec = false) ?stop ?obs ?lineage ?on_deliver ?on_pop
+      ?on_undelivered g =
+    let oh = Option.map (fun o -> obs_hooks o) obs in
+    let gc0 =
+      match obs with
+      | Some _ -> Some (Gc.quick_stat (), Gc.minor_words ())
+      | None -> None
+    in
+    let plain =
+      (match scheduler with Scheduler.Fifo -> true | _ -> false)
+      && Faults.is_none faults && Vfaults.is_none vfaults
+      && Churn.is_none churn && supervisor = None && not verify_codec
+      && on_deliver = None && on_pop = None && on_undelivered = None
+    in
+    let report =
+      match if plain then certify_flood g else None with
+      | Some (m0, emits) ->
+          run_flood g ~payload_bits ~step_limit ~stop ~oh ~lineage m0 emits
+      | None ->
+          run_generic g ~scheduler ~payload_bits ~step_limit ~faults ~vfaults
+            ~churn ~supervisor ~verify_codec ~stop ~oh ~lineage ~on_deliver
+            ~on_pop ~on_undelivered ()
+    in
+    (* GC cost of the run, as gauges: words are deltas (what this run
+       allocated), heap size is the absolute end-of-run footprint.  The
+       timeline ring's overwrite count is mirrored monotonically into the
+       [timeline.dropped] counter (the timeline is the source of truth). *)
+    (match (obs, gc0) with
+    | Some o, Some (g0, mw0) ->
+        let g1 = Gc.quick_stat () in
+        let set name v =
+          Obs.Registry.set (Obs.Registry.gauge o.Obs.registry name) v
+        in
+        set "engine.gc.minor_words" (int_of_float (Gc.minor_words () -. mw0));
+        set "engine.gc.major_words"
+          (int_of_float (g1.Gc.major_words -. g0.Gc.major_words));
+        set "engine.gc.heap_words" g1.Gc.heap_words;
+        set "engine.gc.compactions" (g1.Gc.compactions - g0.Gc.compactions);
+        let c = Obs.Registry.counter o.Obs.registry "timeline.dropped" in
+        let d = Obs.Timeline.dropped o.Obs.timeline in
+        let seen = Obs.Registry.value c in
+        if d > seen then Obs.Registry.add c (d - seen)
+    | _ -> ());
+    report
 end

@@ -34,7 +34,14 @@
     when the pool runs dry with the terminal not accepting, up to
     [max_retries] exponential-backoff retransmission rounds of each edge's
     last message.  Both compose with edge faults and are reproducible from
-    their seeds. *)
+    their seeds.
+
+    The executor walks the graph's CSR arrays, encodes each distinct
+    message value once into an arena, and — for a fault-free [Fifo] run of
+    a protocol a pre-run probe certifies as flood-shaped — delivers through
+    a specialized loop over an int ring of edge indices.  None of that is
+    observable: reports, Obs counters and lineage are those of a plain
+    delivery-by-delivery execution, pinned by [test/test_engine_oracle.ml]. *)
 
 type outcome =
   | Terminated  (** The terminal's stopping predicate fired. *)
@@ -144,10 +151,9 @@ exception Codec_mismatch of string
 
 (** Telemetry cells resolved once per run — the [engine.*] counter,
     histogram and gauge handles plus the timeline lane and sampling
-    cadence.  Exposed so alternative engines (the Flatcore flat engine,
-    the parallel driver) update the {e same} named cells with the same
-    semantics; reports then reconcile with the registry regardless of
-    which engine produced them. *)
+    cadence.  Exposed so the sharded engine ([Par]) updates the {e same}
+    named cells with the same semantics; reports then reconcile with the
+    registry regardless of which executor produced them. *)
 type obs_hooks = {
   oh_timeline : Obs.Timeline.t;
   oh_sample_every : int;
@@ -252,8 +258,7 @@ module Make (P : Protocol_intf.PROTOCOL) : sig
       delivery counter) whose parent is the delivery whose [P.receive]
       emitted it — 0 for root emissions and supervisor retransmissions.
       Node count reconciles exactly with [report.deliveries], and ids,
-      parents and depths are identical across engine implementations for
-      the same schedule.
+      parents and depths depend only on the schedule.
 
       [on_undelivered] is called once per message still in flight (pooled or
       delay-held) when the run stops — together with [states] this is the

@@ -423,15 +423,10 @@ module Make (P : Protocol_intf.CHECKABLE) = struct
       violations = List.rev !violations;
     }
 
-  let replay ?payload_bits ?(trace_limit = 100) ?engine g schedule =
-    let (module En : Engine_sig.S
-          with type state = P.state
-           and type message = P.message) =
-      match engine with Some e -> e | None -> (module E)
-    in
+  let replay ?payload_bits ?(trace_limit = 100) g schedule =
     let tr = Trace.create () in
     let r =
-      En.run ~scheduler:(Scheduler.Replay schedule) ?payload_bits
+      E.run ~scheduler:(Scheduler.Replay schedule) ?payload_bits
         ~on_deliver:(Trace.hook tr) g
     in
     let reach = Digraph.reachable_from_s g in

@@ -105,15 +105,10 @@ module Make (P : Protocol_intf.CHECKABLE) : sig
   val replay :
     ?payload_bits:int ->
     ?trace_limit:int ->
-    ?engine:
-      (module Engine_sig.S with type state = P.state and type message = P.message) ->
     Digraph.t ->
     int list ->
     replay
   (** Re-run a recorded schedule through {!Engine.Make} under
       [Scheduler.Replay], returning the outcome, the soundness diagnosis and
-      the rendered trace.  Deterministic: same schedule, same run.
-      [engine] swaps the executor (e.g. for the Flatcore flat engine);
-      the {!Engine_sig.S} parity contract makes the replay
-      engine-independent. *)
+      the rendered trace.  Deterministic: same schedule, same run. *)
 end

@@ -1,9 +1,9 @@
 (** Asynchronous simulation of anonymous protocols (Section 2's model).
 
     - {!Protocol_intf} — the [(Pi, Sigma, pi0, sigma0, f, g, S)] signature;
-    - {!Engine} — discrete-event executor with bit-exact accounting;
-    - {!Engine_sig} — the run signature engines share, for first-class
-      engine selection (classic vs. the Flatcore flat engine);
+    - {!Engine} — discrete-event executor with bit-exact accounting over
+      the graph's CSR arrays, with an arena of encoded messages and a
+      certified fast path for flood-shaped protocols;
     - {!Scheduler} — asynchronous delivery orders, including adversarial ones;
     - {!Faults} — per-edge channel fault plans (drop / duplicate / delay /
       corrupt / kill), all seeded;
@@ -26,7 +26,6 @@
 
 module Protocol_intf = Protocol_intf
 module Engine = Engine
-module Engine_sig = Engine_sig
 module Sync_engine = Sync_engine
 module Scheduler = Scheduler
 module Faults = Faults

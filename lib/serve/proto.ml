@@ -76,7 +76,6 @@ type submit = {
   sub_protocol : string;
   sub_graph : string;
   sub_scheduler : string;  (* "fifo" | "lifo" | "random" (seeded below) *)
-  sub_engine : string;  (* "classic" | "flat" *)
   sub_seed : int;
   sub_payload : int;
   sub_step_limit : int option;  (* None = server default *)
@@ -171,7 +170,16 @@ let churn_of v =
       | _ -> ());
       if spec.c_rate = 0.0 then None else Some spec
 
-let submit_of ~default_engine v =
+(* Clients written against the two-engine server may still name one; both
+   spellings are accepted and ignored (there is one engine), anything else
+   is still a request error. *)
+let check_engine v =
+  match Option.map J.to_string_opt (J.member "engine" v) with
+  | None | Some (Some ("classic" | "flat")) -> ()
+  | Some (Some s) -> reject Bad_request "unknown engine %S (classic | flat)" s
+  | Some None -> reject Bad_request "non-string \"engine\""
+
+let submit_of v =
   let sub =
     {
       sub_id = str_field v "id";
@@ -182,11 +190,6 @@ let submit_of ~default_engine v =
         | Some (Some s) -> s
         | None -> "fifo"
         | Some None -> reject Bad_request "non-string \"scheduler\"");
-      sub_engine =
-        (match Option.map J.to_string_opt (J.member "engine" v) with
-        | Some (Some s) -> s
-        | None -> default_engine
-        | Some None -> reject Bad_request "non-string \"engine\"");
       sub_seed = int_field v "seed" ~default:0;
       sub_payload = int_field v "payload" ~default:0;
       sub_step_limit = int_opt_field v "step_limit";
@@ -209,9 +212,7 @@ let submit_of ~default_engine v =
   (match sub.sub_scheduler with
   | "fifo" | "lifo" | "random" -> ()
   | s -> reject Bad_request "unknown scheduler %S (fifo | lifo | random)" s);
-  (match sub.sub_engine with
-  | "classic" | "flat" -> ()
-  | s -> reject Bad_request "unknown engine %S (classic | flat)" s);
+  check_engine v;
   if sub.sub_payload < 0 then reject Bad_request "\"payload\" must be >= 0";
   (match sub.sub_step_limit with
   | Some l when l < 1 -> reject Bad_request "\"step_limit\" must be >= 1"
@@ -228,7 +229,7 @@ let id_of_value v =
   | Some (Some s) -> Some s
   | _ -> None
 
-let parse_request ?(default_engine = "classic") line =
+let parse_request line =
   match J.parse line with
   | Error pos ->
       Error (None, Parse_error, Printf.sprintf "invalid JSON at byte %d" pos)
@@ -243,7 +244,7 @@ let parse_request ?(default_engine = "classic") line =
           in
           try
             match op with
-            | "submit" -> Ok (submit_of ~default_engine v)
+            | "submit" -> Ok (submit_of v)
             | "status" -> with_id (fun i -> Status i)
             | "result" -> with_id (fun i -> Result i)
             | "cancel" -> with_id (fun i -> Cancel i)

@@ -48,12 +48,6 @@ type submit = {
   sub_protocol : string;
   sub_graph : string;  (** Name in the server's graph table. *)
   sub_scheduler : string;  (** ["fifo" | "lifo" | "random"] (seeded). *)
-  sub_engine : string;
-      (** ["classic" | "flat"] — which execution engine runs the session.
-          Both produce byte-identical result payloads (the flat engine's
-          parity contract); [flat] runs on the CSR form the server
-          compiled at boot.  Validated here: an unknown engine is a
-          [Bad_request], never a dropped connection. *)
   sub_seed : int;  (** Seeds the [random] scheduler's PRNG. *)
   sub_payload : int;
   sub_step_limit : int option;  (** [None] = the server default. *)
@@ -80,15 +74,13 @@ type request =
   | Shutdown
 
 val parse_request :
-  ?default_engine:string ->
-  string ->
-  (request, string option * error_code * string) result
-(** Parse one frame.  [default_engine] (default ["classic"]) fills
-    [sub_engine] when a submit omits the ["engine"] member — the server
-    passes its configured default here, so [anonet serve --engine flat]
-    flips every unannotated session.  The error triple carries the
-    request's ["id"] member when one could still be extracted, so even a
-    rejection names the session it answers. *)
+  string -> (request, string option * error_code * string) result
+(** Parse one frame.  A submit's optional ["engine"] member, from clients
+    of the former two-engine server, must be ["classic"] or ["flat"] and is
+    then ignored: there is one engine.  Any other value is a
+    [Bad_request].  The error triple carries the request's ["id"] member
+    when one could still be extracted, so even a rejection names the
+    session it answers. *)
 
 val ok : ?id:string -> string -> string
 (** [ok ?id result_json] builds a success envelope; [result_json] is

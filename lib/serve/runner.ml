@@ -117,28 +117,18 @@ type done_run = {
   r_total_bits : int;
 }
 
-let run ~stop ?obs ~step_limit (sub : Proto.submit) csr =
+let run ~stop ?obs ~step_limit (sub : Proto.submit) g =
   match protocol_of_name sub.Proto.sub_protocol with
   | None -> invalid_arg "Runner.run: unknown protocol (validated upstream)"
   | Some (module P : Runtime.Protocol_intf.PROTOCOL) ->
-      let g = Flatcore.Csr.digraph csr in
       let step_limit =
         match sub.Proto.sub_step_limit with Some l -> l | None -> step_limit
       in
-      (* Engine parity makes this a pure performance knob: both produce
-         the same report, so the same payload bytes. *)
+      let module En = E.Make (P) in
       let r =
-        match sub.Proto.sub_engine with
-        | "flat" ->
-            let module En = Flatcore.Engine.Make (P) in
-            En.run_csr ~scheduler:(scheduler_of sub)
-              ~payload_bits:sub.Proto.sub_payload ~step_limit
-              ~faults:(faults_of sub) ~churn:(churn_of sub g) ~stop ?obs csr
-        | _ ->
-            let module En = E.Make (P) in
-            En.run ~scheduler:(scheduler_of sub)
-              ~payload_bits:sub.Proto.sub_payload ~step_limit
-              ~faults:(faults_of sub) ~churn:(churn_of sub g) ~stop ?obs g
+        En.run ~scheduler:(scheduler_of sub)
+          ~payload_bits:sub.Proto.sub_payload ~step_limit
+          ~faults:(faults_of sub) ~churn:(churn_of sub g) ~stop ?obs g
       in
       {
         json = render_result r;

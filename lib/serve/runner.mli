@@ -25,13 +25,10 @@ val run :
   ?obs:Obs.t ->
   step_limit:int ->
   Proto.submit ->
-  Flatcore.Csr.t ->
+  Digraph.t ->
   done_run
 (** Runs on the calling domain; [stop] is the engine's cooperative
     cancellation hook, [step_limit] the server default (a per-session
     [step_limit] overrides it), [obs] the session's private telemetry
-    sink (rolled up by the server afterwards).  The graph arrives in its
-    CSR form — compiled once at server boot — so [engine:"flat"] sessions
-    pay zero per-run compilation; [engine:"classic"] runs on the embedded
-    {!Digraph.t}.  Both engines render byte-identical payloads for equal
-    submissions. *)
+    sink (rolled up by the server afterwards).  The graph is the one the
+    server built at boot, shared by every session on it. *)

@@ -38,7 +38,6 @@ type config = {
   max_queue : int;
   credits : int;  (* max unfinished sessions per connection *)
   step_limit : int;  (* default when a submit names none *)
-  default_engine : string;  (* "classic" | "flat", when a submit names none *)
   sample_every : int;  (* per-session Obs sampling cadence *)
   max_line : int;
   journal : string option;  (* WAL path; None = no durability *)
@@ -54,7 +53,6 @@ let default_config =
     max_queue = 64;
     credits = 32;
     step_limit = 10_000_000;
-    default_engine = "classic";
     sample_every = 1 lsl 20;
     max_line = Wire.default_max_line;
     journal = None;
@@ -77,8 +75,7 @@ type recovery = {
 
 type t = {
   cfg : config;
-  graphs : (string * Flatcore.Csr.t) list;
-      (* compiled once at boot; flat sessions run the CSR directly *)
+  graphs : (string * Digraph.t) list;  (* built once at boot, shared *)
   sessions : Session.table;
   queue : Session.t Sched.t;
   registry : R.t;
@@ -116,6 +113,14 @@ type t = {
    (re-running a cancelled session would resurrect work the client
    explicitly killed); no terminal record at all means the submit was
    acknowledged but unfinished — determinism lets us simply run it now. *)
+
+(* A session's telemetry sink.  Serve reads only its registry (watch diffs
+   and the rollups); the timeline is there because the engine writes its
+   spans and samples into one.  At the serve sampling cadence a run records
+   a handful of events, so a small ring holds them all — the 64k-slot
+   default would be half a megabyte allocated per session, which is most
+   of a worker's allocation and sets its GC pace. *)
+let session_obs t = Obs.create ~sample_every:t.cfg.sample_every ~capacity:1024 ()
 
 type replay_entry = {
   mutable e_line : string;
@@ -175,7 +180,7 @@ let replay_journal t ~(scan : Journal.scan) =
      "sessions." reconciliation contract stays exact. *)
   let rerun (sub : Proto.submit) =
     let g = List.assoc sub.Proto.sub_graph t.graphs in
-    let obs = Obs.create ~sample_every:t.cfg.sample_every () in
+    let obs = session_obs t in
     let res =
       Runner.run ~stop:(fun () -> false) ~obs ~step_limit:t.cfg.step_limit sub
         g
@@ -188,7 +193,7 @@ let replay_journal t ~(scan : Journal.scan) =
   List.iter
     (fun id ->
       let e = Hashtbl.find entries id in
-      match Proto.parse_request ~default_engine:t.cfg.default_engine e.e_line with
+      match Proto.parse_request e.e_line with
       | Ok (Proto.Submit sub) when sub.Proto.sub_id = id -> (
           match
             Session.add t.sessions ~conn:(-1) ~now sub
@@ -312,12 +317,6 @@ let create ?(config = default_config) () =
   else if config.shed_watermark_ms < 0 then
     Error "shed_watermark_ms must be >= 0"
   else if config.graphs = [] then Error "at least one --graph is required"
-  else if
-    match config.default_engine with "classic" | "flat" -> false | _ -> true
-  then
-    Error
-      (Printf.sprintf "unknown default engine %S (classic | flat)"
-         config.default_engine)
   else
     let rec resolve acc = function
       | [] -> Ok (List.rev acc)
@@ -326,7 +325,7 @@ let create ?(config = default_config) () =
             Error (Printf.sprintf "duplicate graph name %S" name)
           else
             match Digraph.Families.of_spec spec with
-            | Ok g -> resolve ((name, Flatcore.Csr.of_digraph g) :: acc) rest
+            | Ok g -> resolve ((name, g) :: acc) rest
             | Error e -> Error (Printf.sprintf "graph %S: %s" name e))
     in
     match resolve [] config.graphs with
@@ -515,11 +514,13 @@ let execute t (s : Session.t) =
   if claim then begin
     let sub = s.Session.submit in
     let g = List.assoc sub.Proto.sub_graph t.graphs in
-    let obs = Obs.create ~sample_every:t.cfg.sample_every () in
+    let obs = session_obs t in
     (* Publish the live registry for [watch] before the run starts, so a
        watcher never misses the early deliveries of a session it saw
-       transition to Running. *)
-    Session.transition t.sessions s (fun s -> s.Session.obs <- Some obs);
+       transition to Running.  Only the registry is kept: the timeline
+       ring is garbage once the run ends. *)
+    Session.transition t.sessions s (fun s ->
+        s.Session.registry <- Some obs.Obs.registry);
     (* The stop hook runs between deliveries on this worker's domain: the
        cancel flag is checked every time, the deadline only every 1024
        polls so [gettimeofday] stays off the hot path. *)
@@ -794,10 +795,10 @@ let handle_watch t id =
       let state, metrics =
         Session.transition t.sessions s (fun s ->
             let state = Session.state_name s.Session.state in
-            match s.Session.obs with
+            match s.Session.registry with
             | None -> (state, R.to_json [])
-            | Some o ->
-                let now = R.snapshot o.Obs.registry in
+            | Some reg ->
+                let now = R.snapshot reg in
                 let d = R.diff ~older:s.Session.watch_seen ~newer:now in
                 s.Session.watch_seen <- now;
                 (state, R.to_json d))
@@ -831,7 +832,7 @@ let metrics_json t =
 
 let handle_line t ~conn line =
   R.aincr t.c_frames;
-  match Proto.parse_request ~default_engine:t.cfg.default_engine line with
+  match Proto.parse_request line with
   | Error (id, code, msg) ->
       R.aincr t.c_frame_errors;
       Proto.error ?id code msg

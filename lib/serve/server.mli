@@ -30,9 +30,6 @@ type config = {
   credits : int;
       (** Max unfinished sessions per connection; beyond it: [no_credit]. *)
   step_limit : int;  (** Default when a submit names none. *)
-  default_engine : string;
-      (** ["classic" | "flat"] — the engine for submits that name none;
-          [create] rejects anything else. *)
   sample_every : int;  (** Per-session [Obs] sampling cadence. *)
   max_line : int;  (** Wire frame bound. *)
   journal : string option;

@@ -34,7 +34,8 @@ type t = {
   mutable credit_released : bool;
   mutable deliveries : int;  (* from the report, for reconciliation *)
   mutable total_bits : int;
-  mutable obs : Obs.t option;  (* live per-session telemetry, for [watch] *)
+  mutable registry : Obs.Registry.t option;
+      (* live per-session telemetry, for [watch] *)
   mutable watch_seen : Obs.Registry.snapshot;
       (* registry state the last watch reply already covered *)
   mutable t_submitted : float;  (* wall clock, latency measurement only — *)
@@ -75,7 +76,7 @@ let add tab ~conn ~now (submit : Proto.submit) =
             credit_released = false;
             deliveries = 0;
             total_bits = 0;
-            obs = None;
+            registry = None;
             watch_seen = [];
             t_submitted = now;
             t_started = 0.0;

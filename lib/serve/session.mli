@@ -26,10 +26,12 @@ type t = {
   mutable credit_released : bool;
   mutable deliveries : int;
   mutable total_bits : int;
-  mutable obs : Obs.t option;
+  mutable registry : Obs.Registry.t option;
       (** The session's live registry, installed by the worker when the
           run starts and kept after it finishes so a final [watch] can
-          pick up the tail.  Reads from the serve loop race the worker's
+          pick up the tail.  Only the registry: the run's timeline ring
+          (64k samples) is dropped with the run, so a finished session
+          costs its counters, not its trace.  Reads from the serve loop race the worker's
           plain stores — fine for telemetry, and the completion-time
           merge into the server registry is still the exact rollup. *)
   mutable watch_seen : Obs.Registry.snapshot;

@@ -341,6 +341,73 @@ let prop_canonical_stable_under_renumbering =
          port structure is intact and the graphs are isomorphic. *)
       G.isomorphic g g')
 
+(* {1 Local queries against a naive edge-list reference}
+
+   The reference reads everything straight off the edge list: a vertex's
+   out-ports (and in-ports) are numbered in the order its edges appear in
+   the list, and dense edge indices count the out-edges of lower-numbered
+   vertices first.  Small vertex counts make multi-edges and self-loops
+   the common case. *)
+
+let gen_edge_list =
+  QCheck.Gen.(
+    int_range 2 8 >>= fun n ->
+    list_size (int_bound 30) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+    >|= fun es -> (n, es))
+
+let arb_edge_list =
+  QCheck.make
+    ~print:(fun (n, es) ->
+      Printf.sprintf "n=%d [%s]" n
+        (String.concat "; "
+           (List.map (fun (u, v) -> Printf.sprintf "%d>%d" u v) es)))
+    gen_edge_list
+
+let prop_queries_match_reference =
+  qcheck_to_alcotest ~count:300 "local queries == edge-list reference"
+    arb_edge_list (fun (n, es) ->
+      let g = G.make ~n ~s:0 ~t:(n - 1) es in
+      let indexed = List.mapi (fun k e -> (k, e)) es in
+      (* Port of list position [k] among the edges satisfying [side]. *)
+      let port side k =
+        List.length (List.filter (fun (k', e) -> k' < k && side e) indexed)
+      in
+      let outs v = List.filter (fun (_, (u, _)) -> u = v) indexed in
+      let ins v = List.filter (fun (_, (_, w)) -> w = v) indexed in
+      let out_port k u = port (fun (u', _) -> u' = u) k in
+      let in_port k v = port (fun (_, w) -> w = v) k in
+      let base u = List.length (List.filter (fun (u', _) -> u' < u) es) in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      if G.n_edges g <> List.length es then fail "n_edges";
+      if G.edges g <> List.stable_sort (fun (u, _) (u', _) -> compare u u') es
+      then fail "edges";
+      for v = 0 to n - 1 do
+        let o = outs v and i = ins v in
+        if G.out_degree g v <> List.length o then fail "out_degree %d" v;
+        if G.in_degree g v <> List.length i then fail "in_degree %d" v;
+        List.iteri
+          (fun j (k, (_, w)) ->
+            if G.out_neighbor g v j <> w then fail "out_neighbor %d %d" v j;
+            if G.out_port_target_port g v j <> (w, in_port k w) then
+              fail "out_port_target_port %d %d" v j;
+            let e = G.edge_index g v j in
+            if e <> base v + j then fail "edge_index %d %d" v j;
+            if G.edge_of_index g e <> (v, j) then fail "edge_of_index %d" e)
+          o;
+        List.iteri
+          (fun i (k, (u, _)) ->
+            if G.in_origin g v i <> (u, out_port k u) then
+              fail "in_origin %d %d" v i)
+          i;
+        let want = List.mapi (fun j (_, (_, w)) -> (j, w)) o in
+        let got = ref [] in
+        G.iter_out g v (fun j w -> got := (j, w) :: !got);
+        if List.rev !got <> want then fail "iter_out %d" v;
+        if G.fold_out g v ~init:[] (fun acc j w -> (j, w) :: acc) <> List.rev want
+        then fail "fold_out %d" v
+      done;
+      true)
+
 let test_dot_output () =
   let dot = G.Dot.to_dot (F.diamond ()) in
   Alcotest.(check bool) "mentions digraph" true
@@ -358,6 +425,7 @@ let () =
           Alcotest.test_case "out_port_target_port" `Quick test_out_port_target_port;
           Alcotest.test_case "validate" `Quick test_validate;
           Alcotest.test_case "dot" `Quick test_dot_output;
+          prop_queries_match_reference;
         ] );
       ( "structure",
         [

@@ -1,13 +1,14 @@
 (* Obs.Lineage: the causal-provenance recorder.
 
-   The load-bearing contract is classic <-> flat parity: both engines
-   execute the same delivery schedule, and node ids are the 1-based
-   delivery counter, so for the same graph the two recorders must agree
-   on every aggregate {e and} — with sampling off — on the entire stored
-   node stream, even though the flat engine records through a packed pop
-   journal realized lazily and the classic engine through its own.  The
-   par engine's id assignment is schedule-dependent, so only node-count
-   reconciliation holds there. *)
+   The load-bearing contract is path parity: a plain Fifo flood takes the
+   engine's certified fast path, which records through a packed pop
+   journal realized lazily, while [verify_codec] forces the generic path,
+   which notes each delivery as it happens.  Both execute the same
+   delivery schedule and node ids are the 1-based delivery counter, so
+   the two recorders must agree on every aggregate {e and} — with
+   sampling off — on the entire stored node stream.  (The stream itself is
+   pinned by [test_engine_oracle.ml].)  The par engine's id assignment is
+   schedule-dependent, so only node-count reconciliation holds there. *)
 
 module E = Runtime.Engine
 module F = Digraph.Families
@@ -15,7 +16,6 @@ module H = Helpers
 module L = Obs.Lineage
 
 module Cl = Runtime.Engine.Make (Anonet.Flood)
-module Fl = Flatcore.Engine.Make (Anonet.Flood)
 module Pr = Par.Engine.Make (Anonet.Flood)
 
 let stored_list l =
@@ -24,21 +24,21 @@ let stored_list l =
       acc := (n.L.n_id, n.L.n_parent, n.L.n_edge, n.L.n_vertex, n.L.n_depth) :: !acc);
   List.rev !acc
 
-(* {1 Classic <-> flat parity, full store} *)
+(* {1 Fast path <-> generic path parity, full store} *)
 
 let parity_prop g =
   let fail fmt = QCheck.Test.fail_reportf fmt in
   let lc = L.create ~sample_every:1 ~capacity:(1 lsl 20) () in
   let lf = L.create ~sample_every:1 ~capacity:(1 lsl 20) () in
-  let cr = Cl.run ~lineage:lc g in
-  let fr = Fl.run ~lineage:lf g in
+  let cr = Cl.run ~verify_codec:true ~lineage:lc g in
+  let fr = Cl.run ~lineage:lf g in
   if cr.E.deliveries <> fr.E.deliveries then fail "schedules diverged";
   (* Sampling off, capacity ample: node count reconciles exactly. *)
   if L.nodes lc <> cr.E.deliveries then
-    fail "classic nodes %d <> deliveries %d" (L.nodes lc) cr.E.deliveries;
+    fail "generic nodes %d <> deliveries %d" (L.nodes lc) cr.E.deliveries;
   if L.nodes lf <> fr.E.deliveries then
-    fail "flat nodes %d <> deliveries %d" (L.nodes lf) fr.E.deliveries;
-  if L.stored lc <> L.nodes lc then fail "classic store incomplete";
+    fail "fast nodes %d <> deliveries %d" (L.nodes lf) fr.E.deliveries;
+  if L.stored lc <> L.nodes lc then fail "generic store incomplete";
   if L.dropped lc <> 0 || L.dropped lf <> 0 then fail "unexpected drops";
   if L.max_depth lc <> L.max_depth lf then
     fail "max_depth %d <> %d" (L.max_depth lc) (L.max_depth lf);
@@ -52,10 +52,10 @@ let parity_prop g =
 
 let parity_tests =
   [
-    H.qcheck_to_alcotest ~count:25 "classic == flat: trees" H.arb_grounded_tree
+    H.qcheck_to_alcotest ~count:25 "fast == generic: trees" H.arb_grounded_tree
       parity_prop;
-    H.qcheck_to_alcotest ~count:15 "classic == flat: dags" H.arb_dag parity_prop;
-    H.qcheck_to_alcotest ~count:10 "classic == flat: digraphs" H.arb_digraph
+    H.qcheck_to_alcotest ~count:15 "fast == generic: dags" H.arb_dag parity_prop;
+    H.qcheck_to_alcotest ~count:10 "fast == generic: digraphs" H.arb_digraph
       parity_prop;
   ]
 

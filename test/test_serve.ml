@@ -180,10 +180,6 @@ let test_bad_frames () =
   Alcotest.(check string) "bad scheduler" "bad_request"
     (err_code
        (req t "{\"op\":\"submit\",\"id\":\"x\",\"protocol\":\"flood\",\"graph\":\"small\",\"scheduler\":\"psychic\"}"));
-  (* An unknown engine is the typed Bad_request, never a dropped
-     connection. *)
-  Alcotest.(check string) "bad engine" "bad_request"
-    (err_code (req t (submit_line ~engine:"turbo" "x")));
   Alcotest.(check string) "unknown session" "unknown_id" (err_code (status t "ghost"));
   (* The connection survives all of the above. *)
   Alcotest.(check bool) "still serving" true (is_ok (req t (submit_line "ok")));
@@ -336,37 +332,99 @@ let test_concurrent_determinism () =
        (fun c -> Option.bind (J.member "sessions.engine.deliveries" c) J.to_int_opt));
   S.stop t
 
-(* The engine knob is invisible on the wire: a flat session's result
-   payload is byte-identical to the classic one for the same submission —
-   across protocols, the seeded random scheduler, and churn. *)
-let test_engine_parity () =
-  let t = mk () in
-  let submit_pair name line_of =
-    let classic_id = name ^ "-classic" and flat_id = name ^ "-flat" in
-    Alcotest.(check bool)
-      "classic accepted" true
-      (is_ok (req t (line_of classic_id "classic")));
-    Alcotest.(check bool)
-      "flat accepted" true
-      (is_ok (req t (line_of flat_id "flat")));
-    while S.step t do
-      ()
-    done;
-    Alcotest.(check string)
-      (name ^ " payload bytes match")
-      (J.to_string (result_json (result t classic_id)))
-      (J.to_string (result_json (result t flat_id)))
+(* Clients of the former two-engine server may still name an engine.
+   ["classic"], ["flat"] and no engine member at all are the same request:
+   accepted, ignored, byte-identical results — across protocols, the
+   seeded random scheduler and churn — and a journal holding such lines
+   recovers them with no digest mismatch.  Any other engine value stays a
+   typed [bad_request]. *)
+let test_engine_wire_compat () =
+  let path = Filename.temp_file "anonet-serve" ".journal" in
+  Sys.remove path;
+  let config =
+    {
+      S.default_config with
+      graphs = [ ("small", "comb:4"); ("mid", "random:12:3") ];
+      workers = 0;
+      step_limit = 20_000;
+      journal = Some path;
+      journal_sync = false;
+    }
   in
-  submit_pair "flood" (fun id e ->
-      submit_line ~protocol:"flood" ~graph:"small" ~engine:e id);
-  submit_pair "counting" (fun id e ->
-      submit_line ~protocol:"counting" ~graph:"mid" ~scheduler:"random"
-        ~seed:42 ~engine:e id);
-  submit_pair "churned-general" (fun id e ->
-      Printf.sprintf
-        "{\"op\":\"submit\",\"id\":%s,\"protocol\":\"general\",\"graph\":\"mid\",\"scheduler\":\"random\",\"seed\":7,\"engine\":%s,\"churn\":{\"rate\":0.1,\"seed\":3}}"
-        (J.escape id) (J.escape e));
-  S.stop t
+  let boot () =
+    match S.create ~config () with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "server create: %s" e
+  in
+  let cases =
+    [
+      ("flood", fun id engine -> submit_line ~protocol:"flood" ?engine id);
+      ( "counting",
+        fun id engine ->
+          submit_line ~protocol:"counting" ~graph:"mid" ~scheduler:"random"
+            ~seed:42 ?engine id );
+      ( "churned-general",
+        fun id engine ->
+          Printf.sprintf
+            "{\"op\":\"submit\",\"id\":%s,\"protocol\":\"general\",\"graph\":\"mid\",\"scheduler\":\"random\",\"seed\":7%s,\"churn\":{\"rate\":0.1,\"seed\":3}}"
+            (J.escape id)
+            (match engine with
+            | None -> ""
+            | Some e -> ",\"engine\":" ^ J.escape e) );
+    ]
+  in
+  let engines = [ ("classic", Some "classic"); ("flat", Some "flat"); ("none", None) ] in
+  let ids name = List.map (fun (tag, _) -> name ^ "-" ^ tag) engines in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let t1 = boot () in
+      Alcotest.(check string) "unknown engine" "bad_request"
+        (err_code (req t1 (submit_line ~engine:"turbo" "x")));
+      Alcotest.(check string) "non-string engine" "bad_request"
+        (err_code
+           (req t1
+              "{\"op\":\"submit\",\"id\":\"y\",\"protocol\":\"flood\",\"graph\":\"small\",\"engine\":1}"));
+      List.iter
+        (fun (name, line_of) ->
+          List.iter
+            (fun (tag, engine) ->
+              Alcotest.(check bool)
+                (name ^ "/" ^ tag ^ " accepted")
+                true
+                (is_ok (req t1 (line_of (name ^ "-" ^ tag) engine))))
+            engines)
+        cases;
+      while S.step t1 do
+        ()
+      done;
+      let payloads t name =
+        List.map (fun id -> J.to_string (result_json (result t id))) (ids name)
+      in
+      let before = List.map (fun (name, _) -> (name, payloads t1 name)) cases in
+      List.iter
+        (fun (name, ps) ->
+          List.iter
+            (fun p ->
+              Alcotest.(check string) (name ^ ": payload bytes match") (List.hd ps) p)
+            ps)
+        before;
+      S.stop t1;
+      let t2 = boot () in
+      (match S.recovery t2 with
+      | None -> Alcotest.fail "no recovery summary"
+      | Some r ->
+          let n = List.length cases * List.length engines in
+          Alcotest.(check int) "replayed" n r.S.rec_replayed;
+          Alcotest.(check int) "verified" n r.S.rec_verified;
+          Alcotest.(check int) "mismatched" 0 r.S.rec_mismatched;
+          Alcotest.(check int) "unreplayable" 0 r.S.rec_unreplayable);
+      List.iter
+        (fun (name, ps) ->
+          Alcotest.(check (list string))
+            (name ^ ": recovered bytes") ps (payloads t2 name))
+        before;
+      S.stop t2)
 
 (* [watch] streams incremental registry diffs: queued -> empty metrics,
    after the run -> a diff carrying exactly the report's deliveries (the
@@ -397,6 +455,12 @@ let test_watch () =
   Alcotest.(check (option int))
     "first real diff carries the run's deliveries" d
     (counter w2 "engine.deliveries");
+  (* The session kept its registry, not the run's timeline: the final
+     diff still reconciles with the stored result. *)
+  Alcotest.(check (option int))
+    "and its total bits"
+    (Option.bind (J.member "total_bits" (result_json (result t "w"))) J.to_int_opt)
+    (counter w2 "engine.total_bits");
   (* The engine epilogue registered its GC gauges on the session registry. *)
   Alcotest.(check bool) "gc gauges visible" true
     (Option.is_some
@@ -615,7 +679,6 @@ let mk_submit ?(protocol = "amnesiac") ?(graph = "mid") id =
     sub_protocol = protocol;
     sub_graph = graph;
     sub_scheduler = "fifo";
-    sub_engine = "classic";
     sub_seed = 0;
     sub_payload = 0;
     sub_step_limit = None;
@@ -898,8 +961,8 @@ let () =
         [
           Alcotest.test_case "8-way same-seed determinism" `Quick
             test_concurrent_determinism;
-          Alcotest.test_case "flat/classic payload parity" `Quick
-            test_engine_parity;
+          Alcotest.test_case "engine member: accepted, ignored, recoverable"
+            `Quick test_engine_wire_compat;
           Alcotest.test_case "shutdown" `Quick test_shutdown_refuses_submits;
         ] );
     ]
