@@ -158,7 +158,7 @@ let e5 () =
         (pick (fun (_, _, _, b, _, _) -> b))
         (pick (fun (_, _, _, _, mm, _) -> mm))
         (pick (fun (_, _, _, _, _, r) -> r)))
-    [ 8; 16; 32; 64; 128; 256 ]
+    [ 8; 16; 32; 64; 128; 256; 512; 1024; 2560 ]
 
 (* {1 E6 — Theorem 5.1: labeling} *)
 
@@ -381,7 +381,7 @@ let e13 () =
       in
       let dir = (LB.pruned_label ~height:(v - 3) ~degree:2).LB.label_bits in
       pf "%8d %18d %16d %8.1f\n" v und dir (float_of_int dir /. float_of_int und))
-    [ 8; 16; 32; 64; 128; 256 ];
+    [ 8; 16; 32; 64; 128; 256; 512; 1024; 2560 ];
   pf "\nBoth columns label a |V|-vertex anonymous network; the undirected\n";
   pf "token walk has feedback (it can reply over the edge a message came\n";
   pf "from), the directed pruned family cannot — the paper's exponential\n";

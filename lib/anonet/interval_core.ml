@@ -6,6 +6,7 @@ type t = {
   beta : Is.t;
   label : Is.t;
   seen_alpha : Is.t;
+  sent : Is.t;
 }
 
 type outgoing = { port : int; d_alpha : Is.t; d_beta : Is.t }
@@ -17,12 +18,19 @@ let create ~out_degree =
     beta = Is.empty;
     label = Is.empty;
     seen_alpha = Is.empty;
+    sent = Is.empty;
   }
 
 (* Flood a beta delta on every port (no alpha news anywhere). *)
 let beta_flood_sends d d_beta =
   if Is.is_empty d_beta then []
   else List.init d (fun port -> { port; d_alpha = Is.empty; d_beta })
+
+(* Merge [extra] into [beta]: the grown beta and the part of [extra] that
+   is new to it.  When nothing is new, [beta] is returned as it is. *)
+let grow beta extra =
+  let d_beta = Is.diff extra beta in
+  ((if Is.is_empty d_beta then beta else Is.union beta d_beta), d_beta)
 
 let step ~assign_label state ~alpha:alpha' ~beta:beta' =
   let d = Array.length state.alpha in
@@ -51,35 +59,36 @@ let step ~assign_label state ~alpha:alpha' ~beta:beta' =
     in
     (* In labeling mode the label is immediately beta-flooded (Section 5:
        beta'' = beta' union alpha_0), so the terminal can account for it. *)
-    let beta = Is.union (Is.union state.beta beta') label in
-    let d_beta = Is.diff beta state.beta in
+    let beta, d_beta = grow state.beta (Is.union beta' label) in
     let sends =
       List.init d (fun port ->
           { port; d_alpha = port_parts.(port); d_beta })
     in
-    ( { initialized = true; alpha = port_parts; beta; label; seen_alpha },
+    (* The label and the port parts partition [alpha'] exactly. *)
+    ( { initialized = true; alpha = port_parts; beta; label; seen_alpha; sent = alpha' },
       sends )
   end
   else if not state.initialized then begin
     (* Beta-only traffic before initialization: merge and relay. *)
-    let beta = Is.union state.beta beta' in
-    let d_beta = Is.diff beta state.beta in
+    let beta, d_beta = grow state.beta beta' in
     ({ state with beta; seen_alpha }, beta_flood_sends d d_beta)
   end
   else begin
     (* Initialized: unseen alpha continues on the last port; already-sent
        alpha is a detected cycle and joins beta (Section 4's f). *)
-    let sent_union =
-      Array.fold_left Is.union (if assign_label then state.label else Is.empty)
-        state.alpha
-    in
-    let new_alpha = Is.diff alpha' sent_union in
-    let cycles = Is.inter alpha' sent_union in
-    let beta = Is.union (Is.union state.beta beta') cycles in
-    let d_beta = Is.diff beta state.beta in
+    let new_alpha = Is.diff alpha' state.sent in
+    let cycles = Is.inter alpha' state.sent in
+    let beta, d_beta = grow state.beta (Is.union beta' cycles) in
     let last = d - 1 in
-    let alpha = Array.copy state.alpha in
-    alpha.(last) <- Is.union alpha.(last) new_alpha;
+    (* States never mutate [alpha] once built, so it can be shared. *)
+    let alpha =
+      if Is.is_empty new_alpha then state.alpha
+      else begin
+        let alpha = Array.copy state.alpha in
+        alpha.(last) <- Is.union alpha.(last) new_alpha;
+        alpha
+      end
+    in
     let sends =
       if Is.is_empty d_beta then
         if Is.is_empty new_alpha then []
@@ -88,7 +97,7 @@ let step ~assign_label state ~alpha:alpha' ~beta:beta' =
         List.init d (fun port ->
             { port; d_alpha = (if port = last then new_alpha else Is.empty); d_beta })
     in
-    ({ state with alpha; beta; seen_alpha }, sends)
+    ({ state with alpha; beta; seen_alpha; sent = Is.union state.sent new_alpha }, sends)
   end
 
 (* Canonical fingerprint for the model checker: every field is behavioral
@@ -133,4 +142,7 @@ let invariant ?prev state =
         && Is.subset p.seen_alpha state.seen_alpha
         && (p.initialized <= state.initialized)
   in
-  pairwise_disjoint && monotone
+  let sent_derived =
+    d = 0 || Is.equal state.sent (Array.fold_left Is.union state.label state.alpha)
+  in
+  pairwise_disjoint && sent_derived && monotone

@@ -23,6 +23,10 @@ type t = {
   beta : Intervals.Iset.t;
   label : Intervals.Iset.t;  (** Empty unless labeling mode initialized. *)
   seen_alpha : Intervals.Iset.t;  (** Union of every received alpha. *)
+  sent : Intervals.Iset.t;
+      (** [label] and every [alpha.(j)] together: the alpha this vertex has
+          already routed, against which later arrivals are checked.  Derived
+          from the fields above, so {!digest} leaves it out. *)
 }
 
 type outgoing = {
@@ -55,4 +59,5 @@ val digest : t -> string
 
 val invariant : ?prev:t -> t -> bool
 (** Structural invariants: [alpha.(j)] pairwise disjoint and disjoint from
-    the label; with [?prev], state-monotonicity w.r.t. that earlier state. *)
+    the label, [sent] their union at a vertex with out-ports; with [?prev],
+    state-monotonicity w.r.t. that earlier state. *)

@@ -56,16 +56,17 @@ let to_int_exn x =
   | Some n -> n
   | None -> failwith "Bignat.to_int_exn: value too large"
 
+(* Top-down limb scan; a loop rather than a local recursive function so
+   that no closure is allocated. *)
 let compare (a : t) (b : t) =
   let la = Array.length a and lb = Array.length b in
   if la <> lb then Stdlib.compare la lb
   else begin
-    let rec go i =
-      if i < 0 then 0
-      else if a.(i) <> b.(i) then Stdlib.compare a.(i) b.(i)
-      else go (i - 1)
-    in
-    go (la - 1)
+    let i = ref (la - 1) in
+    while !i >= 0 && a.(!i) = b.(!i) do
+      decr i
+    done;
+    if !i < 0 then 0 else Stdlib.compare a.(!i) b.(!i)
   end
 
 let equal a b = compare a b = 0
@@ -158,14 +159,20 @@ let mul_int a m =
   end
   else mul a (of_int m)
 
+(* Binary search over the bit position, six steps for any int. *)
+let int_width n =
+  let n = ref n and w = ref 0 in
+  if !n lsr 32 <> 0 then (n := !n lsr 32; w := 32);
+  if !n lsr 16 <> 0 then (n := !n lsr 16; w := !w + 16);
+  if !n lsr 8 <> 0 then (n := !n lsr 8; w := !w + 8);
+  if !n lsr 4 <> 0 then (n := !n lsr 4; w := !w + 4);
+  if !n lsr 2 <> 0 then (n := !n lsr 2; w := !w + 2);
+  if !n lsr 1 <> 0 then (n := !n lsr 1; w := !w + 1);
+  !w + !n
+
 let bit_length x =
   let n = Array.length x in
-  if n = 0 then 0
-  else begin
-    let top = x.(n - 1) in
-    let rec width w v = if v = 0 then w else width (w + 1) (v lsr 1) in
-    ((n - 1) * limb_bits) + width 0 top
-  end
+  if n = 0 then 0 else ((n - 1) * limb_bits) + int_width x.(n - 1)
 
 let testbit x i =
   let limb = i / limb_bits and off = i mod limb_bits in
@@ -210,6 +217,48 @@ let shift_right (x : t) k =
         done
       end;
       normalize r
+    end
+  end
+
+let trailing_zeros x =
+  let n = Array.length x in
+  if n = 0 then 0
+  else begin
+    let i = ref 0 in
+    while x.(!i) = 0 do
+      incr i
+    done;
+    let v = ref x.(!i) and bits = ref 0 in
+    while !v land 1 = 0 do
+      v := !v lsr 1;
+      incr bits
+    done;
+    (!i * limb_bits) + !bits
+  end
+
+(* Limb [i] of [shift_left a k], read off [a] in place: [limbs]/[bits]
+   split [k] as in [shift_left]. *)
+let shifted_limb (a : t) limbs bits i =
+  let j = i - limbs in
+  let la = Array.length a in
+  let low = if j >= 0 && j < la then (a.(j) lsl bits) land limb_mask else 0 in
+  if bits > 0 && j >= 1 && j <= la then low lor (a.(j - 1) lsr (limb_bits - bits))
+  else low
+
+let compare_shifted (a : t) (b : t) k =
+  if k < 0 then invalid_arg "Bignat.compare_shifted: negative shift";
+  if k = 0 || is_zero a then compare a b
+  else begin
+    let c = Stdlib.compare (bit_length a + k) (bit_length b) in
+    if c <> 0 then c
+    else begin
+      (* Equal bit lengths, hence equal limb counts. *)
+      let limbs = k / limb_bits and bits = k mod limb_bits in
+      let i = ref (Array.length b - 1) in
+      while !i >= 0 && shifted_limb a limbs bits !i = b.(!i) do
+        decr i
+      done;
+      if !i < 0 then 0 else Stdlib.compare (shifted_limb a limbs bits !i) b.(!i)
     end
   end
 

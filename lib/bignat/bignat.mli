@@ -31,6 +31,11 @@ val is_one : t -> bool
 val is_even : t -> bool
 
 val compare : t -> t -> int
+
+val compare_shifted : t -> t -> int -> int
+(** [compare_shifted a b k] is [compare (shift_left a k) b], computed in
+    place without allocating.  Requires [k >= 0]. *)
+
 val equal : t -> t -> bool
 val min : t -> t -> t
 val max : t -> t -> t
@@ -66,8 +71,14 @@ val shift_right : t -> int -> t
 val bit_length : t -> int
 (** Number of significant bits; [bit_length zero = 0]. *)
 
+val int_width : int -> int
+(** Number of significant bits of a non-negative int; [int_width 0 = 0]. *)
+
 val testbit : t -> int -> bool
 (** [testbit x i] is bit [i] (LSB is bit 0). *)
+
+val trailing_zeros : t -> int
+(** Number of low zero bits; [trailing_zeros zero = 0]. *)
 
 val pow2 : int -> t
 (** [pow2 k] is [2^k]. *)

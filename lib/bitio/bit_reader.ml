@@ -20,11 +20,22 @@ let bit r =
   r.pos <- r.pos + 1;
   b
 
+(* Up to the rest of the current byte per step rather than one bit.  A
+   read past [limit] consumes what is left, then raises. *)
 let bits r width =
   if width < 0 || width > 62 then invalid_arg "Bit_reader.bits: bad width";
-  let v = ref 0 in
-  for _ = 1 to width do
-    v := (!v lsl 1) lor (if bit r then 1 else 0)
+  if r.pos + width > r.limit then begin
+    r.pos <- r.limit;
+    raise Truncated
+  end;
+  let v = ref 0 and left = ref width in
+  while !left > 0 do
+    let avail = 8 - (r.pos land 7) in
+    let take = Int.min !left avail in
+    let byte = Char.code r.data.[r.pos lsr 3] in
+    v := (!v lsl take) lor ((byte lsr (avail - take)) land ((1 lsl take) - 1));
+    r.pos <- r.pos + take;
+    left := !left - take
   done;
   !v
 

@@ -12,12 +12,24 @@ let bit w b =
     w.used <- 0
   end
 
+(* Up to a byte's remaining room per step rather than one bit. *)
 let bits w v width =
   if width < 0 || width > 62 then invalid_arg "Bit_writer.bits: bad width";
   if v < 0 then invalid_arg "Bit_writer.bits: negative value";
-  for i = width - 1 downto 0 do
-    bit w ((v lsr i) land 1 = 1)
-  done
+  let left = ref width in
+  while !left > 0 do
+    let take = Int.min !left (8 - w.used) in
+    let chunk = (v lsr (!left - take)) land ((1 lsl take) - 1) in
+    w.acc <- (w.acc lsl take) lor chunk;
+    w.used <- w.used + take;
+    left := !left - take;
+    if w.used = 8 then begin
+      Buffer.add_char w.buf (Char.chr w.acc);
+      w.acc <- 0;
+      w.used <- 0
+    end
+  done;
+  w.total <- w.total + width
 
 let length w = w.total
 

@@ -16,15 +16,16 @@ let read_unary r =
   done;
   !n
 
-let int_width n =
-  let rec go acc n = if n = 0 then acc else go (acc + 1) (n lsr 1) in
-  go 0 n
-
 let write_gamma w n =
   if n < 1 then invalid_arg "Codes.write_gamma: needs n >= 1";
-  let k = int_width n - 1 in
-  write_unary w k;
-  Bit_writer.bits w (n - (1 lsl k)) k
+  let k = B.int_width n - 1 in
+  (* [k] zeros, then [n]'s [k+1] bits (the first is the unary code's
+     terminating 1): [n] itself, written [2k+1] bits wide. *)
+  if (2 * k) + 1 <= 62 then Bit_writer.bits w n ((2 * k) + 1)
+  else begin
+    write_unary w k;
+    Bit_writer.bits w (n - (1 lsl k)) k
+  end
 
 let read_gamma r =
   let k = read_unary r in
@@ -35,7 +36,7 @@ let read_gamma0 r = read_gamma r - 1
 
 let write_delta w n =
   if n < 1 then invalid_arg "Codes.write_delta: needs n >= 1";
-  let k = int_width n - 1 in
+  let k = B.int_width n - 1 in
   write_gamma w (k + 1);
   Bit_writer.bits w (n - (1 lsl k)) k
 
@@ -46,16 +47,21 @@ let read_delta r =
 let write_bignat w x =
   let n = B.bit_length x in
   write_gamma0 w n;
-  for i = n - 1 downto 0 do
-    Bit_writer.bit w (B.testbit x i)
-  done
+  match B.to_int_opt x with
+  | Some v -> Bit_writer.bits w v n
+  | None ->
+      for i = n - 1 downto 0 do
+        Bit_writer.bit w (B.testbit x i)
+      done
 
+(* Up to 62 bits per step rather than one bit. *)
 let read_bignat r =
   let n = read_gamma0 r in
-  let x = ref B.zero in
-  for _ = 1 to n do
-    x := B.shift_left !x 1;
-    if Bit_reader.bit r then x := B.add !x B.one
+  let x = ref B.zero and left = ref n in
+  while !left > 0 do
+    let width = min 62 !left in
+    x := B.add (B.shift_left !x width) (B.of_int (Bit_reader.bits r width));
+    left := !left - width
   done;
   !x
 
@@ -82,7 +88,7 @@ let read_rational r =
   Q.make ~negative num den
 
 let gamma0_size n =
-  let k = int_width (n + 1) - 1 in
+  let k = B.int_width (n + 1) - 1 in
   (2 * k) + 1
 
 let bignat_size x =

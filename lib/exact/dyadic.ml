@@ -8,15 +8,14 @@ let zero = { negative = false; mant = B.zero; exp = 0 }
 let one = { negative = false; mant = B.one; exp = 0 }
 let half = { negative = false; mant = B.one; exp = 1 }
 
+(* Strip the common power of two from mantissa and denominator with one
+   shift. *)
 let normalize negative mant exp =
   if B.is_zero mant then zero
+  else if exp = 0 || not (B.is_even mant) then { negative; mant; exp }
   else begin
-    let mant = ref mant and exp = ref exp in
-    while !exp > 0 && B.is_even !mant do
-      mant := B.shift_right !mant 1;
-      decr exp
-    done;
-    { negative; mant = !mant; exp = !exp }
+    let k = Stdlib.min exp (B.trailing_zeros mant) in
+    { negative; mant = B.shift_right mant k; exp = exp - k }
   end
 
 let make ?(negative = false) m e =
@@ -67,20 +66,25 @@ let mul_pow2 x k =
   else if k >= 0 then
     if x.exp >= k then { x with exp = x.exp - k }
     else { x with mant = B.shift_left x.mant (k - x.exp); exp = 0 }
-  else { x with exp = x.exp - k }
+  else normalize x.negative x.mant (x.exp - k)
 
 let div_pow2 x k = mul_pow2 x (-k)
 
+(* Zero is never negative, so the sign flags alone order values of
+   different signs; otherwise compare the magnitudes over the common
+   denominator 2^(max exp), shifting in place. *)
 let compare x y =
-  match (sign x, sign y) with
-  | sx, sy when sx <> sy -> Stdlib.compare sx sy
-  | 0, _ -> 0
-  | s, _ ->
-      let mx, my, _ = align x y in
-      let c = B.compare mx my in
-      if s > 0 then c else -c
+  if x.negative <> y.negative then if x.negative then -1 else 1
+  else begin
+    let c =
+      if x.exp >= y.exp then - B.compare_shifted y.mant x.mant (x.exp - y.exp)
+      else B.compare_shifted x.mant y.mant (y.exp - x.exp)
+    in
+    if x.negative then -c else c
+  end
 
-let equal x y = compare x y = 0
+(* The normal form is unique, so equality is structural. *)
+let equal x y = x.exp = y.exp && x.negative = y.negative && B.equal x.mant y.mant
 let min x y = if compare x y <= 0 then x else y
 let max x y = if compare x y >= 0 then x else y
 
@@ -98,14 +102,9 @@ let of_rational_opt r =
     Some (make ~negative:(Rational.is_negative r) (Rational.num r) e)
   else None
 
-(* Width of the binary representation of a small non-negative int. *)
-let int_width n =
-  let rec go acc n = if n = 0 then acc else go (acc + 1) (n lsr 1) in
-  go 0 n
-
 let bit_size x =
   (* Sign bit, mantissa bits, and an Elias-gamma-sized exponent field. *)
-  1 + B.bit_length x.mant + (2 * int_width x.exp) + 1
+  1 + B.bit_length x.mant + (2 * B.int_width x.exp) + 1
 
 let to_binary_string x =
   let sign = if x.negative then "-" else "" in

@@ -1,12 +1,17 @@
 module Dy = Exact.Dyadic
 
-type t = { lo : Dy.t; hi : Dy.t }
+(* [bits] caches the encoded size of the two endpoints, which
+   [Iset.size_bits] sums on every delivery. *)
+type t = { lo : Dy.t; hi : Dy.t; bits : int }
 
-let empty = { lo = Dy.zero; hi = Dy.zero }
+let endpoints_bits lo hi = Bitio.Codes.dyadic_size lo + Bitio.Codes.dyadic_size hi
 
-let make lo hi = if Dy.compare lo hi >= 0 then empty else { lo; hi }
+let empty = { lo = Dy.zero; hi = Dy.zero; bits = endpoints_bits Dy.zero Dy.zero }
 
-let unit = { lo = Dy.zero; hi = Dy.one }
+let make lo hi =
+  if Dy.compare lo hi >= 0 then empty else { lo; hi; bits = endpoints_bits lo hi }
+
+let unit = make Dy.zero Dy.one
 
 let lo iv = iv.lo
 let hi iv = iv.hi
@@ -49,12 +54,16 @@ let split iv k =
   else begin
     let c = ceil_log2 k in
     let delta = Dy.div_pow2 (Dy.sub iv.hi iv.lo) c in
-    let boundary j = Dy.add iv.lo (Dy.mul (Dy.of_int j) delta) in
-    let part j =
-      if j < k - 1 then make (boundary j) (boundary (j + 1))
-      else make (boundary j) iv.hi
+    (* Boundary [j] is [lo + j*delta], one exact addition past boundary
+       [j - 1]; the last part ends at [hi]. *)
+    let rec parts acc j lo =
+      if j = k - 1 then List.rev (make lo iv.hi :: acc)
+      else begin
+        let next = Dy.add lo delta in
+        parts (make lo next :: acc) (j + 1) next
+      end
     in
-    List.init k part
+    parts [] 0 iv.lo
   end
 
 let write w iv =
@@ -66,7 +75,7 @@ let read r =
   let hi = Bitio.Codes.read_dyadic r in
   make lo hi
 
-let size_bits iv = Bitio.Codes.dyadic_size iv.lo + Bitio.Codes.dyadic_size iv.hi
+let size_bits iv = iv.bits
 
 let to_string iv =
   if is_empty iv then "[)"

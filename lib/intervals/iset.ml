@@ -28,7 +28,13 @@ let coalesce sorted =
 let of_intervals ivs =
   ivs |> List.filter (fun iv -> not (I.is_empty iv)) |> List.sort I.compare |> coalesce
 
-let of_interval iv = of_intervals [ iv ]
+let rec is_normal = function
+  | [] -> true
+  | [ iv ] -> not (I.is_empty iv)
+  | a :: (b :: _ as rest) ->
+      (not (I.is_empty a)) && Dy.compare (I.hi a) (I.lo b) < 0 && is_normal rest
+
+let of_interval iv = if I.is_empty iv then [] else [ iv ]
 
 let interval lo hi = of_interval (I.make lo hi)
 
@@ -40,41 +46,89 @@ let measure s = Dy.sum (List.map I.measure s)
 
 let mem x s = List.exists (I.mem x) s
 
-let union a b = of_intervals (a @ b)
+(* The binary operations below sweep both sorted normal forms once, left to
+   right, so each costs O(|a| + |b|) endpoint comparisons. *)
+
+(* Merge by lower endpoint into the pending interval [cur], which absorbs
+   every next interval that overlaps or touches it.  Once one side is used
+   up and the other's next interval starts beyond [cur], that remaining
+   normal form is the tail. *)
+let union a b =
+  let rec go acc cur a b =
+    match (a, b) with
+    | [], [] -> List.rev (cur :: acc)
+    | iv :: a', [] | [], iv :: a' ->
+        if Dy.compare (I.hi cur) (I.lo iv) < 0 then
+          List.rev_append (cur :: acc) (iv :: a')
+        else absorb acc cur iv a' []
+    | ia :: a', ib :: b' ->
+        if Dy.compare (I.lo ia) (I.lo ib) <= 0 then absorb acc cur ia a' b
+        else absorb acc cur ib a b'
+  and absorb acc cur iv a b =
+    if Dy.compare (I.lo iv) (I.hi cur) > 0 then go (cur :: acc) iv a b
+    else if Dy.compare (I.hi iv) (I.hi cur) > 0 then
+      go acc (I.make (I.lo cur) (I.hi iv)) a b
+    else go acc cur a b
+  in
+  match (a, b) with
+  | [], s | s, [] -> s
+  | ia :: a', ib :: b' ->
+      if Dy.compare (I.lo ia) (I.lo ib) <= 0 then go [] ia a' b else go [] ib a b'
 
 let inter a b =
-  (* Two-pointer sweep over the sorted normal forms. *)
   let rec go acc a b =
     match (a, b) with
     | [], _ | _, [] -> List.rev acc
     | ia :: ra, ib :: rb ->
-        let m = I.intersect ia ib in
-        let acc = if I.is_empty m then acc else m :: acc in
-        if Dy.compare (I.hi ia) (I.hi ib) <= 0 then go acc ra b else go acc a rb
+        let c = Dy.compare (I.hi ia) (I.hi ib) in
+        let lo = Dy.max (I.lo ia) (I.lo ib) in
+        let hi = if c <= 0 then I.hi ia else I.hi ib in
+        let acc = if Dy.compare lo hi < 0 then I.make lo hi :: acc else acc in
+        if c <= 0 then go acc ra b else go acc a rb
   in
   go [] a b
 
+(* Cut each interval of [a] by the intervals of [b] it meets; the
+   remainder of a cut interval goes back on [a] for the next one. *)
 let diff a b =
-  (* Subtract each interval of [b] from the running pieces of [a]. *)
-  let subtract_one iv cut =
-    if not (I.overlaps iv cut) then [ iv ]
-    else
-      [ I.make (I.lo iv) (Dy.min (I.hi iv) (I.lo cut));
-        I.make (Dy.max (I.lo iv) (I.hi cut)) (I.hi iv) ]
-      |> List.filter (fun i -> not (I.is_empty i))
+  let rec go acc a b =
+    match (a, b) with
+    | [], _ -> List.rev acc
+    | _, [] -> List.rev_append acc a
+    | ia :: ra, ib :: rb ->
+        if Dy.compare (I.hi ib) (I.lo ia) <= 0 then go acc a rb
+        else if Dy.compare (I.hi ia) (I.lo ib) <= 0 then go (ia :: acc) ra b
+        else begin
+          let acc =
+            if Dy.compare (I.lo ia) (I.lo ib) < 0 then I.make (I.lo ia) (I.lo ib) :: acc
+            else acc
+          in
+          if Dy.compare (I.hi ib) (I.hi ia) < 0 then
+            go acc (I.make (I.hi ib) (I.hi ia) :: ra) rb
+          else go acc ra b
+        end
   in
-  let rec sub_all iv cuts =
-    match cuts with
-    | [] -> [ iv ]
-    | cut :: rest -> List.concat_map (fun piece -> sub_all piece rest) (subtract_one iv cut)
-  in
-  (* Normal form is already sorted/disjoint, so the result needs no
-     re-coalescing, but going through of_intervals keeps the invariant
-     locally obvious. *)
-  of_intervals (List.concat_map (fun iv -> sub_all iv b) a)
+  go [] a b
 
-let subset a b = is_empty (diff a b)
-let disjoint a b = is_empty (inter a b)
+(* Each interval of [a] must lie inside a single interval of [b]: the
+   first one of [b] not entirely to its left. *)
+let rec subset a b =
+  match (a, b) with
+  | [], _ -> true
+  | _, [] -> false
+  | ia :: ra, ib :: rb ->
+      if Dy.compare (I.hi ib) (I.lo ia) <= 0 then subset a rb
+      else
+        Dy.compare (I.lo ib) (I.lo ia) <= 0
+        && Dy.compare (I.hi ia) (I.hi ib) <= 0
+        && subset ra b
+
+let rec disjoint a b =
+  match (a, b) with
+  | [], _ | _, [] -> true
+  | ia :: ra, ib :: rb ->
+      if Dy.compare (I.hi ia) (I.lo ib) <= 0 then disjoint ra b
+      else Dy.compare (I.hi ib) (I.lo ia) <= 0 && disjoint a rb
 
 let complement s = diff unit s
 
@@ -87,14 +141,15 @@ let canonical_partition s d =
   match s with
   | [] -> List.init d (fun _ -> empty)
   | first :: rest ->
-      let slices = I.split first d in
-      let parts = List.map of_interval slices in
+      (* The slices of a non-empty interval are non-empty, and the last one
+         ends where [first] does, before [rest] begins: every part is
+         already in normal form. *)
       let rec attach_rest = function
         | [] -> assert false
-        | [ last ] -> [ union last (of_intervals rest) ]
-        | p :: ps -> p :: attach_rest ps
+        | [ last ] -> [ last :: rest ]
+        | iv :: ivs -> [ iv ] :: attach_rest ivs
       in
-      attach_rest parts
+      attach_rest (I.split first d)
 
 let write w s =
   Bitio.Codes.write_gamma0 w (count s);
@@ -104,7 +159,10 @@ let read r =
   let n = Bitio.Codes.read_gamma0 r in
   (* Explicit recursion: List.init does not guarantee evaluation order. *)
   let rec go acc k = if k = 0 then List.rev acc else go (I.read r :: acc) (k - 1) in
-  of_intervals (go [] n)
+  let ivs = go [] n in
+  (* Every encoder writes a normal form, so only a corrupted message needs
+     the sort. *)
+  if is_normal ivs then ivs else of_intervals ivs
 
 let size_bits s =
   Bitio.Codes.gamma0_size (count s)

@@ -216,6 +216,42 @@ let prop_int_roundtrip =
   qcheck_to_alcotest "to_int_opt on small values" arb_small_nat (fun n ->
       B.to_int_opt (B.of_int n) = Some n)
 
+(* [b] is near [a lsl k] (off by -1, 0 or +1) in half the cases, so the
+   limb-by-limb tie-breaking is exercised, not just the bit lengths. *)
+let prop_compare_shifted =
+  qcheck_to_alcotest ~count:500 "compare_shifted a b k = compare (a lsl k) b"
+    QCheck.(quad arb_bignat arb_bignat (int_bound 100) (int_range (-1) 2))
+    (fun (a, b, k, near) ->
+      let shifted = B.shift_left a k in
+      let b =
+        match near with
+        | 0 -> shifted
+        | 1 -> B.succ shifted
+        | -1 when not (B.is_zero shifted) -> B.pred shifted
+        | _ -> b
+      in
+      B.compare_shifted a b k = B.compare shifted b
+      && B.compare_shifted b a k = B.compare (B.shift_left b k) a)
+
+let prop_trailing_zeros =
+  qcheck_to_alcotest "trailing_zeros strips exactly the low zero bits"
+    QCheck.(pair arb_bignat (int_bound 100))
+    (fun (a, k) ->
+      let x = B.shift_left a k in
+      let tz = B.trailing_zeros x in
+      if B.is_zero x then tz = 0
+      else
+        (not (B.is_even (B.shift_right x tz)))
+        && B.equal (B.shift_left (B.shift_right x tz) tz) x
+        && tz >= k)
+
+let prop_int_width =
+  qcheck_to_alcotest "int_width is the bit count"
+    QCheck.(oneof [ int_bound 1_000; int_bound max_int; always max_int; always 0 ])
+    (fun n ->
+      let rec naive acc n = if n = 0 then acc else naive (acc + 1) (n lsr 1) in
+      B.int_width n = naive 0 n)
+
 let () =
   Alcotest.run "bignat"
     [
@@ -256,5 +292,8 @@ let () =
           prop_bit_length_bounds;
           prop_compare_total_order;
           prop_int_roundtrip;
+          prop_compare_shifted;
+          prop_trailing_zeros;
+          prop_int_width;
         ] );
     ]

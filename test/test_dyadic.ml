@@ -130,6 +130,36 @@ let prop_of_rational_rejects_non_dyadic =
       QCheck.assume (not (B.is_even (Q.den q)));
       Dy.of_rational_opt q = None)
 
+(* [b] is often [a] itself, rebuilt from a mantissa and exponent both
+   scaled by 2^k, so equal values take the structural path. *)
+let prop_equal_is_compare_zero =
+  qcheck_to_alcotest "equal iff compare = 0, on rebuilt copies too"
+    QCheck.(triple arb_dyadic arb_dyadic (int_range (-20) 20))
+    (fun (a, b, k) ->
+      let b =
+        if k < 0 then b
+        else
+          Dy.make ~negative:(Dy.is_negative a)
+            (B.shift_left (Dy.mantissa a) k)
+            (Dy.exponent a + k)
+      in
+      Dy.equal a b = (Dy.compare a b = 0)
+      && Dy.compare a b = - Dy.compare b a)
+
+let prop_div_pow2_normal =
+  qcheck_to_alcotest "div_pow2 keeps the normal form"
+    QCheck.(pair arb_dyadic (int_bound 60))
+    (fun (a, k) ->
+      let d = Dy.div_pow2 a k in
+      (Dy.exponent d = 0 || not (B.is_even (Dy.mantissa d)))
+      && Q.equal (Dy.to_rational d) (Q.div (Dy.to_rational a) (Q.make (B.pow2 k) B.one)))
+
+let test_div_pow2_even_integer () =
+  let d = Dy.div_pow2 (Dy.of_int 4) 1 in
+  Alcotest.(check int) "4/2 has exponent 0" 0 (Dy.exponent d);
+  Alcotest.check dyadic "4/2 = 2" (Dy.of_int 2) d;
+  Alcotest.check dyadic "midpoint(0,2) = 1" Dy.one (Dy.midpoint Dy.zero (Dy.of_int 2))
+
 let () =
   Alcotest.run "dyadic"
     [
@@ -144,6 +174,8 @@ let () =
           Alcotest.test_case "midpoint" `Quick test_midpoint;
           Alcotest.test_case "rational bridge" `Quick test_rational_bridge;
           Alcotest.test_case "to_float" `Quick test_to_float;
+          Alcotest.test_case "div_pow2 of an even integer" `Quick
+            test_div_pow2_even_integer;
         ] );
       ( "properties",
         [
@@ -159,5 +191,7 @@ let () =
           prop_midpoint_between;
           prop_rational_roundtrip;
           prop_of_rational_rejects_non_dyadic;
+          prop_equal_is_compare_zero;
+          prop_div_pow2_normal;
         ] );
     ]

@@ -155,6 +155,40 @@ let test_payload_term () =
     (plain.total_bits + (64 * plain.deliveries))
     with_m.total_bits
 
+(* E5's graphs (bench/main.ml: seed 3000 + k, n/4 back edges) with the
+   deliveries, total bits and bandwidth the sort-based interval layer
+   produced.  The arithmetic is the specification: a faster Iset, Dyadic
+   or codec must reproduce every count exactly. *)
+let e5_pinned =
+  [
+    (8, 1, 22, 138, 3741, 35); (8, 2, 22, 36, 883, 33); (8, 3, 22, 54, 1340, 31);
+    (16, 1, 43, 220, 6197, 43); (16, 2, 40, 181, 4913, 37); (16, 3, 42, 277, 7804, 37);
+    (32, 1, 87, 482, 15783, 49); (32, 2, 86, 390, 12633, 49); (32, 3, 84, 164, 5320, 45);
+    (64, 1, 167, 752, 30454, 55);
+    (64, 2, 168, 1036, 40673, 55);
+    (64, 3, 170, 1008, 36363, 53);
+    (128, 1, 337, 3237, 133838, 61); (128, 2, 337, 8558, 324230, 69);
+    (128, 3, 345, 2370, 79661, 59);
+    (256, 1, 681, 10133, 431187, 73); (256, 2, 687, 4349, 226236, 73);
+    (256, 3, 677, 5870, 253461, 65);
+  ]
+
+let test_e5_counts_pinned () =
+  List.iter
+    (fun (n, seed, edges, deliveries, bits, bandwidth) ->
+      let g =
+        F.random_digraph (Prng.create (3000 + seed)) ~n ~extra_edges:n
+          ~back_edges:(n / 4) ~t_edge_prob:0.2
+      in
+      let st = Anonet.broadcast_general g in
+      let name what = Printf.sprintf "n=%d seed=%d %s" n seed what in
+      Alcotest.(check int) (name "|E|") edges (G.n_edges g);
+      Alcotest.check outcome (name "outcome") E.Terminated st.outcome;
+      Alcotest.(check int) (name "deliveries") deliveries st.deliveries;
+      Alcotest.(check int) (name "total bits") bits st.total_bits;
+      Alcotest.(check int) (name "bandwidth") bandwidth st.max_message_bits)
+    e5_pinned
+
 let () =
   Alcotest.run "general-broadcast"
     [
@@ -176,5 +210,6 @@ let () =
           prop_per_edge_message_bound;
           Alcotest.test_case "monotone coverage" `Quick test_monotone_coverage_at_terminal;
           Alcotest.test_case "payload |m| term" `Quick test_payload_term;
+          Alcotest.test_case "E5 counts pinned" `Quick test_e5_counts_pinned;
         ] );
     ]

@@ -165,15 +165,18 @@ let prop_complement_partition =
       let a = Is.inter a Is.unit in
       Is.is_unit (Is.union a (Is.complement a)) && Is.disjoint a (Is.complement a))
 
+(* Sorted, pairwise disjoint, non-adjacent, non-empty. *)
+let normal s =
+  let rec ok = function
+    | a :: (b :: _ as rest) ->
+        (not (I.is_empty a)) && Dy.compare (I.hi a) (I.lo b) < 0 && ok rest
+    | [ a ] -> not (I.is_empty a)
+    | [] -> true
+  in
+  ok (Is.intervals s)
+
 let prop_normal_form_sorted_disjoint =
-  qcheck_to_alcotest "normal form: sorted, disjoint, non-adjacent" arb_iset (fun s ->
-      let rec ok = function
-        | a :: (b :: _ as rest) ->
-            Dy.compare (I.hi a) (I.lo b) < 0 && (not (I.is_empty a)) && ok rest
-        | [ a ] -> not (I.is_empty a)
-        | [] -> true
-      in
-      ok (Is.intervals s))
+  qcheck_to_alcotest "normal form: sorted, disjoint, non-adjacent" arb_iset normal
 
 let prop_canonical_partition =
   qcheck_to_alcotest "canonical partition: disjoint cover, non-empty parts"
@@ -205,6 +208,102 @@ let prop_iset_codec =
           (Bitio.Bit_writer.to_string w)
       in
       Is.equal (Is.read r) s && Bitio.Bit_writer.length w = Is.size_bits s)
+
+(* {1 The sweeps against a sort-based reference}
+
+   [Ref] computes every operation the slow, obviously correct way: gather
+   candidate pieces in any order and let [of_intervals] sort and coalesce
+   them.  The operands have wide endpoints — mantissas up to six limbs,
+   exponents up to 200, signs — drawn from a small pool per case, so shared
+   endpoints, adjacency and containment are common. *)
+
+module Ref = struct
+  let union a b = Is.of_intervals (Is.intervals a @ Is.intervals b)
+
+  let inter a b =
+    Is.of_intervals
+      (List.concat_map
+         (fun ia -> List.map (I.intersect ia) (Is.intervals b))
+         (Is.intervals a))
+
+  let diff a b =
+    let cut iv c =
+      if not (I.overlaps iv c) then [ iv ]
+      else
+        [
+          I.make (I.lo iv) (Dy.min (I.hi iv) (I.lo c));
+          I.make (Dy.max (I.lo iv) (I.hi c)) (I.hi iv);
+        ]
+    in
+    Is.of_intervals
+      (List.fold_left
+         (fun pieces c -> List.concat_map (fun p -> cut p c) pieces)
+         (Is.intervals a) (Is.intervals b))
+
+  let subset a b = Is.is_empty (diff a b)
+  let disjoint a b = Is.is_empty (inter a b)
+
+  let canonical_partition s d =
+    match Is.intervals s with
+    | [] -> List.init d (fun _ -> Is.empty)
+    | first :: rest ->
+        let parts = List.map Is.of_interval (I.split first d) in
+        List.mapi
+          (fun j p -> if j = d - 1 then union p (Is.of_intervals rest) else p)
+          parts
+end
+
+let gen_wide_iset_pair : (Is.t * Is.t) QCheck.Gen.t =
+  QCheck.Gen.(
+    let endpoint =
+      map3
+        (fun negative m e -> Dy.make ~negative m e)
+        (frequency [ (4, return false); (1, return true) ])
+        gen_bignat (int_bound 200)
+    in
+    let* pool = array_size (int_range 2 7) endpoint in
+    let pick = map (fun i -> pool.(i)) (int_bound (Array.length pool - 1)) in
+    let iset = map Is.of_intervals (list_size (int_range 0 6) (map2 I.make pick pick)) in
+    pair iset iset)
+
+let arb_wide_iset_pair =
+  QCheck.make
+    ~print:(fun (a, b) -> Is.to_string a ^ "  |  " ^ Is.to_string b)
+    gen_wide_iset_pair
+
+let prop_sweeps_match_reference =
+  qcheck_to_alcotest ~count:1000 "union/inter/diff/subset/disjoint = reference"
+    arb_wide_iset_pair
+    (fun (a, b) ->
+      let agree op reference = Is.equal (op a b) (reference a b) && normal (op a b) in
+      agree Is.union Ref.union && agree Is.inter Ref.inter && agree Is.diff Ref.diff
+      && Is.subset a b = Ref.subset a b
+      && Is.subset a (Is.union a b)
+      && Is.disjoint a b = Ref.disjoint a b
+      && Is.disjoint a (Is.diff b a))
+
+let prop_partition_matches_reference =
+  qcheck_to_alcotest ~count:500 "canonical_partition = reference"
+    QCheck.(pair arb_wide_iset_pair (int_range 1 9))
+    (fun ((a, _), d) ->
+      List.equal Is.equal (Is.canonical_partition a d) (Ref.canonical_partition a d)
+      && List.for_all normal (Is.canonical_partition a d))
+
+(* A decoder must normalize whatever order the intervals arrive in, as a
+   corrupted message may carry any. *)
+let prop_read_normalizes =
+  qcheck_to_alcotest "read normalizes an arbitrary interval list"
+    QCheck.(list_of_size (QCheck.Gen.int_range 0 6) arb_interval)
+    (fun ivs ->
+      let w = Bitio.Bit_writer.create () in
+      Bitio.Codes.write_gamma0 w (List.length ivs);
+      List.iter (I.write w) ivs;
+      let r =
+        Bitio.Bit_reader.of_string
+          ~length_bits:(Bitio.Bit_writer.length w)
+          (Bitio.Bit_writer.to_string w)
+      in
+      Is.equal (Is.read r) (Is.of_intervals ivs))
 
 let () =
   Alcotest.run "intervals"
@@ -244,5 +343,11 @@ let () =
           prop_canonical_partition;
           prop_canonical_partition_interval_budget;
           prop_iset_codec;
+        ] );
+      ( "iset-reference",
+        [
+          prop_sweeps_match_reference;
+          prop_partition_matches_reference;
+          prop_read_normalizes;
         ] );
     ]
