@@ -1767,8 +1767,8 @@ let () =
           else if a = "serve:small" then serve_bench ~small:true ()
           else if a = "recover" then recover_bench ~small:false ()
           else if a = "recover:small" then recover_bench ~small:true ()
-          else if a = "flatcore" then engine_bench ~small:false ()
-          else if a = "flatcore:small" then engine_bench ~small:true ()
+          else if a = "engine" then engine_bench ~small:false ()
+          else if a = "engine:small" then engine_bench ~small:true ()
           else if a = "lineage" then lineage_bench ~small:false ()
           else if a = "lineage:small" then lineage_bench ~small:true ()
           else
@@ -1779,6 +1779,6 @@ let () =
                   "unknown table %s (known: e1..e13, fits, campaign, check, \
                    timing, throughput[:small], obs[:small], chaos[:small], \
                    churn[:small], serve[:small], recover[:small], \
-                   flatcore[:small], lineage[:small])\n"
+                   engine[:small], lineage[:small])\n"
                   a)
         args

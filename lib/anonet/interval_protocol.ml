@@ -24,12 +24,25 @@ struct
         (fun j part -> (j, (part, Is.empty)))
         (Is.canonical_partition Is.unit out_degree)
 
+  (* Consecutive sends whose components are physically equal (a beta
+     flood: every port gets [(empty, d_beta)]) share one message value, so
+     the engine's pointer memo encodes it once. *)
+  let rec share ((a, b) as prev) = function
+    | [] -> []
+    | (o : Interval_core.outgoing) :: rest ->
+        let m =
+          if a == o.d_alpha && b == o.d_beta then prev else (o.d_alpha, o.d_beta)
+        in
+        (o.port, m) :: share m rest
+
   let receive ~out_degree:_ ~in_degree:_ st (alpha, beta) ~in_port:_ =
     let st', outs = Interval_core.step ~assign_label:M.assign_label st ~alpha ~beta in
     ( st',
-      List.map
-        (fun (o : Interval_core.outgoing) -> (o.port, (o.d_alpha, o.d_beta)))
-        outs )
+      match outs with
+      | [] -> []
+      | o :: rest ->
+          let m = (o.d_alpha, o.d_beta) in
+          (o.port, m) :: share m rest )
 
   let accepting = Interval_core.accepting
 

@@ -64,10 +64,12 @@ struct
     let s = Bitio.Bit_writer.to_string inner in
     let len = Bitio.Bit_writer.length inner in
     Bitio.Bit_writer.bits w (checksum s len) 16;
-    for i = 0 to len - 1 do
-      let byte = Char.code s.[i / 8] in
-      Bitio.Bit_writer.bit w ((byte lsr (7 - (i mod 8))) land 1 = 1)
-    done
+    for i = 0 to (len / 8) - 1 do
+      Bitio.Bit_writer.bits w (Char.code s.[i]) 8
+    done;
+    let tail = len mod 8 in
+    if tail > 0 then
+      Bitio.Bit_writer.bits w (Char.code s.[len / 8] lsr (8 - tail)) tail
 
   let decode r =
     let c = Bitio.Bit_reader.bits r 16 in

@@ -10,6 +10,10 @@ type t
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Empty the writer, keeping its buffer: a reused writer then behaves
+    exactly like a fresh one without allocating. *)
+
 val bit : t -> bool -> unit
 
 val bits : t -> int -> int -> unit
@@ -21,6 +25,11 @@ val length : t -> int
 
 val to_string : t -> string
 (** Packed bytes; the final byte is zero-padded. *)
+
+val padded_bytes : t -> Bytes.t
+(** The writer's own buffer, without a copy: its first
+    [(length w + 7) / 8] bytes are [to_string w].  It is valid until the
+    next write or {!reset}, and must not be mutated. *)
 
 val to_bit_string : t -> string
 (** Human-readable ['0']['1'] string, for tests and debugging. *)

@@ -165,8 +165,11 @@ let read r =
   if is_normal ivs then ivs else of_intervals ivs
 
 let size_bits s =
-  Bitio.Codes.gamma0_size (count s)
-  + List.fold_left (fun acc iv -> acc + I.size_bits iv) 0 s
+  let rec go n acc = function
+    | [] -> Bitio.Codes.gamma0_size n + acc
+    | iv :: rest -> go (n + 1) (acc + I.size_bits iv) rest
+  in
+  go 0 0 s
 
 let max_endpoint_bits s =
   List.fold_left

@@ -170,77 +170,11 @@ let obs_hooks ?(track = 0) (o : Obs.t) =
    friends), so resolving a copy's edge to its source, target and ports is
    a few int loads.  A message is encoded once per physically-distinct
    value at send time (a pointer-equality memo catches the common case of
-   a protocol re-sending one value on every port) into a bump arena of
-   bytes; the slot id rides with the copy, so a delivery charges bits and
-   dedups symbols with two int loads and a byte flag.  When a pre-run
+   a protocol re-sending one value on every port) and interned in an
+   {!Arena}; the slot id rides with the copy, so a delivery charges bits
+   and dedups symbols with two int loads and a byte flag.  When a pre-run
    probe certifies the protocol as flood-shaped, a specialized loop keeps
-   the whole in-flight pool as one int array of edge indices.
-
-   {2 The message arena}
-
-   One slot per distinct wire encoding: the bytes live in a single growing
-   buffer, the per-slot tables give offset and exact bit length, and
-   [seen] marks slots whose encoding crossed an edge at least once — the
-   distinct-symbol table behind [distinct_messages]. *)
-
-type arena = {
-  mutable buf : Bytes.t;
-  mutable used : int;
-  mutable off : int array;  (* per slot: byte offset into [buf] *)
-  mutable len_bits : int array;  (* per slot: exact encoded length *)
-  mutable seen : Bytes.t;  (* per slot: '\001' once delivered across an edge *)
-  mutable n_slots : int;
-  mutable distinct : int;  (* slots marked seen *)
-  index : (string, int) Hashtbl.t;  (* encoding key -> slot *)
-}
-
-let arena_create () =
-  {
-    buf = Bytes.create 256;
-    used = 0;
-    off = Array.make 16 0;
-    len_bits = Array.make 16 0;
-    seen = Bytes.make 16 '\000';
-    n_slots = 0;
-    distinct = 0;
-    index = Hashtbl.create 64;
-  }
-
-let arena_add a bytes len_bits =
-  let blen = String.length bytes in
-  if a.used + blen > Bytes.length a.buf then begin
-    let cap = Stdlib.max (a.used + blen) (2 * Bytes.length a.buf) in
-    let bigger = Bytes.create cap in
-    Bytes.blit a.buf 0 bigger 0 a.used;
-    a.buf <- bigger
-  end;
-  Bytes.blit_string bytes 0 a.buf a.used blen;
-  if a.n_slots = Array.length a.off then begin
-    let cap = 2 * a.n_slots in
-    let grow arr = Array.append arr (Array.make a.n_slots 0) in
-    a.off <- grow a.off;
-    a.len_bits <- grow a.len_bits;
-    let seen = Bytes.make cap '\000' in
-    Bytes.blit a.seen 0 seen 0 a.n_slots;
-    a.seen <- seen
-  end;
-  let slot = a.n_slots in
-  a.off.(slot) <- a.used;
-  a.len_bits.(slot) <- len_bits;
-  a.used <- a.used + blen;
-  a.n_slots <- slot + 1;
-  slot
-
-(* The stored encoding, re-materialized as a string (corrupt/verify paths
-   only — never on the fault-free hot path). *)
-let arena_string a slot =
-  Bytes.sub_string a.buf a.off.(slot) ((a.len_bits.(slot) + 7) / 8)
-
-let arena_mark_seen a slot =
-  if Bytes.get a.seen slot = '\000' then begin
-    Bytes.set a.seen slot '\001';
-    a.distinct <- a.distinct + 1
-  end
+   the whole in-flight pool as one int array of edge indices. *)
 
 module Make (P : Protocol_intf.PROTOCOL) = struct
   type state = P.state
@@ -268,15 +202,49 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
      still held, so the engine can report undelivered messages at the end of
      a run (conservation-law checks need the full cut). *)
   let make_pool scheduler =
+    (* A full pool array, twice over.  [Array.make] with a young flight as
+       the filler would force a minor collection once the array is too
+       big for the minor heap; appending the array to itself copies. *)
+    let doubled arr f =
+      if Array.length arr = 0 then Array.make 16 f else Array.append arr arr
+    in
     match (scheduler : Scheduler.t) with
     | Fifo ->
-        let q = Queue.create () in
-        ( (fun f -> Queue.add f q),
-          (fun () -> Queue.take_opt q),
-          fun () ->
-            let l = List.of_seq (Queue.to_seq q) in
-            Queue.clear q;
-            l )
+        (* A growable ring: [len] flights from [first], wrapping; the
+           capacity stays a power of two.  Doubling a full ring keeps
+           [first]: its flights sit in order at [first ..] of the copy. *)
+        let arr = ref [||] and first = ref 0 and len = ref 0 in
+        let push f =
+          if !len = Array.length !arr then arr := doubled !arr f;
+          let a = !arr in
+          a.((!first + !len) land (Array.length a - 1)) <- f;
+          incr len
+        in
+        let pop () =
+          if !len = 0 then None
+          else begin
+            let a = !arr in
+            let mask = Array.length a - 1 in
+            let f = a.(!first) in
+            (* Refill the cell with the newest flight, which is still in
+               flight: a delivered flight left in the ring would stay
+               reachable, and the minor GC would promote it and its
+               message. *)
+            a.(!first) <- a.((!first + !len - 1) land mask);
+            first := (!first + 1) land mask;
+            decr len;
+            Some f
+          end
+        in
+        let drain () =
+          let a = !arr in
+          let mask = Array.length a - 1 in
+          let l = List.init !len (fun i -> a.((!first + i) land mask)) in
+          first := 0;
+          len := 0;
+          l
+        in
+        (push, pop, drain)
     | Lifo ->
         let st = ref [] in
         ( (fun f -> st := f :: !st),
@@ -293,12 +261,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     | Random g ->
         let arr = ref [||] and len = ref 0 in
         let push f =
-          if !len = Array.length !arr then begin
-            let cap = Stdlib.max 16 (2 * !len) in
-            let bigger = Array.make cap f in
-            Array.blit !arr 0 bigger 0 !len;
-            arr := bigger
-          end;
+          if !len = Array.length !arr then arr := doubled !arr f;
           !arr.(!len) <- f;
           incr len
         in
@@ -701,30 +664,22 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     let corrupted_deliveries = ref 0 in
     let garbled_drops = ref 0 in
     let checksum_rejects = ref 0 in
-    let arena = arena_create () in
+    let arena = Arena.create () in
     (* Encode-once memo: protocols overwhelmingly re-send one physical
        message value (flood's token, a just-built commodity fanned over
        every port), so most sends resolve their slot with one pointer
-       compare. *)
-    let memo : (P.message * int) option ref = ref None in
+       compare.  The first send allocates the memo cell; a miss
+       overwrites it, so no send allocates. *)
+    let memo = ref None and memo_slot = ref 0 in
     let slot_of msg =
       match !memo with
-      | Some (m, s) when m == msg -> s
-      | _ ->
-          let w = Bitio.Bit_writer.create () in
-          P.encode w msg;
-          let len_bits = Bitio.Bit_writer.length w in
-          let bytes = Bitio.Bit_writer.to_string w in
-          let key = string_of_int len_bits ^ ":" ^ bytes in
-          let slot =
-            match Hashtbl.find_opt arena.index key with
-            | Some s -> s
-            | None ->
-                let s = arena_add arena bytes len_bits in
-                Hashtbl.add arena.index key s;
-                s
-          in
-          memo := Some (msg, slot);
+      | Some last when !last == msg -> !memo_slot
+      | cell ->
+          let slot = Arena.intern arena P.encode msg in
+          (match cell with
+          | Some last -> last := msg
+          | None -> memo := Some (ref msg));
+          memo_slot := slot;
           slot
     in
     let push, pop, drain = make_pool scheduler in
@@ -833,6 +788,14 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
               ~delay:(delay + extra_delay);
             incr next_seq)
           (Faults.Instance.on_send fi ~edge)
+    in
+    (* Defined once: a [List.iter] closure over [tv] would be allocated on
+       every delivery. *)
+    let rec send_all tv = function
+      | [] -> ()
+      | (j, msg) :: rest ->
+          send tv j msg;
+          send_all tv rest
     in
     let retransmit () =
       match supervisor with
@@ -944,7 +907,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                   | Churn.Down | Churn.Cross -> ())
             end
             else begin
-              let len_bits = arena.len_bits.(f.slot) in
+              let len_bits = Arena.len_bits arena f.slot in
               let bits = len_bits + payload_bits in
               (match oh with
               | Some h ->
@@ -961,7 +924,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
               if verify_codec then begin
                 let r =
                   Bitio.Bit_reader.of_string ~length_bits:len_bits
-                    (arena_string arena f.slot)
+                    (Arena.to_string arena f.slot)
                 in
                 let decoded =
                   try P.decode r
@@ -983,7 +946,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                           P.name
                           (Bitio.Bit_reader.remaining r)))
               end;
-              arena_mark_seen arena f.slot;
+              Arena.mark_seen arena f.slot;
               total_bits := !total_bits + bits;
               edge_messages.(f.edge) <- edge_messages.(f.edge) + 1;
               edge_bits.(f.edge) <- edge_bits.(f.edge) + bits;
@@ -1054,7 +1017,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                         Faults.Instance.corrupt_bit fi ~edge:f.edge
                           ~length_bits:len_bits
                       in
-                      let s = flip_bit (arena_string arena f.slot) b in
+                      let s = flip_bit (Arena.to_string arena f.slot) b in
                       let r = Bitio.Bit_reader.of_string ~length_bits:len_bits s in
                       match P.decode r with
                       | decoded ->
@@ -1135,7 +1098,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                       end;
                       lin_parent := !deliveries;
                       lin_depth := f.ld;
-                      List.iter (fun (j, msg) -> send tv j msg) sends;
+                      send_all tv sends;
                       lin_parent := 0;
                       lin_depth := 0;
                       if tv = t && P.accepting state' then begin
@@ -1224,7 +1187,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       max_state_bits = !max_state_bits;
       max_in_flight = !max_in_flight;
       final_in_flight = !in_flight;
-      distinct_messages = arena.distinct;
+      distinct_messages = Arena.distinct arena;
       edge_messages;
       edge_bits;
       visited;

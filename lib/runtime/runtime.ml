@@ -1,6 +1,7 @@
 (** Asynchronous simulation of anonymous protocols (Section 2's model).
 
     - {!Protocol_intf} — the [(Pi, Sigma, pi0, sigma0, f, g, S)] signature;
+    - {!Arena} — interned wire encodings, the distinct-symbol table;
     - {!Engine} — discrete-event executor with bit-exact accounting over
       the graph's CSR arrays, with an arena of encoded messages and a
       certified fast path for flood-shaped protocols;
@@ -25,6 +26,7 @@
     - {!Json} — shared JSON emission helpers. *)
 
 module Protocol_intf = Protocol_intf
+module Arena = Arena
 module Engine = Engine
 module Sync_engine = Sync_engine
 module Scheduler = Scheduler

@@ -33,7 +33,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     let max_message_bits = ref 0 in
     let max_state_bits = ref 0 in
     let deliveries = ref 0 in
-    let seen : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+    let arena = Arena.create () in
     let make fv fp msg =
       let edge = Digraph.edge_index g fv fp in
       let tv, tp = target.(edge) in
@@ -63,15 +63,9 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
         List.iter
           (fun f ->
             incr deliveries;
-            let w = Bitio.Bit_writer.create () in
-            P.encode w f.msg;
-            let bits = Bitio.Bit_writer.length w + payload_bits in
-            let key =
-              string_of_int (Bitio.Bit_writer.length w)
-              ^ ":"
-              ^ Bitio.Bit_writer.to_string w
-            in
-            if not (Hashtbl.mem seen key) then Hashtbl.add seen key ();
+            let slot = Arena.intern arena P.encode f.msg in
+            Arena.mark_seen arena slot;
+            let bits = Arena.len_bits arena slot + payload_bits in
             total_bits := !total_bits + bits;
             edge_messages.(f.edge) <- edge_messages.(f.edge) + 1;
             edge_bits.(f.edge) <- edge_bits.(f.edge) + bits;
@@ -126,7 +120,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
           max_state_bits = !max_state_bits;
           max_in_flight = !max_in_flight;
           final_in_flight = List.length !current;
-          distinct_messages = Hashtbl.length seen;
+          distinct_messages = Arena.distinct arena;
           edge_messages;
           edge_bits;
           visited;

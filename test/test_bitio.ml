@@ -154,6 +154,31 @@ let prop_concatenation_self_delimits =
       let r = R.of_string ~length_bits:(W.length w) (W.to_string w) in
       Dy.equal (C.read_dyadic r) d && B.equal (C.read_bignat r) x && R.at_end r)
 
+(* A write is (width, value): width 0 stands for one [bit], 1..62 for a
+   [bits] call.  Forty writes can outgrow the writer's first buffer. *)
+let arb_writes =
+  QCheck.(list_of_size (Gen.int_range 0 40) (pair (int_bound 62) int))
+
+let apply w =
+  List.iter (fun (width, v) ->
+      if width = 0 then W.bit w (v land 1 = 1)
+      else W.bits w (v land ((1 lsl width) - 1)) width)
+
+let prop_reset_is_fresh =
+  qcheck_to_alcotest "reset writer = fresh writer"
+    QCheck.(pair arb_writes arb_writes)
+    (fun (junk, writes) ->
+      let reused = W.create () in
+      apply reused junk;
+      W.reset reused;
+      apply reused writes;
+      let fresh = W.create () in
+      apply fresh writes;
+      let n = (W.length fresh + 7) / 8 in
+      W.length reused = W.length fresh
+      && W.to_string reused = W.to_string fresh
+      && Bytes.sub_string (W.padded_bytes reused) 0 n = W.to_string fresh)
+
 let () =
   Alcotest.run "bitio"
     [
@@ -183,5 +208,6 @@ let () =
           prop_dyadic_size;
           prop_rational_roundtrip;
           prop_concatenation_self_delimits;
+          prop_reset_is_fresh;
         ] );
     ]

@@ -201,6 +201,41 @@ let test_redundancy_restores_broadcast_under_drops () =
     true
     (bare <= 4 && red >= 15 && red > bare)
 
+(* Reference for the wrapper's wire format: the 16-bit checksum, then the
+   inner encoding copied one bit at a time. *)
+let bitwise_redundant_encoding msg =
+  let inner = Bitio.Bit_writer.create () in
+  Anonet.General_broadcast.encode inner msg;
+  let outer = Bitio.Bit_writer.create () in
+  General_r3.encode outer msg;
+  let checksum =
+    Bitio.Bit_reader.bits
+      (Bitio.Bit_reader.of_string ~length_bits:16
+         (Bitio.Bit_writer.to_string outer))
+      16
+  in
+  let w = Bitio.Bit_writer.create () in
+  Bitio.Bit_writer.bits w checksum 16;
+  let s = Bitio.Bit_writer.to_string inner in
+  for i = 0 to Bitio.Bit_writer.length inner - 1 do
+    Bitio.Bit_writer.bit w ((Char.code s.[i / 8] lsr (7 - (i mod 8))) land 1 = 1)
+  done;
+  (outer, w)
+
+let prop_redundant_encode_bytewise =
+  qcheck_to_alcotest "byte-wise copy = bit-wise copy"
+    QCheck.(pair arb_iset arb_iset)
+    (fun msg ->
+      let outer, reference = bitwise_redundant_encoding msg in
+      Bitio.Bit_writer.length outer = Bitio.Bit_writer.length reference
+      && Bitio.Bit_writer.to_string outer = Bitio.Bit_writer.to_string reference)
+
+let test_redundant_verify_codec () =
+  for seed = 1 to 10 do
+    let r = General_r3_engine.run ~verify_codec:true (digraph seed) in
+    Alcotest.check outcome "terminates" E.Terminated r.outcome
+  done
+
 (* {1 Campaign harness} *)
 
 module Tree_runner = C.Of_protocol (Anonet.Tree_broadcast)
@@ -389,6 +424,8 @@ let () =
             test_redundant_neutralizes_duplication;
           Alcotest.test_case "restores broadcast under drops" `Quick
             test_redundancy_restores_broadcast_under_drops;
+          prop_redundant_encode_bytewise;
+          Alcotest.test_case "codec round-trips" `Quick test_redundant_verify_codec;
         ] );
       ( "campaign",
         [
