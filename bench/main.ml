@@ -8,7 +8,7 @@
      dune exec bench/main.exe -- timing    # Bechamel micro-benchmarks only
      dune exec bench/main.exe -- campaign  # fault campaign, JSON on stdout
      dune exec bench/main.exe -- check     # model-checking sweep, JSON on stdout
-     dune exec bench/main.exe -- throughput        # E15 multicore sweep, JSON
+     dune exec bench/main.exe -- throughput        # E15 pool sweeps, JSON
      dune exec bench/main.exe -- throughput:small  # CI-sized variant *)
 
 module G = Digraph
@@ -501,12 +501,16 @@ let timing () =
 
 (* {1 Fault campaign (JSON)} *)
 
-(* Machine-readable counterpart of E12: each broadcast protocol, bare and
-   behind Redundant(3), swept on its own graph family over a full drop x
-   duplicate x delay x corruption grid, 20 seeds per cell.  Prints a JSON
-   array (one Campaign result per family) on stdout — no table header, so
-   the output can be piped straight into a JSON consumer. *)
-let campaign () =
+let campaign_grid =
+  Runtime.Campaign.grid ~drops:[ 0.0; 0.05; 0.15 ] ~duplicates:[ 0.0; 0.2 ]
+    ~max_delays:[ 0; 2 ] ~corrupts:[ 0.0; 0.02 ] ()
+
+let campaign_seeds = List.init 20 (fun i -> i + 1)
+let campaign_step_limit = 300_000
+
+(* One (runners, graph) pair per broadcast protocol, bare and behind
+   Redundant(3), each on its own graph family. *)
+let campaign_sweeps () =
   let module C = Runtime.Campaign in
   let module K3 = struct
     let k = 3
@@ -520,47 +524,49 @@ let campaign () =
   let module Tree_r3_runner = C.Of_protocol (Tree_r3) in
   let module Dag_r3_runner = C.Of_protocol (Dag_r3) in
   let module General_r3_runner = C.Of_protocol (General_r3) in
-  let grid =
-    C.grid ~drops:[ 0.0; 0.05; 0.15 ] ~duplicates:[ 0.0; 0.2 ]
-      ~max_delays:[ 0; 2 ] ~corrupts:[ 0.0; 0.02 ] ()
-  in
-  let seeds = List.init 20 (fun i -> i + 1) in
-  let sweeps =
-    [
-      ( [ Tree_runner.runner (); Tree_r3_runner.runner () ],
-        {
-          C.g_name = "random-tree-16";
-          build =
-            (fun ~seed ->
-              F.random_grounded_tree (Prng.create seed) ~n:16 ~t_edge_prob:0.3);
-        } );
-      ( [ Dag_runner.runner (); Dag_r3_runner.runner () ],
-        {
-          C.g_name = "random-dag-16";
-          build =
-            (fun ~seed ->
-              F.random_dag (Prng.create seed) ~n:16 ~extra_edges:16
-                ~t_edge_prob:0.25);
-        } );
-      ( [ General_runner.runner (); General_r3_runner.runner () ],
-        {
-          C.g_name = "random-digraph-16";
-          build =
-            (fun ~seed ->
-              F.random_digraph (Prng.create seed) ~n:16 ~extra_edges:10
-                ~back_edges:4 ~t_edge_prob:0.25);
-        } );
-    ]
-  in
+  [
+    ( [ Tree_runner.runner (); Tree_r3_runner.runner () ],
+      {
+        C.g_name = "random-tree-16";
+        build =
+          (fun ~seed ->
+            F.random_grounded_tree (Prng.create seed) ~n:16 ~t_edge_prob:0.3);
+      } );
+    ( [ Dag_runner.runner (); Dag_r3_runner.runner () ],
+      {
+        C.g_name = "random-dag-16";
+        build =
+          (fun ~seed ->
+            F.random_dag (Prng.create seed) ~n:16 ~extra_edges:16
+              ~t_edge_prob:0.25);
+      } );
+    ( [ General_runner.runner (); General_r3_runner.runner () ],
+      {
+        C.g_name = "random-digraph-16";
+        build =
+          (fun ~seed ->
+            F.random_digraph (Prng.create seed) ~n:16 ~extra_edges:10
+              ~back_edges:4 ~t_edge_prob:0.25);
+      } );
+  ]
+
+(* Machine-readable counterpart of E12: each broadcast protocol, bare and
+   behind Redundant(3), swept on its own graph family over a full drop x
+   duplicate x delay x corruption grid, 20 seeds per cell.  Prints a JSON
+   array (one Campaign result per family) on stdout — no table header, so
+   the output can be piped straight into a JSON consumer. *)
+let campaign () =
+  let module C = Runtime.Campaign in
   pf "[";
   List.iteri
     (fun i (runners, graph) ->
       let res =
-        C.run ~step_limit:300_000 ~runners ~graphs:[ graph ] ~grid ~seeds ()
+        C.run ~step_limit:campaign_step_limit ~runners ~graphs:[ graph ]
+          ~grid:campaign_grid ~seeds:campaign_seeds ()
       in
       if i > 0 then pf ",";
       pf "\n%s" (C.to_json res))
-    sweeps;
+    (campaign_sweeps ());
   pf "\n]\n"
 
 (* {1 Model-checking benchmark (JSON)} *)
@@ -569,9 +575,33 @@ let campaign () =
    explores every suite case and prints one JSON object per case — states,
    transitions, the three pruning counters, pruned fraction, wall time and
    any violations — as a JSON array on stdout. *)
-let check () =
+let buf_check_case b (c : Anonet.Check_suite.case) (r : Runtime.Explore.result)
+    ~cpu_s =
   let module X = Runtime.Explore in
   let module J = Runtime.Json in
+  Buffer.add_string b "{\"protocol\":";
+  J.buf_string b c.c_protocol;
+  Buffer.add_string b ",\"family\":";
+  J.buf_string b c.c_family;
+  Printf.bprintf b
+    ",\"edges\":%d,\"states\":%d,\"transitions\":%d,\"pruned_sleep\":%d,\"pruned_memo\":%d,\"pruned_dup\":%d,\"pruned_fraction\":%.4f,\"peak_depth\":%d,\"max_in_flight\":%d,\"truncated\":%b"
+    c.c_edges r.stats.states r.stats.transitions r.stats.pruned_sleep
+    r.stats.pruned_memo r.stats.pruned_dup
+    (X.pruned_fraction r.stats)
+    r.stats.peak_depth r.stats.max_in_flight r.stats.truncated;
+  Option.iter (Printf.bprintf b ",\"cpu_s\":%.3f") cpu_s;
+  Buffer.add_string b ",\"violations\":";
+  J.buf_list b
+    (fun b (v : X.violation) ->
+      Buffer.add_string b "{\"kind\":";
+      J.buf_string b (X.describe_kind v.kind);
+      Buffer.add_string b ",\"schedule\":";
+      J.buf_int_list b v.schedule;
+      Buffer.add_string b "}")
+    r.violations;
+  Buffer.add_string b "}"
+
+let check () =
   let b = Buffer.create 4096 in
   Buffer.add_string b "[";
   List.iteri
@@ -579,97 +609,146 @@ let check () =
       let t0 = Sys.time () in
       let r = c.c_explore () in
       let dt = Sys.time () -. t0 in
-      if i > 0 then Buffer.add_string b ",";
-      Buffer.add_string b "\n{\"protocol\":";
-      J.buf_string b c.c_protocol;
-      Buffer.add_string b ",\"family\":";
-      J.buf_string b c.c_family;
-      Printf.bprintf b
-        ",\"edges\":%d,\"states\":%d,\"transitions\":%d,\"pruned_sleep\":%d,\"pruned_memo\":%d,\"pruned_dup\":%d,\"pruned_fraction\":%.4f,\"peak_depth\":%d,\"max_in_flight\":%d,\"truncated\":%b,\"cpu_s\":%.3f,\"violations\":"
-        c.c_edges r.stats.states r.stats.transitions r.stats.pruned_sleep
-        r.stats.pruned_memo r.stats.pruned_dup
-        (X.pruned_fraction r.stats)
-        r.stats.peak_depth r.stats.max_in_flight r.stats.truncated dt;
-      J.buf_list b
-        (fun b (v : X.violation) ->
-          Buffer.add_string b "{\"kind\":";
-          J.buf_string b (X.describe_kind v.kind);
-          Buffer.add_string b ",\"schedule\":";
-          J.buf_int_list b v.schedule;
-          Buffer.add_string b "}")
-        r.violations;
-      Buffer.add_string b "}")
+      Buffer.add_string b (if i > 0 then ",\n" else "\n");
+      buf_check_case b c r ~cpu_s:(Some dt))
     (Anonet.Check_suite.cases ());
   Buffer.add_string b "\n]\n";
   print_string (Buffer.contents b)
 
-(* {1 E15 — multicore throughput (JSON)} *)
+(* {1 E15 — pool sweeps (JSON)} *)
 
-(* Wall-clock sweep of the sharded engine over domain counts on one large
-   layered digraph, flooding (1-bit messages, one delivery per edge) so the
-   measurement is engine overhead rather than protocol arithmetic.  Emits a
-   JSON object with the median/p90 wall time, deliveries/sec and the speedup
-   against 1 domain, plus what the hardware actually offers — on a
-   single-core host the speedup is honestly ~1.0 and the numbers mostly
-   price the sharding overhead. *)
+(* The three seed-parallel sweeps, each on 1 and 2 pool domains: the E12
+   fault campaign through [Par.Campaign], the E17 supervised chaos search
+   through [Par.Chaos], and the model-checking suite through
+   [Par.Pool.map_list] over [Check_suite.cases].  Reports the sweep's work
+   units (campaign runs, chaos trials, check cases) per wall-clock second
+   at each domain count, and whether every 2-domain JSON rendering is
+   byte-identical to the 1-domain one; ["pass"] requires all three. *)
 let throughput ~small () =
-  let target_edges = if small then 30_000 else 120_000 in
-  let repeats = if small then 3 else 5 in
-  let g = F.random_layered_large (Prng.create 42) ~target_edges in
-  let module Pn = Par.Engine.Make (Anonet.Flood) in
-  let series =
-    List.map
-      (fun domains ->
-        let runs =
-          List.init repeats (fun _ ->
-              let t0 = Unix.gettimeofday () in
-              let r = Pn.run ~domains g in
-              assert (r.E.outcome = E.Quiescent);
-              (Unix.gettimeofday () -. t0, r.E.deliveries))
-        in
-        let med, p90 =
-          match Metrics.percentiles [ 50.0; 90.0 ] (List.map fst runs) with
-          | [ m; p ] -> (m, p)
-          | _ -> assert false
-        in
-        (domains, snd (List.hd runs), med, p90))
-      [ 1; 2; 4 ]
+  let module C = Runtime.Campaign in
+  let module Ch = Runtime.Chaos in
+  let repeats = if small then 1 else 5 in
+  let n_seeds = if small then 5 else List.length campaign_seeds in
+  let budget = if small then 30 else 170 in
+  let max_edges = if small then 6 else 7 in
+  let faults domains =
+    let seeds = List.filteri (fun i _ -> i < n_seeds) campaign_seeds in
+    let results =
+      List.map
+        (fun (runners, graph) ->
+          Par.Campaign.run ~domains ~step_limit:campaign_step_limit ~runners
+            ~graphs:[ graph ] ~grid:campaign_grid ~seeds ())
+        (campaign_sweeps ())
+    in
+    ( List.fold_left
+        (fun n (r : C.result) ->
+          List.fold_left (fun n (c : C.cell) -> n + c.runs) n r.cells)
+        0 results,
+      String.concat ",\n" (List.map C.to_json results) )
   in
-  let base_med =
-    match series with (_, _, m, _) :: _ -> m | [] -> assert false
+  let chaos domains =
+    let cfg =
+      Ch.config ~budget ~seed:11 ~supervisor:Runtime.Supervisor.default ()
+    in
+    let runner =
+      Anonet.Resilient.chaos_runner ~k:3 (module Anonet.General_broadcast)
+    in
+    let r =
+      Par.Chaos.run ~domains cfg ~runners:[ runner ]
+        ~graphs:(Anonet.Resilient.chaos_graphs ())
+    in
+    (r.Ch.trials_run, Ch.to_json r)
+  in
+  let check domains =
+    let cases = Anonet.Check_suite.cases ~max_edges () in
+    let explored =
+      Par.Pool.map_list ~domains
+        (fun (c : Anonet.Check_suite.case) -> (c, c.c_explore ()))
+        cases
+    in
+    let b = Buffer.create 4096 in
+    List.iteri
+      (fun i (c, r) ->
+        if i > 0 then Buffer.add_string b ",\n";
+        buf_check_case b c r ~cpu_s:None)
+      explored;
+    (List.length cases, Buffer.contents b)
+  in
+  (* Per domain count: median wall seconds over [repeats] runs, the work
+     units, and whether every run rendered the same JSON as the first
+     1-domain run. *)
+  let measure sweep =
+    let reference = ref None in
+    let series =
+      List.map
+        (fun domains ->
+          let runs =
+            List.init repeats (fun _ ->
+                let t0 = Unix.gettimeofday () in
+                let units, json = sweep domains in
+                let dt = Unix.gettimeofday () -. t0 in
+                let same =
+                  match !reference with
+                  | None ->
+                      reference := Some json;
+                      true
+                  | Some j -> String.equal j json
+                in
+                (dt, units, same))
+          in
+          let _, units, _ = List.hd runs in
+          ( domains,
+            units,
+            Metrics.median (List.map (fun (t, _, _) -> t) runs),
+            List.for_all (fun (_, _, same) -> same) runs ))
+        [ 1; 2 ]
+    in
+    (series, List.for_all (fun (_, _, _, same) -> same) series)
+  in
+  let sweeps =
+    [
+      ("faults", "Par.Campaign", "runs", measure faults);
+      ("chaos", "Par.Chaos", "trials", measure chaos);
+      ("check", "Par.Pool.map_list", "cases", measure check);
+    ]
   in
   pf "{\n";
-  pf "  \"experiment\": \"E15-throughput\",\n";
-  pf "  \"protocol\": \"flood\",\n";
-  pf "  \"graph\": {\"vertices\": %d, \"edges\": %d},\n" (G.n_vertices g)
-    (G.n_edges g);
+  pf "  \"experiment\": \"E15-pool-sweeps\",\n";
   pf "  \"repeats\": %d,\n" repeats;
+  pf "  \"campaign_seeds\": %d,\n" n_seeds;
+  pf "  \"chaos_budget\": %d,\n" budget;
+  pf "  \"check_max_edges\": %d,\n" max_edges;
   pf "  \"recommended_domain_count\": %d,\n" (Domain.recommended_domain_count ());
-  pf "  \"series\": [";
+  pf "  \"sweeps\": [";
   List.iteri
-    (fun i (domains, deliveries, med, p90) ->
+    (fun i (name, engine, unit, (series, identical)) ->
       if i > 0 then pf ",";
-      pf
-        "\n\
-        \    {\"domains\": %d, \"deliveries\": %d, \"median_s\": %.6f, \
-         \"p90_s\": %.6f, \"deliveries_per_s\": %.0f, \"speedup_vs_1\": %.3f}"
-        domains deliveries med p90
-        (float_of_int deliveries /. med)
-        (base_med /. med))
-    series;
-  pf "\n  ]\n}\n"
+      pf "\n    {\"sweep\": %S, \"engine\": %S, \"unit\": %S, \"series\": ["
+        name engine unit;
+      List.iteri
+        (fun j (domains, units, med, _) ->
+          if j > 0 then pf ", ";
+          pf "{\"domains\": %d, \"units\": %d, \"median_s\": %.4f, \
+              \"units_per_s\": %.1f}"
+            domains units med
+            (float_of_int units /. med))
+        series;
+      pf "], \"identical_json\": %b}" identical)
+    sweeps;
+  pf "\n  ],\n";
+  pf "  \"pass\": %b\n"
+    (List.for_all (fun (_, _, _, (_, identical)) -> identical) sweeps);
+  pf "}\n"
 
 (* {1 E16 — instrumentation overhead + reconciliation (JSON)} *)
 
-(* Prices the [?obs] hook on the E15 flood workload: the same run bare and
+(* Prices the [?obs] hook on the 120k-edge layered flood: the same run bare and
    instrumented (metrics registry + timeline, sampling every 1024
    deliveries), overhead as a fraction of the bare median, and exact
    reconciliation of the Obs counters against the engine report (the flood
    under Fifo is deterministic, so [repeats] instrumented runs accumulate
-   exactly [repeats * per-run] in each counter).  A 2-domain sharded
-   section checks the per-shard counters sum to the report's deliveries,
-   and the emitted Chrome trace is round-tripped through the validating
-   JSON parser. *)
+   exactly [repeats * per-run] in each counter).  The emitted Chrome trace
+   is round-tripped through the validating JSON parser. *)
 let obs_bench ~small () =
   let target_edges = if small then 30_000 else 120_000 in
   let repeats = if small then 5 else 7 in
@@ -700,18 +779,6 @@ let obs_bench ~small () =
     find "engine.total_bits" = repeats * inst_r.E.total_bits
   in
   let trace_valid = Obs.Json.valid (Obs.Export.chrome_trace o.Obs.timeline) in
-  let op = Obs.create ~sample_every:1024 () in
-  let module Pn = Par.Engine.Make (Anonet.Flood) in
-  let par_r = Pn.run ~domains:2 ~obs:op g in
-  let par_snap = Obs.Registry.snapshot op.Obs.registry in
-  let pfind name =
-    Option.value ~default:min_int (Obs.Registry.find par_snap name)
-  in
-  let reconcile_par =
-    pfind "par.deliveries" = par_r.E.deliveries
-    && pfind "par.shard0.deliveries" + pfind "par.shard1.deliveries"
-       = par_r.E.deliveries
-  in
   pf "{\n";
   pf "  \"experiment\": \"E16-obs-overhead\",\n";
   pf "  \"protocol\": \"flood\",\n";
@@ -724,17 +791,15 @@ let obs_bench ~small () =
   pf "  \"instrumented_median_s\": %.6f,\n" inst_med;
   pf "  \"overhead_fraction\": %.4f,\n" ((inst_med -. bare_med) /. bare_med);
   pf "  \"timeline_events\": %d,\n" (Obs.Timeline.recorded o.Obs.timeline);
-  pf
-    "  \"reconcile\": {\"deliveries\": %b, \"total_bits\": %b, \
-     \"par_deliveries\": %b},\n"
-    reconcile_deliveries reconcile_bits reconcile_par;
+  pf "  \"reconcile\": {\"deliveries\": %b, \"total_bits\": %b},\n"
+    reconcile_deliveries reconcile_bits;
   pf "  \"trace_json_valid\": %b,\n" trace_valid;
   pf "  \"metrics\": %s\n" (Obs.Registry.to_json snap);
   pf "}\n"
 
 (* {1 E21 — causal-lineage overhead (JSON)} *)
 
-(* Prices the [?lineage] hook on the E15 flood workload: interleaved
+(* Prices the [?lineage] hook on the 120k-edge layered flood: interleaved
    bare/recorded run pairs, medians, overhead as a fraction of the bare
    median, gated at <= 10%.  Sampling every 256 deliveries keeps the store
    (and its clock reads) off the hot path while the per-delivery causal
@@ -1128,7 +1193,7 @@ let churn_bench ~small () =
 
 (* {1 E20 — engine throughput (JSON)} *)
 
-(* Prices the engine's two paths on the E15 flood workload.  The Fifo run
+(* Prices the engine's two paths on the 120k-edge layered flood.  The Fifo run
    takes the certified flood fast path (ring of edge indices, absorbed
    deliveries as two array ops); the Lifo run takes the generic path (CSR
    adjacency + arena-backed messages + encode memo).  Flood delivers one

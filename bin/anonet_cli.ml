@@ -113,10 +113,8 @@ let domains_t =
     value & opt int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Execute on $(docv) domains with the sharded multicore engine (1 = \
-           the sequential engine).  The parallel delivery order is one more \
-           legal asynchronous schedule, so the outcome and visited set match \
-           the sequential run; the --scheduler policy does not apply.")
+          "Independent cases or trials spread over $(docv) pool domains; the \
+           output is identical to $(docv) = 1.")
 
 (* {1 Churn terms}
 
@@ -306,43 +304,26 @@ let run_cmd =
             "flood | tree | tree-naive | dag | general | labeling | mapping | \
              undirected (the last expects a ring:N / bidirected:N:SEED family)")
   in
-  (* One unified path: resolve the protocol module, pick the sequential or
-     sharded engine, thread the optional [Obs] sink through either. *)
-  let run g protocol scheduler payload domains churn_rate churn_t
-      churn_seed sample trace_out metrics_out csv_out lineage_out
-      lineage_sample =
+  let run g protocol scheduler payload churn_rate churn_t churn_seed sample
+      trace_out metrics_out csv_out lineage_out lineage_sample =
     match protocol_of_name protocol with
     | None -> `Error (false, Printf.sprintf "unknown protocol %S" protocol)
     | Some (module P : Runtime.Protocol_intf.PROTOCOL) -> (
         try
-          if domains < 1 then invalid_arg "--domains must be at least 1";
           let obs = make_obs ~sample trace_out metrics_out csv_out in
           let lineage = make_lineage ~sample:lineage_sample lineage_out obs in
           let churn = churn_of ~rate:churn_rate ~t:churn_t ~seed:churn_seed g in
           describe_graph g;
-          if domains > 1 then
-            pf "protocol: %s, domains: %d (sharded engine), payload: %d bits\n\n"
-              protocol domains payload
-          else
-            pf "protocol: %s, scheduler: %s, payload: %d bits\n\n" protocol
-              (Runtime.Scheduler.describe scheduler)
-              payload;
-          let r, churn_stats =
-            if domains > 1 then
-              let module En = Par.Engine.Make (P) in
-              let r =
-                En.run ~domains ~payload_bits:payload ~churn ?obs ?lineage g
-              in
-              (Anonet.stats_of_report r, r.E.churn_stats)
-            else
-              let module En = Runtime.Engine.Make (P) in
-              let r =
-                En.run ~scheduler ~payload_bits:payload ~churn ?obs ?lineage g
-              in
-              (Anonet.stats_of_report r, r.E.churn_stats)
+          pf "protocol: %s, scheduler: %s, payload: %d bits\n\n" protocol
+            (Runtime.Scheduler.describe scheduler)
+            payload;
+          let module En = Runtime.Engine.Make (P) in
+          let r =
+            En.run ~scheduler ~payload_bits:payload ~churn ?obs ?lineage g
           in
-          if not (Runtime.Churn.is_none churn) then describe_churn churn_stats;
-          let res = finish r in
+          if not (Runtime.Churn.is_none churn) then
+            describe_churn r.E.churn_stats;
+          let res = finish (Anonet.stats_of_report r) in
           flush_obs
             ~meta:[ ("command", "run"); ("protocol", protocol) ]
             ?lineage obs trace_out metrics_out csv_out;
@@ -354,7 +335,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run a protocol on a generated network and print stats.")
     Term.(
       ret (const run $ family_t $ protocol_t $ scheduler_t $ payload_t
-         $ domains_t $ churn_rate_t $ churn_t_t $ churn_seed_t
+         $ churn_rate_t $ churn_t_t $ churn_seed_t
          $ sample_t $ trace_out_t $ metrics_out_t $ csv_out_t $ lineage_out_t
          $ lineage_sample_t))
 
@@ -609,7 +590,7 @@ let faults_cmd =
              into detected drops.")
   in
   let run g protocol scheduler drop duplicate delay corrupt kill seeds k
-      domains sample trace_out metrics_out csv_out lineage_out lineage_sample =
+      sample trace_out metrics_out csv_out lineage_out lineage_sample =
     match protocol_of_name protocol with
     | None -> `Error (false, Printf.sprintf "unknown protocol %S" protocol)
     | Some (module P : Runtime.Protocol_intf.PROTOCOL) -> (
@@ -629,25 +610,16 @@ let faults_cmd =
                         end)
                         (P))
           in
-          if domains < 1 then invalid_arg "--domains must be at least 1";
           (* One sink across the sweep: counters accumulate over all seeds. *)
           let obs = make_obs ~sample trace_out metrics_out csv_out in
           let module En = Runtime.Engine.Make (Q) in
-          let module Pn = Par.Engine.Make (Q) in
-          let engine_run ~faults ?lineage g =
-            if domains > 1 then Pn.run ~domains ~faults ?obs ?lineage g
-            else En.run ~scheduler ~faults ?obs ?lineage g
-          in
           (* Lineage over a sweep: a fresh recorder per seed, keeping the
              deepest causal forest observed — the sweep's worst-case chain
              is what a profiler wants from a fault campaign. *)
           let lineage_best = ref None in
           describe_graph g;
-          if domains > 1 then
-            pf "protocol: %s, domains: %d (sharded engine)\n" Q.name domains
-          else
-            pf "protocol: %s, scheduler: %s\n" Q.name
-              (Runtime.Scheduler.describe scheduler);
+          pf "protocol: %s, scheduler: %s\n" Q.name
+            (Runtime.Scheduler.describe scheduler);
           pf "faults  : drop=%.3f duplicate=%.3f delay<=%d corrupt=%.3f kill=%.3f\n\n"
             drop duplicate delay corrupt kill;
           let n = G.n_vertices g in
@@ -661,7 +633,7 @@ let faults_cmd =
                 ~kill ~seed ()
             in
             let lineage = make_lineage ~sample:lineage_sample lineage_out obs in
-            let r = engine_run ~faults ?lineage g in
+            let r = En.run ~scheduler ~faults ?obs ?lineage g in
             (match (lineage, !lineage_best) with
             | Some l, Some b
               when Obs.Lineage.max_depth l <= Obs.Lineage.max_depth b ->
@@ -710,7 +682,7 @@ let faults_cmd =
       ret
         (const run $ family_t $ protocol_t $ scheduler_t $ drop_t
        $ duplicate_t $ delay_t $ corrupt_t $ kill_t $ seeds_t $ redundancy_t
-       $ domains_t $ sample_t $ trace_out_t $ metrics_out_t $ csv_out_t
+       $ sample_t $ trace_out_t $ metrics_out_t $ csv_out_t
        $ lineage_out_t $ lineage_sample_t))
 
 let check_cmd =
@@ -751,6 +723,7 @@ let check_cmd =
     let module X = Runtime.Explore in
     let module CS = Anonet.Check_suite in
     if sample < 1 then `Error (false, "--sample must be at least 1")
+    else if domains < 1 then `Error (false, "--domains must be at least 1")
     else
     let obs = make_obs ~sample trace_out metrics_out csv_out in
     let cases =
@@ -768,7 +741,7 @@ let check_cmd =
           "states" "transit" "pruned" "walks" "status";
         let bad = ref 0 in
         let failures = ref [] in
-        (* Each instance explores independently; the pool shards them across
+        (* Each instance explores independently; the pool spreads them over
            domains and hands the results back in suite order.  The shared
            sink is safe: explorer counters flush atomically and the
            timeline ring is multi-writer. *)
@@ -843,33 +816,20 @@ let obs_cmd =
             "flood | tree | tree-naive | dag | general | labeling | mapping | \
              undirected")
   in
-  let run g protocol scheduler payload domains sample trace_out metrics_out
-      csv_out =
+  let run g protocol scheduler payload sample trace_out metrics_out csv_out =
     match protocol_of_name protocol with
     | None -> `Error (false, Printf.sprintf "unknown protocol %S" protocol)
     | Some (module P : Runtime.Protocol_intf.PROTOCOL) -> (
         try
-          if domains < 1 then invalid_arg "--domains must be at least 1";
           if sample < 1 then invalid_arg "--sample must be at least 1";
           let o = Obs.create ~sample_every:sample () in
           describe_graph g;
-          if domains > 1 then
-            pf "protocol: %s, domains: %d (sharded engine), payload: %d bits, \
-                sample every %d\n\n"
-              protocol domains payload sample
-          else
-            pf "protocol: %s, scheduler: %s, payload: %d bits, sample every %d\n\n"
-              protocol
-              (Runtime.Scheduler.describe scheduler)
-              payload sample;
-          let r =
-            if domains > 1 then
-              let module En = Par.Engine.Make (P) in
-              En.run ~domains ~payload_bits:payload ~obs:o g
-            else
-              let module En = Runtime.Engine.Make (P) in
-              En.run ~scheduler ~payload_bits:payload ~obs:o g
-          in
+          pf "protocol: %s, scheduler: %s, payload: %d bits, sample every %d\n\n"
+            protocol
+            (Runtime.Scheduler.describe scheduler)
+            payload sample;
+          let module En = Runtime.Engine.Make (P) in
+          let r = En.run ~scheduler ~payload_bits:payload ~obs:o g in
           pf "outcome : %s, %d deliveries, %d total bits\n"
             (match r.E.outcome with
             | E.Terminated -> "terminated"
@@ -940,7 +900,7 @@ let obs_cmd =
     Term.(
       ret
         (const run $ family_t $ protocol_t $ scheduler_t $ payload_t
-       $ domains_t $ sample_t $ trace_out_t $ metrics_out_t $ csv_out_t))
+       $ sample_t $ trace_out_t $ metrics_out_t $ csv_out_t))
 
 let chaos_cmd =
   let module Ch = Runtime.Chaos in

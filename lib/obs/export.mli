@@ -9,8 +9,8 @@ val chrome_trace : ?process_name:string -> ?lineage:Lineage.t -> Timeline.t -> s
     (Perfetto plots those as per-name graphs).  With [?lineage], every
     stored parent→child delivery pair additionally becomes a Perfetto
     flow event: an ["s"] start at the parent and an ["f"] (["bp":"e"])
-    finish at the child, sharing the child's node id — arrows across
-    shard tracks in the UI.  ["otherData"] always carries the timeline's
+    finish at the child, sharing the child's node id — causal arrows
+    in the UI.  ["otherData"] always carries the timeline's
     ["dropped"] count (and ["lineage_dropped"] when [?lineage] is
     given).  Open the file at {{:https://ui.perfetto.dev}ui.perfetto.dev}. *)
 

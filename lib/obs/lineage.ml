@@ -268,7 +268,7 @@ let critical_edges t ~k =
   take k sorted
 
 (* Binary search the store for a node id (ids are strictly increasing in
-   each single-engine run; [merge] re-sorts). *)
+   a run). *)
 let find t id =
   realize t;
   let lo = ref 0 and hi = ref (t.stored - 1) and found = ref (-1) in
@@ -324,84 +324,6 @@ let critical_path t =
       | Some n -> walk (n :: acc) n.n_parent
   in
   walk [] t.deepest
-
-(* {1 Merge} (for per-shard recorders)
-
-   Aggregates combine exactly (sums / maxes / min-first); stores append
-   up to capacity then re-sort by id so [find] keeps working. *)
-
-let merge ~into:a b =
-  realize a;
-  realize b;
-  a.nodes <- a.nodes + b.nodes;
-  if b.max_depth > a.max_depth then begin
-    a.max_depth <- b.max_depth;
-    a.deepest <- b.deepest
-  end;
-  let dlen = max (Array.length a.depth_counts) (Array.length b.depth_counts) in
-  a.depth_counts <- grow_to a.depth_counts dlen 0;
-  Array.iteri
-    (fun i c -> if c > 0 then a.depth_counts.(i) <- a.depth_counts.(i) + c)
-    b.depth_counts;
-  let elen =
-    max (Array.length a.edge_max_depth) (Array.length b.edge_max_depth)
-  in
-  a.edge_max_depth <- grow_to a.edge_max_depth elen 0;
-  Array.iteri
-    (fun e d -> if d > a.edge_max_depth.(e) then a.edge_max_depth.(e) <- d)
-    b.edge_max_depth;
-  let vlen =
-    max (Array.length a.vertex_first_depth) (Array.length b.vertex_first_depth)
-  in
-  a.vertex_first_depth <- grow_to a.vertex_first_depth vlen (-1);
-  Array.iteri
-    (fun v d ->
-      if d >= 0 then
-        let cur = a.vertex_first_depth.(v) in
-        if cur < 0 || d < cur then a.vertex_first_depth.(v) <- d)
-    b.vertex_first_depth;
-  a.dropped <- a.dropped + b.dropped;
-  let room = a.capacity - a.stored in
-  let take = min room b.stored in
-  if take > 0 then begin
-    if a.stored + take > Array.length a.s_id then begin
-      let n = min a.capacity (a.stored + take) in
-      a.s_id <- grow_to a.s_id n 0;
-      a.s_parent <- grow_to a.s_parent n 0;
-      a.s_edge <- grow_to a.s_edge n 0;
-      a.s_vertex <- grow_to a.s_vertex n 0;
-      a.s_depth <- grow_to a.s_depth n 0;
-      a.s_track <- grow_to a.s_track n 0;
-      a.s_ts <- grow_to a.s_ts n 0.0
-    end;
-    Array.blit b.s_id 0 a.s_id a.stored take;
-    Array.blit b.s_parent 0 a.s_parent a.stored take;
-    Array.blit b.s_edge 0 a.s_edge a.stored take;
-    Array.blit b.s_vertex 0 a.s_vertex a.stored take;
-    Array.blit b.s_depth 0 a.s_depth a.stored take;
-    Array.blit b.s_track 0 a.s_track a.stored take;
-    Array.blit b.s_ts 0 a.s_ts a.stored take;
-    a.stored <- a.stored + take
-  end;
-  a.dropped <- a.dropped + (b.stored - take);
-  (* Re-sort the parallel arrays by id so binary search survives. *)
-  let idx = Array.init a.stored (fun i -> i) in
-  Array.sort (fun i j -> compare a.s_id.(i) a.s_id.(j)) idx;
-  let permute src = Array.init a.stored (fun i -> src.(idx.(i))) in
-  let id' = permute a.s_id
-  and pa' = permute a.s_parent
-  and ed' = permute a.s_edge
-  and vx' = permute a.s_vertex
-  and dp' = permute a.s_depth
-  and tr' = permute a.s_track in
-  let ts' = Array.init a.stored (fun i -> a.s_ts.(idx.(i))) in
-  Array.blit id' 0 a.s_id 0 a.stored;
-  Array.blit pa' 0 a.s_parent 0 a.stored;
-  Array.blit ed' 0 a.s_edge 0 a.stored;
-  Array.blit vx' 0 a.s_vertex 0 a.stored;
-  Array.blit dp' 0 a.s_depth 0 a.stored;
-  Array.blit tr' 0 a.s_track 0 a.stored;
-  Array.blit ts' 0 a.s_ts 0 a.stored
 
 (* {1 JSON export}
 

@@ -11,7 +11,7 @@
 
     The record is exposed concretely so engine hot paths can update the
     sampling countdown inline; treat the fields as read-only outside
-    [lib/runtime] and [lib/par]. *)
+    [lib/runtime]. *)
 
 type journal = {
   j_packed : int array;  (** edge lor (parent lsl journal_shift) *)
@@ -87,7 +87,7 @@ val note :
   unit
 (** Record one delivery.  [id] is the 1-based delivery counter; [edge]
     is the dense edge index (-1 for root emissions); [track] is the obs
-    track (shard) that performed the delivery. *)
+    timeline lane that performed the delivery. *)
 
 val note_journal :
   t -> packed:int array -> heads:int array -> count:int -> track:int -> unit
@@ -128,11 +128,6 @@ val critical_path : t -> node list
 (** Walk parent links from the deepest node through whatever prefix of
     the chain the store retained, deepest node first.  Exact end-to-end
     when sampling is off and nothing was dropped. *)
-
-val merge : into:t -> t -> unit
-(** Fold a per-shard recorder into an aggregate one: counts sum, maxes
-    max, first-depths min, stores append up to capacity (overflow counts
-    as dropped) and re-sort by id. *)
 
 val to_json : t -> string
 (** RFC 8259 object with nodes/max_depth/width/dropped, the depth

@@ -3,7 +3,7 @@
     - {!Registry} — named counters / gauges / log₂ histograms with O(1)
       hot-path updates and deterministic JSON-able snapshots;
     - {!Timeline} — begin/end spans, instants and counter samples over a
-      bounded ring buffer, with per-domain tracks;
+      bounded ring buffer, with one track per domain or lane;
     - {!Export} — Chrome trace-event JSON (Perfetto) and CSV;
     - {!Lineage} — causal-provenance forest over deliveries (parent
       delivery ids, critical-path depth, per-edge/per-vertex
@@ -12,9 +12,11 @@
       (re-exported as [Runtime.Json]).
 
     An {!t} bundles one registry and one timeline with a sampling period;
-    pass it as the [?obs] argument of [Runtime.Engine.Make.run],
-    [Runtime.Explore.Make.explore] or [Par.Engine.Make.run] and the backend
-    streams its internal state into it. *)
+    pass it as the [?obs] argument of [Runtime.Engine.Make.run] or
+    [Runtime.Explore.Make.explore] and the backend streams its internal
+    state into it.  Totals that concurrent domains (serve workers, [Par]
+    pool sweeps) bump together live in {!Registry.acounter}s, and the
+    timeline ring is multi-writer. *)
 
 module Json = Json
 module Registry = Registry

@@ -27,7 +27,8 @@ val counter : t -> string -> counter
 val gauge : t -> string -> gauge
 
 val acounter : t -> string -> acounter
-(** Atomic counter, for totals shared across [Par] domains. *)
+(** Atomic counter, for totals shared across domains (serve workers,
+    [Par] pool sweeps). *)
 
 val histogram : t -> string -> histogram
 

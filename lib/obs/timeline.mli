@@ -1,8 +1,8 @@
 (** Span / event timeline over a bounded ring buffer.
 
     Records four event kinds against monotonically increasing timestamps
-    (seconds since [create]) and an integer [track] — one track per domain,
-    shard or logical lane, mapped to a Chrome-trace [tid] by
+    (seconds since [create]) and an integer [track] — one track per domain
+    or logical lane, mapped to a Chrome-trace [tid] by
     {!Export.chrome_trace}:
 
     - [Begin]/[End] — a duration span (begin/end pairs per track);

@@ -1,4 +1,4 @@
-(** {!Runtime.Campaign} sweeps sharded over a {!Pool}.
+(** {!Runtime.Campaign} sweeps spread over a {!Pool}.
 
     The cross product {e runners × graphs × grid} is split into
     single-(runner, graph, point) jobs, each run through the sequential

@@ -1,16 +1,11 @@
 (** Multicore execution layer.
 
-    {!Engine} runs one protocol instance sharded across domains with the
-    same observable semantics as {!Runtime.Engine} (the parallel delivery
-    order is one more legal asynchronous schedule); {!Pool} spreads
-    independent jobs — campaign cells, check-suite cases, bench repeats —
-    over a work-stealing domain pool with deterministic result order; and
-    {!Campaign} is {!Runtime.Campaign} on top of {!Pool}. *)
+    {!Pool} spreads independent jobs — campaign cells, check-suite cases,
+    chaos trials, bench repeats — over a work-stealing domain pool with
+    deterministic result order; {!Campaign} and {!Chaos} are
+    {!Runtime.Campaign} and {!Runtime.Chaos} on top of {!Pool}, and their
+    results do not depend on the domain count. *)
 
-module Mailbox = Mailbox
 module Pool = Pool
-module Engine = Shard_engine
 module Campaign = Campaign_par
 module Chaos = Chaos_par
-
-type sharding = Shard_engine.sharding

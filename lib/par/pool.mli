@@ -9,8 +9,9 @@
     domains have joined. *)
 
 val run : ?domains:int -> int -> (int -> 'a) -> 'a array
-(** [domains] defaults to [Domain.recommended_domain_count ()]; it is
-    clamped to [1 .. n]. *)
+(** [domains] defaults to [Domain.recommended_domain_count ()] and is
+    clamped to at most [max n 1].  Raises [Invalid_argument] if [domains < 1]
+    or [n < 0]. *)
 
 val map_list : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list f xs] = [List.map f xs], computed by {!run}: same result

@@ -293,10 +293,8 @@ module Instance = struct
           inst.violations <- inst.violations + 1
 
   (* Each edge draws from its own PRNG stream derived from (seed, edge), and
-     its add/remove clock counts only offers on that edge — the same
-     locality that lets the sharded engine's per-domain instances agree
-     with the sequential one (all of edge [e]'s deliveries happen in the
-     shard owning its target vertex). *)
+     its add/remove clock counts only offers on that edge, so its fate does
+     not depend on traffic elsewhere and a replayed schedule reproduces it. *)
   let edge_state inst ~edge =
     match Hashtbl.find_opt inst.edges edge with
     | Some st -> st

@@ -16,9 +16,8 @@
     {b Clocks are edge-local.}  An edge's churn state advances only on the
     {e offers} made on it — copies of messages popped for delivery across
     that edge — exactly like {!Vfaults} downtime advances on deliveries
-    offered to the vertex.  All of an edge's offers happen in the shard that
-    owns its target vertex, so the sequential and sharded engines see
-    identical fates, and a {!Scheduler.Replay} of the recorded [on_pop]
+    offered to the vertex.  An edge's fate therefore does not depend on
+    traffic elsewhere, and a {!Scheduler.Replay} of the recorded [on_pop]
     schedule reproduces every churn event byte-for-byte.  The flip side: an
     edge nobody sends on has a frozen clock — a down edge heals only under
     traffic (e.g. {!Supervisor} retransmissions, which burn down the outage

@@ -93,12 +93,11 @@ type event = {
 }
 
 (* Telemetry cells resolved once per run (registration is the only locked
-   operation); per-delivery updates are plain stores.  [track] is the
-   timeline lane — 0 for the sequential engine. *)
+   operation); per-delivery updates are plain stores.  The engine records
+   on timeline lane 0. *)
 type obs_hooks = {
   oh_timeline : Obs.Timeline.t;
   oh_sample_every : int;
-  oh_track : int;
   c_deliveries : Obs.Registry.counter;
   c_bits : Obs.Registry.counter;
   c_sends : Obs.Registry.counter;
@@ -128,12 +127,11 @@ type obs_hooks = {
   g_residual : Obs.Registry.gauge;
 }
 
-let obs_hooks ?(track = 0) (o : Obs.t) =
+let obs_hooks (o : Obs.t) =
   let reg = o.Obs.registry in
   {
     oh_timeline = o.Obs.timeline;
     oh_sample_every = o.Obs.sample_every;
-    oh_track = track;
     c_deliveries = Obs.Registry.counter reg "engine.deliveries";
     c_bits = Obs.Registry.counter reg "engine.total_bits";
     c_sends = Obs.Registry.counter reg "engine.sends";
@@ -453,7 +451,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       match oh with
       | None -> ()
       | Some h ->
-          let tl = h.oh_timeline and track = h.oh_track in
+          let tl = h.oh_timeline in
           let in_flight = !tail - !head in
           Obs.Registry.set h.g_in_flight in_flight;
           Obs.Registry.set h.g_wavefront !n_visited;
@@ -461,15 +459,15 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
              so the residual is identically 0 — sampled anyway to keep the
              reconciliation series present. *)
           Obs.Registry.set h.g_residual 0;
-          Obs.Timeline.sample tl ~track "engine.in_flight" (float_of_int in_flight);
-          Obs.Timeline.sample tl ~track "engine.wavefront" (float_of_int !n_visited);
-          Obs.Timeline.sample tl ~track "engine.cut_residual" 0.0;
-          Obs.Timeline.sample tl ~track "engine.deliveries" (float_of_int !deliveries);
-          Obs.Timeline.sample tl ~track "engine.total_bits"
+          Obs.Timeline.sample tl ~track:0 "engine.in_flight" (float_of_int in_flight);
+          Obs.Timeline.sample tl ~track:0 "engine.wavefront" (float_of_int !n_visited);
+          Obs.Timeline.sample tl ~track:0 "engine.cut_residual" 0.0;
+          Obs.Timeline.sample tl ~track:0 "engine.deliveries" (float_of_int !deliveries);
+          Obs.Timeline.sample tl ~track:0 "engine.total_bits"
             (float_of_int bits_total)
     in
     (match oh with
-    | Some h -> Obs.Timeline.begin_span h.oh_timeline ~track:h.oh_track "engine.run"
+    | Some h -> Obs.Timeline.begin_span h.oh_timeline ~track:0 "engine.run"
     | None -> ());
     let push_edge e =
       let r = !ring in
@@ -599,7 +597,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     (match oh with
     | Some h ->
         obs_sample ~bits_total:(!deliveries * bpm);
-        Obs.Timeline.end_span h.oh_timeline ~track:h.oh_track "engine.run"
+        Obs.Timeline.end_span h.oh_timeline ~track:0 "engine.run"
     | None -> ());
     let edge_bits = Array.map (fun c -> c * bpm) edge_messages in
     {
@@ -743,16 +741,16 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       match oh with
       | None -> ()
       | Some h ->
-          let tl = h.oh_timeline and track = h.oh_track in
+          let tl = h.oh_timeline in
           Obs.Registry.set h.g_in_flight !in_flight;
           Obs.Registry.set h.g_wavefront !n_visited;
           let residual = !entered - !deliveries - !in_flight in
           Obs.Registry.set h.g_residual residual;
-          Obs.Timeline.sample tl ~track "engine.in_flight" (float_of_int !in_flight);
-          Obs.Timeline.sample tl ~track "engine.wavefront" (float_of_int !n_visited);
-          Obs.Timeline.sample tl ~track "engine.cut_residual" (float_of_int residual);
-          Obs.Timeline.sample tl ~track "engine.deliveries" (float_of_int !deliveries);
-          Obs.Timeline.sample tl ~track "engine.total_bits" (float_of_int !total_bits)
+          Obs.Timeline.sample tl ~track:0 "engine.in_flight" (float_of_int !in_flight);
+          Obs.Timeline.sample tl ~track:0 "engine.wavefront" (float_of_int !n_visited);
+          Obs.Timeline.sample tl ~track:0 "engine.cut_residual" (float_of_int residual);
+          Obs.Timeline.sample tl ~track:0 "engine.deliveries" (float_of_int !deliveries);
+          Obs.Timeline.sample tl ~track:0 "engine.total_bits" (float_of_int !total_bits)
     in
     let last_msg : P.message option array =
       Array.make (if supervised then Stdlib.max ne 1 else 1) None
@@ -831,7 +829,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       done
     in
     (match oh with
-    | Some h -> Obs.Timeline.begin_span h.oh_timeline ~track:h.oh_track "engine.run"
+    | Some h -> Obs.Timeline.begin_span h.oh_timeline ~track:0 "engine.run"
     | None -> ());
     let se = Digraph.source g in
     List.iter
@@ -893,9 +891,9 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                     until_sample := h.oh_sample_every;
                     obs_sample ()
                   end;
-                  let tl = h.oh_timeline and track = h.oh_track in
+                  let tl = h.oh_timeline in
                   let mark kind =
-                    Obs.Timeline.instant tl ~track
+                    Obs.Timeline.instant tl ~track:0
                       (Printf.sprintf "churn.%s:%d" kind f.edge)
                   in
                   (match cfate with
@@ -1134,7 +1132,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
           Obs.Registry.add h.c_churn_violations
             (Churn.Instance.window_violations ci)
         end;
-        Obs.Timeline.end_span h.oh_timeline ~track:h.oh_track "engine.run"
+        Obs.Timeline.end_span h.oh_timeline ~track:0 "engine.run"
     | None -> ());
     let fault_stats =
       if not faulty then
@@ -1202,7 +1200,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       ?(vfaults = Vfaults.none) ?(churn = Churn.none) ?supervisor
       ?(verify_codec = false) ?stop ?obs ?lineage ?on_deliver ?on_pop
       ?on_undelivered g =
-    let oh = Option.map (fun o -> obs_hooks o) obs in
+    let oh = Option.map obs_hooks obs in
     let gc0 =
       match obs with
       | Some _ -> Some (Gc.quick_stat (), Gc.minor_words ())

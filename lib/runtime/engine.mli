@@ -149,48 +149,6 @@ exception Codec_mismatch of string
 (** Raised in [verify_codec] mode when a message does not round-trip
     through its wire encoding. *)
 
-(** Telemetry cells resolved once per run — the [engine.*] counter,
-    histogram and gauge handles plus the timeline lane and sampling
-    cadence.  Exposed so the sharded engine ([Par]) updates the {e same}
-    named cells with the same semantics; reports then reconcile with the
-    registry regardless of which executor produced them. *)
-type obs_hooks = {
-  oh_timeline : Obs.Timeline.t;
-  oh_sample_every : int;
-  oh_track : int;
-  c_deliveries : Obs.Registry.counter;
-  c_bits : Obs.Registry.counter;
-  c_sends : Obs.Registry.counter;
-  c_corrupted : Obs.Registry.counter;
-  c_garbled : Obs.Registry.counter;
-  c_dropped : Obs.Registry.counter;
-  c_extra : Obs.Registry.counter;
-  c_delayed : Obs.Registry.counter;
-  c_checksum_rejects : Obs.Registry.counter;
-  c_crashes : Obs.Registry.counter;
-  c_restarts : Obs.Registry.counter;
-  c_lost_state_bits : Obs.Registry.counter;
-  c_down_drops : Obs.Registry.counter;
-  c_stuttered : Obs.Registry.counter;
-  c_checkpoints : Obs.Registry.counter;
-  c_replayed : Obs.Registry.counter;
-  c_churn_adds : Obs.Registry.counter;
-  c_churn_removes : Obs.Registry.counter;
-  c_churn_heals : Obs.Registry.counter;
-  c_churn_lost : Obs.Registry.counter;
-  c_churn_violations : Obs.Registry.counter;
-  c_receive_ns : Obs.Registry.counter;
-  h_message_bits : Obs.Registry.histogram;
-  h_receive_ns : Obs.Registry.histogram;
-  g_in_flight : Obs.Registry.gauge;
-  g_wavefront : Obs.Registry.gauge;
-  g_residual : Obs.Registry.gauge;
-}
-
-val obs_hooks : ?track:int -> Obs.t -> obs_hooks
-(** Resolve (registering on first use) every cell against the sink's
-    registry.  [track] is the timeline lane; 0 for sequential engines. *)
-
 module Make (P : Protocol_intf.PROTOCOL) : sig
   type state = P.state
   type message = P.message

@@ -104,8 +104,8 @@ module Instance = struct
 
   (* Each vertex draws from its own PRNG stream derived from (seed, vertex),
      so its fate does not depend on traffic elsewhere — the same property
-     the edge-fault streams have, and what makes the sharded engine's
-     per-domain instances agree with the sequential one. *)
+     the edge-fault streams have, and what lets a chaos replay under
+     another schedule reproduce it. *)
   let vertex_state inst ~vertex =
     match Hashtbl.find_opt inst.vertices vertex with
     | Some st -> st

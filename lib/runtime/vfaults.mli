@@ -21,8 +21,9 @@
 
     Downtime is measured in {e deliveries addressed to the vertex}: a down
     vertex consumes (and loses) the next [downtime] messages aimed at it,
-    then restarts.  This clock is local to the vertex, which keeps scripted
-    fates identical between the sequential engine and the sharded one.
+    then restarts.  This clock is local to the vertex, so a scripted fate
+    does not depend on the delivery schedule elsewhere: {!Chaos} replays
+    and shrinks a fault set under any schedule and sees the same crashes.
 
     The source [s] never receives, so it never crashes — the root is
     immortal by construction (the paper's model: [s] initiates, everything
@@ -33,7 +34,7 @@
     - {e probabilistic plans} ({!uniform} / {!per_vertex}): per-delivery
       crash and stutter coins drawn from per-vertex PRNG streams derived
       from the seed, exactly like {!Faults} edge streams — reproducible and
-      shard-independent;
+      independent of the schedule;
     - {e scripts} ({!script}): deterministic crash events "vertex [v]
       crashes at its [at]-th offered delivery", the representation the
       {!Chaos} search minimizes. *)

@@ -43,6 +43,16 @@ let report_summary (r : _ Runtime.Engine.report) =
     f.Runtime.Engine.garbled_drops
     (List.length f.Runtime.Engine.dead_edges)
 
+(* The adversarial schedules a run is compared against Fifo under, built
+   fresh per call because [Random] carries a stateful generator. *)
+let schedulers ~seed =
+  let module S = Runtime.Scheduler in
+  [
+    ("lifo", S.Lifo);
+    ("random", S.Random (Prng.create seed));
+    ("edge-priority", S.Edge_priority (fun e -> -e));
+  ]
+
 (* {1 QCheck generators} *)
 
 let gen_bignat : B.t QCheck.Gen.t =

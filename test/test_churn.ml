@@ -1,8 +1,9 @@
 (* The edge-churn adversary: instance fate semantics, T-interval
    constrain/contract, engine integration (zero overhead, obs
-   reconciliation, supervisor healing), sequential-vs-sharded parity,
-   replay determinism under combined churn + vertex faults, the dynamic
-   protocols (amnesiac flooding, counting) and the chaos churn controls. *)
+   reconciliation, supervisor healing), schedule independence of the churn
+   ledger, replay determinism under combined churn + vertex faults, the
+   dynamic protocols (amnesiac flooding, counting) and the chaos churn
+   controls. *)
 
 open Helpers
 module G = Digraph
@@ -239,13 +240,13 @@ let test_obs_counters_reconcile_exactly () =
       (cs.E.heals <= cs.E.removes)
   done
 
-(* {1 Sequential vs sharded parity} *)
+(* {1 Schedule independence} *)
 
-(* Churn clocks are edge-local and every offer on an edge is made by the
-   shard owning its target vertex, so the sharded engine's fates — and
-   therefore the whole churn ledger — must match the sequential engine. *)
-let test_sharded_churn_parity () =
-  let module Pn = Par.Engine.Make (Anonet.Flood) in
+(* Churn clocks are edge-local and flood offers each edge at most one copy,
+   so every edge's fate — and therefore the whole churn ledger — is the
+   same under any delivery order. *)
+let test_churn_ledger_schedule_independent () =
+  let fired = ref 0 in
   for seed = 1 to 8 do
     let g =
       F.random_digraph (Prng.create seed) ~n:20 ~extra_edges:12 ~back_edges:4
@@ -256,10 +257,11 @@ let test_sharded_churn_parity () =
         (C.uniform (C.plan ~remove:0.25 ~max_downtime:2 ()) ~seed)
     in
     let s = Anonet.Flood_engine.run ~churn g in
+    fired := !fired + s.E.churn_stats.E.removes;
     List.iter
-      (fun domains ->
-        let p = Pn.run ~domains ~churn g in
-        let tag name = Printf.sprintf "%s (domains=%d)" name domains in
+      (fun (name, scheduler) ->
+        let p = Anonet.Flood_engine.run ~scheduler ~churn g in
+        let tag what = Printf.sprintf "seed %d, %s: %s" seed name what in
         Alcotest.(check int) (tag "same adds") s.E.churn_stats.E.adds
           p.E.churn_stats.E.adds;
         Alcotest.(check int) (tag "same removes") s.E.churn_stats.E.removes
@@ -276,27 +278,9 @@ let test_sharded_churn_parity () =
           (s.E.visited = p.E.visited);
         Alcotest.(check int) (tag "same deliveries") s.E.deliveries
           p.E.deliveries)
-      [ 1; 2; 4 ]
-  done
-
-let test_sharded_obs_churn_counters_reconcile () =
-  let module Pn = Par.Engine.Make (Anonet.Flood) in
-  let g =
-    F.random_digraph (Prng.create 3) ~n:20 ~extra_edges:12 ~back_edges:4
-      ~t_edge_prob:0.25
-  in
-  let churn = C.uniform (C.plan ~remove:0.3 ~max_downtime:2 ()) ~seed:3 in
-  let obs = Obs.create () in
-  let p = Pn.run ~domains:4 ~churn ~obs g in
-  let c name = Obs.Registry.(avalue (acounter obs.Obs.registry name)) in
-  Alcotest.(check int) "adds" p.E.churn_stats.E.adds (c "engine.churn.adds");
-  Alcotest.(check int) "removes" p.E.churn_stats.E.removes
-    (c "engine.churn.removes");
-  Alcotest.(check int) "heals" p.E.churn_stats.E.heals (c "engine.churn.heals");
-  Alcotest.(check int) "lost" p.E.churn_stats.E.messages_lost_in_flight
-    (c "engine.churn.lost_in_flight");
-  Alcotest.(check bool) "churn actually fired" true
-    (p.E.churn_stats.E.removes > 0)
+      (schedulers ~seed)
+  done;
+  Alcotest.(check bool) "churn actually fired" true (!fired > 0)
 
 (* {1 Replay determinism under churn + vertex faults} *)
 
@@ -511,12 +495,10 @@ let () =
           Alcotest.test_case "obs counters reconcile exactly" `Quick
             test_obs_counters_reconcile_exactly;
         ] );
-      ( "par",
+      ( "schedules",
         [
-          Alcotest.test_case "sequential vs sharded parity" `Quick
-            test_sharded_churn_parity;
-          Alcotest.test_case "sharded obs counters reconcile" `Quick
-            test_sharded_obs_churn_counters_reconcile;
+          Alcotest.test_case "churn ledger schedule-independent" `Quick
+            test_churn_ledger_schedule_independent;
         ] );
       ( "replay",
         [

@@ -7,8 +7,7 @@
    delivery schedule and node ids are the 1-based delivery counter, so
    the two recorders must agree on every aggregate {e and} — with
    sampling off — on the entire stored node stream.  (The stream itself is
-   pinned by [test_engine_oracle.ml].)  The par engine's id assignment is
-   schedule-dependent, so only node-count reconciliation holds there. *)
+   pinned by [test_engine_oracle.ml].) *)
 
 module E = Runtime.Engine
 module F = Digraph.Families
@@ -16,7 +15,6 @@ module H = Helpers
 module L = Obs.Lineage
 
 module Cl = Runtime.Engine.Make (Anonet.Flood)
-module Pr = Par.Engine.Make (Anonet.Flood)
 
 let stored_list l =
   let acc = ref [] in
@@ -136,38 +134,6 @@ let test_json () =
   Alcotest.(check int) "stored" (L.stored l) (field "stored");
   Alcotest.(check int) "dropped" (L.dropped l) (field "dropped")
 
-(* {1 Par: node-count reconciliation + shard tracks} *)
-
-let test_par_reconcile () =
-  let g = F.random_digraph (Prng.create 14) ~n:40 ~extra_edges:60 ~back_edges:10 ~t_edge_prob:0.3 in
-  let l = L.create ~sample_every:1 ~capacity:(1 lsl 20) () in
-  let r = Pr.run ~domains:4 ~lineage:l g in
-  Alcotest.(check int) "nodes = deliveries" r.E.deliveries (L.nodes l);
-  Alcotest.(check int) "full store" r.E.deliveries (L.stored l);
-  (* Ids are the global delivery-slot claims: unique and 1-based. *)
-  let seen = Hashtbl.create 64 in
-  let max_id = ref 0 in
-  L.iter_stored l (fun n ->
-      if Hashtbl.mem seen n.L.n_id then Alcotest.failf "duplicate id %d" n.L.n_id;
-      Hashtbl.add seen n.L.n_id ();
-      if n.L.n_id > !max_id then max_id := n.L.n_id;
-      if n.L.n_depth < 1 then Alcotest.failf "depth < 1 at id %d" n.L.n_id);
-  Alcotest.(check int) "ids dense" r.E.deliveries !max_id
-
-(* {1 Merge} *)
-
-let test_merge () =
-  let g = F.path 5 in
-  let a = L.create ~sample_every:1 () in
-  let b = L.create ~sample_every:1 () in
-  ignore (Cl.run ~lineage:a g);
-  ignore (Cl.run ~lineage:b g);
-  let solo_nodes = L.nodes a and solo_depth = L.max_depth a in
-  L.merge ~into:a b;
-  Alcotest.(check int) "nodes sum" (2 * solo_nodes) (L.nodes a);
-  Alcotest.(check int) "max_depth maxes" solo_depth (L.max_depth a);
-  Alcotest.(check int) "stores append" (2 * solo_nodes) (L.stored a)
-
 let () =
   Alcotest.run "lineage"
     [
@@ -182,7 +148,5 @@ let () =
           Alcotest.test_case "critical path, deepest first" `Quick
             test_critical_path;
           Alcotest.test_case "json export" `Quick test_json;
-          Alcotest.test_case "merge" `Quick test_merge;
         ] );
-      ("par", [ Alcotest.test_case "reconcile + unique ids" `Quick test_par_reconcile ]);
     ]

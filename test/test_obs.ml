@@ -1,8 +1,7 @@
 (* The telemetry subsystem: registry cells and snapshots, the timeline ring,
    the exporters (including the Chrome-trace JSON round-trip through the
    validating parser), and the reconciliation guarantees — Obs counters must
-   agree exactly with the engine/explorer/sharded-engine reports they
-   instrument. *)
+   agree exactly with the engine/explorer reports they instrument. *)
 
 open Helpers
 module R = Obs.Registry
@@ -472,33 +471,6 @@ let test_obs_accumulates_across_runs () =
     (r1.E.deliveries + r2.E.deliveries)
     (counter_of snap "engine.deliveries")
 
-let test_par_reconciles () =
-  let module Pn = Par.Engine.Make (Anonet.Flood) in
-  let g = F.random_layered_large (Prng.create 5) ~target_edges:3_000 in
-  let o = Obs.create ~sample_every:64 () in
-  let r = Pn.run ~domains:3 ~obs:o g in
-  let snap = R.snapshot o.Obs.registry in
-  Alcotest.(check int) "par.deliveries == report" r.E.deliveries
-    (counter_of snap "par.deliveries");
-  let shard_sum =
-    List.fold_left
-      (fun acc (name, entry) ->
-        match entry with
-        | R.Counter v
-          when String.length name > 9
-               && String.sub name 0 9 = "par.shard"
-               && String.length name > 11
-               && String.sub name (String.length name - 11) 11 = ".deliveries"
-          ->
-            acc + v
-        | _ -> acc)
-      0 snap
-  in
-  Alcotest.(check int) "per-shard counters sum to the total" r.E.deliveries
-    shard_sum;
-  Alcotest.(check bool) "par trace valid" true
-    (Obs.Json.valid (Obs.Export.chrome_trace o.Obs.timeline))
-
 let test_explore_reconciles () =
   let cases = Anonet.Check_suite.cases ~max_edges:6 () in
   let c = List.hd cases in
@@ -565,7 +537,6 @@ let () =
           prop_engine_reconciles_under_faults;
           Alcotest.test_case "accumulates across runs" `Quick
             test_obs_accumulates_across_runs;
-          Alcotest.test_case "par shards" `Quick test_par_reconciles;
           Alcotest.test_case "explore" `Quick test_explore_reconciles;
           Alcotest.test_case "create validates" `Quick test_obs_create_validates;
         ] );

@@ -1,18 +1,21 @@
-(* The sharded multicore engine against the sequential engine.
+(* The domain pool and the sweeps built on it, plus the sequential
+   engine's schedule-independence properties.
 
-   The load-bearing property: a parallel run is just one more legal
-   asynchronous schedule, so for every suite protocol on its own graph class
-   the outcome and the visited set must match the sequential engine, and the
-   final linear cut (vertex states + undelivered messages) must satisfy the
-   protocol's conservation law.  Schedule-dependent measures (deliveries for
-   the non-tree protocols, bit high-water marks) are deliberately not
-   compared.
+   Conservation: for every suite protocol on its own graph class, the final
+   linear cut of a run (vertex states + undelivered messages) must satisfy
+   the protocol's conservation law — under Fifo and under every adversarial
+   schedule, which must also agree with Fifo on the outcome and the visited
+   set.  Schedule-dependent measures (deliveries for the non-tree
+   protocols, bit high-water marks) are deliberately not compared.
 
-   Fault plans: per-edge [on_send] streams are keyed by (seed, edge) and all
-   of an edge's sends run in one shard, so with corruption off (its bit draw
-   happens at delivery time) and duplication off (a duplicated copy can flip
-   termination itself, see test_faults) a tree run's fault counters must be
-   identical under any schedule — parallel included. *)
+   Fault plans: per-edge [on_send] streams are keyed by (seed, edge), so
+   with corruption off (its bit draw happens at delivery time) and
+   duplication off (a duplicated copy can flip termination itself, see
+   test_faults) a tree run's fault counters must be identical under any
+   schedule.
+
+   Pool sweeps: results come back in job order, so a parallel campaign
+   renders byte-identically to the sequential one. *)
 
 module E = Runtime.Engine
 module F = Digraph.Families
@@ -42,43 +45,21 @@ let conservation_ok (type s m)
       in
       Result.is_ok (c.check acc)
 
-(* {1 Parallel == sequential, per suite protocol} *)
+(* {1 Sequential final cut, per suite protocol} *)
 
-let equiv_case (type s m)
+let conservation_case (type s m)
     (module P : Runtime.Protocol_intf.CHECKABLE
       with type state = s
        and type message = m) name g =
   let module Seq = Runtime.Engine.Make (P) in
-  let module Pn = Par.Engine.Make (P) in
-  let seq_left = ref [] in
-  let sr = Seq.run ~on_undelivered:(fun m -> seq_left := m :: !seq_left) g in
-  if not (conservation_ok (module P) g sr.states !seq_left) then
+  let left = ref [] in
+  let r = Seq.run ~on_undelivered:(fun m -> left := m :: !left) g in
+  if not (conservation_ok (module P) g r.states !left) then
     QCheck.Test.fail_reportf "%s: sequential conservation breached (%s)" name
-      (H.report_summary sr);
-  List.for_all
-    (fun domains ->
-      let pr = Pn.run_full ~domains g in
-      if pr.report.outcome <> sr.outcome then
-        QCheck.Test.fail_reportf "%s: %d domains: %s, sequential %s" name
-          domains
-          (H.outcome_string pr.report.outcome)
-          (H.outcome_string sr.outcome);
-      if pr.report.visited <> sr.visited then
-        QCheck.Test.fail_reportf "%s: %d domains: visited set differs" name
-          domains;
-      if pr.report.final_in_flight <> List.length pr.leftover then
-        QCheck.Test.fail_reportf
-          "%s: %d domains: final_in_flight %d but %d leftover messages" name
-          domains pr.report.final_in_flight
-          (List.length pr.leftover);
-      if not (conservation_ok (module P) g pr.report.states pr.leftover) then
-        QCheck.Test.fail_reportf "%s: %d domains: conservation breached (%s)"
-          name domains
-          (H.report_summary pr.report);
-      true)
-    [ 1; 2; 4 ]
+      (H.report_summary r);
+  true
 
-let equivalence_tests =
+let conservation_tests =
   List.map
     (fun (name, cls, p) ->
       let arb, count =
@@ -88,36 +69,66 @@ let equivalence_tests =
         | `Digraphs -> (H.arb_digraph, 20)
       in
       H.qcheck_to_alcotest ~count
-        (Printf.sprintf "par == seq: %s (1/2/4 domains)" name)
+        (Printf.sprintf "final-cut conservation: %s" name)
         arb
         (fun g ->
           let (module P : Runtime.Protocol_intf.CHECKABLE) = p in
-          equiv_case (module P) name g))
+          conservation_case (module P) name g))
     (Anonet.Check_suite.protocols ())
 
-(* Both engines share the sharding knob's contract: BFS-layer sharding is
-   just a different vertex partition, so it must agree too. *)
-let sharding_equivalent () =
-  let module Pn = Par.Engine.Make (Anonet.General_broadcast) in
-  let g =
-    F.random_digraph (Prng.create 31) ~n:40 ~extra_edges:40 ~back_edges:10
-      ~t_edge_prob:0.2
-  in
-  let a = Pn.run ~domains:3 ~sharding:`Round_robin g in
-  let b = Pn.run ~domains:3 ~sharding:`Bfs_layers g in
-  Alcotest.check H.outcome "outcome" a.outcome b.outcome;
-  Alcotest.(check (array bool)) "visited" a.visited b.visited
+(* {1 Adversarial schedules, per suite protocol} *)
+
+let schedules_case (type s m)
+    (module P : Runtime.Protocol_intf.CHECKABLE
+      with type state = s
+       and type message = m) name g =
+  let module Seq = Runtime.Engine.Make (P) in
+  let fifo = Seq.run g in
+  List.for_all
+    (fun (sched, scheduler) ->
+      let left = ref [] in
+      let r = Seq.run ~scheduler ~on_undelivered:(fun m -> left := m :: !left) g in
+      if r.outcome <> fifo.outcome then
+        QCheck.Test.fail_reportf "%s: %s: %s, fifo %s" name sched
+          (H.outcome_string r.outcome)
+          (H.outcome_string fifo.outcome);
+      if r.visited <> fifo.visited then
+        QCheck.Test.fail_reportf "%s: %s: visited set differs" name sched;
+      if r.final_in_flight <> List.length !left then
+        QCheck.Test.fail_reportf
+          "%s: %s: final_in_flight %d but %d leftover messages" name sched
+          r.final_in_flight (List.length !left);
+      if not (conservation_ok (module P) g r.states !left) then
+        QCheck.Test.fail_reportf "%s: %s: conservation breached (%s)" name
+          sched (H.report_summary r);
+      true)
+    (H.schedulers ~seed:(Digraph.n_edges g))
+
+let schedules_tests =
+  List.map
+    (fun (name, cls, p) ->
+      let arb, count =
+        match cls with
+        | `Trees -> (H.arb_grounded_tree, 40)
+        | `Dags -> (H.arb_dag, 30)
+        | `Digraphs -> (H.arb_digraph, 20)
+      in
+      H.qcheck_to_alcotest ~count
+        (Printf.sprintf "adversarial schedules: %s" name)
+        arb
+        (fun g ->
+          let (module P : Runtime.Protocol_intf.CHECKABLE) = p in
+          schedules_case (module P) name g))
+    (Anonet.Check_suite.protocols ())
 
 (* {1 Fault parity} *)
 
 (* Tree protocol, drop + delay + kill (no duplication, no corruption): every
    edge carries at most one send, so the per-edge fault streams are consumed
-   identically under any schedule and the merged parallel counters must
-   equal the sequential ones — as must the outcome, the visited set and the
-   delivery count. *)
+   identically under any schedule and the counters must equal Fifo's — as
+   must the outcome, the visited set and the delivery count. *)
 let fault_parity () =
   let module Seq = Runtime.Engine.Make (Anonet.Tree_broadcast) in
-  let module Pn = Par.Engine.Make (Anonet.Tree_broadcast) in
   for seed = 1 to 12 do
     let g =
       F.random_grounded_tree (Prng.create (100 + seed)) ~n:40 ~t_edge_prob:0.3
@@ -126,23 +137,23 @@ let fault_parity () =
       Runtime.Faults.create ~drop:0.12 ~max_delay:3 ~kill:0.05 ~seed ()
     in
     let sr = Seq.run ~faults g in
-    let pr = Pn.run ~domains:4 ~faults g in
-    let ctx = Printf.sprintf "seed %d" seed in
-    Alcotest.check H.outcome (ctx ^ ": outcome") sr.outcome pr.outcome;
-    Alcotest.(check (array bool)) (ctx ^ ": visited") sr.visited pr.visited;
-    Alcotest.(check int) (ctx ^ ": deliveries") sr.deliveries pr.deliveries;
-    Alcotest.(check int)
-      (ctx ^ ": dropped")
-      sr.fault_stats.dropped_copies pr.fault_stats.dropped_copies;
-    Alcotest.(check int)
-      (ctx ^ ": extra")
-      sr.fault_stats.extra_copies pr.fault_stats.extra_copies;
-    Alcotest.(check int)
-      (ctx ^ ": delayed")
-      sr.fault_stats.delayed_copies pr.fault_stats.delayed_copies;
-    Alcotest.(check (list int))
-      (ctx ^ ": dead edges")
-      sr.fault_stats.dead_edges pr.fault_stats.dead_edges
+    List.iter
+      (fun (sched, scheduler) ->
+        let pr = Seq.run ~scheduler ~faults g in
+        let ctx what = Printf.sprintf "seed %d, %s: %s" seed sched what in
+        Alcotest.check H.outcome (ctx "outcome") sr.outcome pr.outcome;
+        Alcotest.(check (array bool)) (ctx "visited") sr.visited pr.visited;
+        Alcotest.(check int) (ctx "deliveries") sr.deliveries pr.deliveries;
+        Alcotest.(check int) (ctx "dropped") sr.fault_stats.dropped_copies
+          pr.fault_stats.dropped_copies;
+        Alcotest.(check int) (ctx "extra") sr.fault_stats.extra_copies
+          pr.fault_stats.extra_copies;
+        Alcotest.(check int) (ctx "delayed") sr.fault_stats.delayed_copies
+          pr.fault_stats.delayed_copies;
+        Alcotest.(check (list int))
+          (ctx "dead edges") sr.fault_stats.dead_edges
+          pr.fault_stats.dead_edges)
+      (H.schedulers ~seed)
   done
 
 (* {1 Pool} *)
@@ -162,23 +173,20 @@ let pool_empty_and_errors () =
         (Par.Pool.run ~domains:3 16 (fun i ->
              if i = 7 then failwith "job 7" else i)))
 
-let mailbox_batches () =
-  let mb = Par.Mailbox.create () in
-  Alcotest.(check bool) "fresh empty" true (Par.Mailbox.is_empty mb);
-  List.iter (Par.Mailbox.push mb) [ 1; 2; 3 ];
-  Alcotest.(check (list int)) "LIFO batch" [ 3; 2; 1 ] (Par.Mailbox.take_all mb);
-  Alcotest.(check (list int)) "drained" [] (Par.Mailbox.take_all mb);
-  (* Concurrent producers: nothing lost, nothing duplicated. *)
-  let producers =
-    List.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            for i = 0 to 249 do
-              Par.Mailbox.push mb ((d * 250) + i)
-            done))
-  in
-  List.iter Domain.join producers;
-  let got = List.sort compare (Par.Mailbox.take_all mb) in
-  Alcotest.(check (list int)) "1000 pushes survive" (List.init 1000 Fun.id) got
+(* More domains than jobs are clamped to the job count; fewer than one is a
+   caller error. *)
+let pool_domain_bounds () =
+  let expect = Array.init 5 (fun i -> 3 * i) in
+  List.iter
+    (fun domains ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "domains=%d" domains)
+        expect
+        (Par.Pool.run ~domains 5 (fun i -> 3 * i)))
+    [ 1; 5; 64 ];
+  Alcotest.check_raises "domains < 1"
+    (Invalid_argument "Pool.run: domains < 1") (fun () ->
+      ignore (Par.Pool.run ~domains:0 5 Fun.id))
 
 (* {1 Parallel campaign} *)
 
@@ -214,39 +222,21 @@ let campaign_matches_sequential () =
     "identical JSON rendering" (C.to_json seq) (C.to_json par);
   Alcotest.(check bool) "sound" (C.sound seq) (C.sound par)
 
-(* {1 Large-graph smoke test} *)
-
-let flood_layered () =
-  let g = F.random_layered_large (Prng.create 7) ~target_edges:2_000 in
-  let module Pn = Par.Engine.Make (Anonet.Flood) in
-  let r = Pn.run ~domains:2 g in
-  Alcotest.check H.outcome "flood quiesces" E.Quiescent r.outcome;
-  Alcotest.(check bool)
-    "all visited" true
-    (Array.for_all Fun.id r.visited);
-  (* Flooding forwards exactly once per vertex, so exactly one delivery per
-     edge regardless of schedule. *)
-  Alcotest.(check int) "one delivery per edge" (Digraph.n_edges g) r.deliveries
-
 let () =
   Alcotest.run "par"
     [
-      ("equivalence", equivalence_tests);
-      ( "sharding",
-        [ Alcotest.test_case "bfs-layers == round-robin" `Quick
-            sharding_equivalent ] );
+      ("conservation", conservation_tests);
+      ("schedules", schedules_tests);
       ("faults", [ Alcotest.test_case "tree fault parity" `Quick fault_parity ]);
       ( "pool",
         [
           Alcotest.test_case "deterministic order" `Quick pool_order;
           Alcotest.test_case "empty + exceptions" `Quick pool_empty_and_errors;
-          Alcotest.test_case "mailbox batches" `Quick mailbox_batches;
+          Alcotest.test_case "domain bounds" `Quick pool_domain_bounds;
         ] );
       ( "campaign",
         [
           Alcotest.test_case "par sweep == sequential sweep" `Quick
             campaign_matches_sequential;
         ] );
-      ( "throughput",
-        [ Alcotest.test_case "flood on layered graph" `Quick flood_layered ] );
     ]

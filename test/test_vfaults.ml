@@ -225,13 +225,14 @@ let test_vfaulty_runs_reproducible () =
   Alcotest.(check bool) "same fault stats" true
     (a.E.fault_stats = b.E.fault_stats)
 
-(* {1 Sequential vs sharded parity} *)
+(* {1 Schedule independence} *)
 
-(* Flood sends once per edge, so each vertex is offered exactly in-degree
-   copies; with a scripted crash the fates depend only on that per-vertex
-   clock, never on the interleaving — the sharded engine must agree. *)
-let test_sharded_vfault_parity () =
-  let module Pn = Par.Engine.Make (Anonet.Flood) in
+(* Flood sends once per edge, so each vertex is offered exactly one copy per
+   visited in-neighbour; with a scripted crash the fates depend only on that
+   per-vertex clock, never on the interleaving — every scheduler must agree
+   on the fault ledger, the coverage and the delivery count. *)
+let test_vfault_fates_schedule_independent () =
+  let fired = ref 0 in
   for seed = 1 to 8 do
     let g =
       F.random_digraph (Prng.create seed) ~n:20 ~extra_edges:12 ~back_edges:4
@@ -246,18 +247,29 @@ let test_sharded_vfault_parity () =
         ]
     in
     let s = Anonet.Flood_engine.run ~vfaults g in
-    let p = Pn.run ~domains:2 ~vfaults g in
-    Alcotest.(check int) "same crashes" s.E.vfault_stats.E.crashes
-      p.E.vfault_stats.E.crashes;
-    Alcotest.(check int) "same restarts" s.E.vfault_stats.E.restarts
-      p.E.vfault_stats.E.restarts;
-    Alcotest.(check int) "same down drops" s.E.vfault_stats.E.down_drops
-      p.E.vfault_stats.E.down_drops;
-    Alcotest.(check (list int)) "same stopped set"
-      s.E.vfault_stats.E.stopped_vertices p.E.vfault_stats.E.stopped_vertices;
-    Alcotest.(check bool) "same coverage" true (s.E.visited = p.E.visited);
-    Alcotest.(check int) "same deliveries" s.E.deliveries p.E.deliveries
-  done
+    fired := !fired + s.E.vfault_stats.E.crashes;
+    List.iter
+      (fun (name, scheduler) ->
+        let p = Anonet.Flood_engine.run ~scheduler ~vfaults g in
+        let tag what = Printf.sprintf "seed %d, %s: %s" seed name what in
+        Alcotest.(check int) (tag "same crashes") s.E.vfault_stats.E.crashes
+          p.E.vfault_stats.E.crashes;
+        Alcotest.(check int) (tag "same restarts") s.E.vfault_stats.E.restarts
+          p.E.vfault_stats.E.restarts;
+        Alcotest.(check int)
+          (tag "same down drops")
+          s.E.vfault_stats.E.down_drops p.E.vfault_stats.E.down_drops;
+        Alcotest.(check (list int))
+          (tag "same stopped set")
+          s.E.vfault_stats.E.stopped_vertices
+          p.E.vfault_stats.E.stopped_vertices;
+        Alcotest.(check bool) (tag "same coverage") true
+          (s.E.visited = p.E.visited);
+        Alcotest.(check int) (tag "same deliveries") s.E.deliveries
+          p.E.deliveries)
+      (schedulers ~seed)
+  done;
+  Alcotest.(check bool) "crashes actually fired" true (!fired > 0)
 
 (* {1 Redundant checksum rejections} *)
 
@@ -366,7 +378,8 @@ let () =
             test_crash_stop_engine_counters;
           Alcotest.test_case "vfaulty runs reproducible" `Quick
             test_vfaulty_runs_reproducible;
-          Alcotest.test_case "sharded parity" `Quick test_sharded_vfault_parity;
+          Alcotest.test_case "fates schedule-independent" `Quick
+            test_vfault_fates_schedule_independent;
         ] );
       ( "supervisor",
         [
