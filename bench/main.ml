@@ -123,6 +123,19 @@ let e4 () =
 
 (* {1 E5 — Theorems 4.2/4.3: general broadcast} *)
 
+(* E5's graph sizes and seeds, shared with its FITS line. *)
+let e5_sizes = [ 8; 16; 32; 64; 128; 256; 512; 1024; 2560; 5120 ]
+let e5_seeds = [ 1; 2; 3 ]
+
+let e5_run n seed =
+  let g =
+    F.random_digraph (Prng.create (3000 + seed)) ~n ~extra_edges:n
+      ~back_edges:(n / 4) ~t_edge_prob:0.2
+  in
+  let st = Anonet.broadcast_general g in
+  assert (st.outcome = E.Terminated);
+  (g, st)
+
 let e5 () =
   header "E5" "General broadcast on random digraphs (Thm 4.2: O(|E|^2 |V| log d))";
   pf "%8s %8s %8s %10s %12s %10s %14s\n" "n" "|E|" "|V|" "msgs" "bits" "maxmsg"
@@ -132,13 +145,7 @@ let e5 () =
       let samples =
         List.map
           (fun seed ->
-            let prng = Prng.create (3000 + seed) in
-            let g =
-              F.random_digraph prng ~n ~extra_edges:n ~back_edges:(n / 4)
-                ~t_edge_prob:0.2
-            in
-            let st = Anonet.broadcast_general g in
-            assert (st.outcome = E.Terminated);
+            let g, st = e5_run n seed in
             let e = float_of_int (G.n_edges g) in
             let v = float_of_int (G.n_vertices g) in
             let logd = Float.max 1.0 (log2f (G.max_out_degree g)) in
@@ -148,7 +155,7 @@ let e5 () =
               float_of_int st.total_bits,
               float_of_int st.max_message_bits,
               float_of_int st.total_bits /. (e *. e *. v *. logd) ))
-          [ 1; 2; 3 ]
+          e5_seeds
       in
       let pick f = avg (List.map f samples) in
       pf "%8d %8.0f %8.0f %10.0f %12.0f %10.0f %14.6f\n" n
@@ -158,7 +165,7 @@ let e5 () =
         (pick (fun (_, _, _, b, _, _) -> b))
         (pick (fun (_, _, _, _, mm, _) -> mm))
         (pick (fun (_, _, _, _, _, r) -> r)))
-    [ 8; 16; 32; 64; 128; 256; 512; 1024; 2560 ]
+    e5_sizes
 
 (* {1 E6 — Theorem 5.1: labeling} *)
 
@@ -422,17 +429,22 @@ let fits () =
   let f = Metrics.linear_fit label_pts in
   pf "E7 label bits ~ a*h + b (d=2)   : a = %.3f (bound: Theta(h log d), R2=%.3f)\n"
     f.Metrics.slope f.Metrics.r2;
+  (* E5's graphs: per size, the mean |E| and mean total bits of its seeds,
+     from n = 16 up. *)
   let general_pts =
-    List.map
+    List.filter_map
       (fun n ->
-        let prng = Prng.create (3000 + n) in
-        let g =
-          F.random_digraph prng ~n ~extra_edges:n ~back_edges:(n / 4)
-            ~t_edge_prob:0.2
-        in
-        let st = Anonet.broadcast_general g in
-        (float_of_int (G.n_edges g), float_of_int st.total_bits))
-      [ 16; 32; 64; 128; 256 ]
+        if n < 16 then None
+        else begin
+          let runs = List.map (e5_run n) e5_seeds in
+          Some
+            ( avg (List.map (fun (g, _) -> float_of_int (G.n_edges g)) runs),
+              avg
+                (List.map
+                   (fun (_, (st : Anonet.stats)) -> float_of_int st.total_bits)
+                   runs) )
+        end)
+      e5_sizes
   in
   let f = Metrics.loglog_fit general_pts in
   pf "E5 general total bits ~ |E|^k   : k = %.3f (bound: <= 3 + o(1), R2=%.3f)\n"

@@ -27,6 +27,10 @@ type t = {
       (** [label] and every [alpha.(j)] together: the alpha this vertex has
           already routed, against which later arrivals are checked.  Derived
           from the fields above, so {!digest} leaves it out. *)
+  bits : int;
+      (** The state size: the encoded sizes of [alpha], [beta], [label] and
+          [seen_alpha] plus 8 bits.  Derived like [sent]; {!step} adjusts it
+          for the components it changed, so reading it is O(1). *)
 }
 
 type outgoing = {
@@ -59,5 +63,6 @@ val digest : t -> string
 
 val invariant : ?prev:t -> t -> bool
 (** Structural invariants: [alpha.(j)] pairwise disjoint and disjoint from
-    the label, [sent] their union at a vertex with out-ports; with [?prev],
+    the label, [sent] their union at a vertex with out-ports, [bits] the
+    recomputed state size; with [?prev],
     state-monotonicity w.r.t. that earlier state. *)

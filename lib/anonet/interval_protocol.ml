@@ -57,11 +57,7 @@ struct
 
   let equal_message (a1, b1) (a2, b2) = Is.equal a1 a2 && Is.equal b1 b2
 
-  let state_bits (st : state) =
-    Array.fold_left
-      (fun acc a -> acc + Is.size_bits a)
-      (Is.size_bits st.beta + Is.size_bits st.label + Is.size_bits st.seen_alpha + 8)
-      st.alpha
+  let state_bits (st : state) = st.bits
 
   let pp_message fmt (alpha, beta) =
     Format.fprintf fmt "alpha=%s beta=%s" (Is.to_string alpha) (Is.to_string beta)

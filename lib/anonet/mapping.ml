@@ -276,16 +276,7 @@ let equal_message a b =
 let interval_bits = I.size_bits
 
 let state_bits st =
-  let iset_bits = Is.size_bits in
-  let core_bits =
-    Array.fold_left
-      (fun acc a -> acc + iset_bits a)
-      (iset_bits st.core.Interval_core.beta
-      + iset_bits st.core.Interval_core.label
-      + iset_bits st.core.Interval_core.seen_alpha
-      + 8)
-      st.core.Interval_core.alpha
-  in
+  let core_bits = st.core.Interval_core.bits in
   let ann_bits =
     Ann_set.fold
       (fun a acc ->

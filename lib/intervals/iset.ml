@@ -54,61 +54,77 @@ let mem x s = List.exists (I.mem x) s
    up and the other's next interval starts beyond [cur], that remaining
    normal form is the tail. *)
 let union a b =
-  let rec go acc cur a b =
+  let[@tail_mod_cons] rec go cur a b =
     match (a, b) with
-    | [], [] -> List.rev (cur :: acc)
-    | iv :: a', [] | [], iv :: a' ->
-        if Dy.compare (I.hi cur) (I.lo iv) < 0 then
-          List.rev_append (cur :: acc) (iv :: a')
-        else absorb acc cur iv a' []
+    | [], [] -> [ cur ]
+    | (iv :: a' as rest), [] | [], (iv :: a' as rest) ->
+        if Dy.compare (I.hi cur) (I.lo iv) < 0 then cur :: rest
+        else absorb cur iv a' []
     | ia :: a', ib :: b' ->
-        if Dy.compare (I.lo ia) (I.lo ib) <= 0 then absorb acc cur ia a' b
-        else absorb acc cur ib a b'
-  and absorb acc cur iv a b =
-    if Dy.compare (I.lo iv) (I.hi cur) > 0 then go (cur :: acc) iv a b
+        if Dy.compare (I.lo ia) (I.lo ib) <= 0 then absorb cur ia a' b
+        else absorb cur ib a b'
+  and[@tail_mod_cons] absorb cur iv a b =
+    if Dy.compare (I.lo iv) (I.hi cur) > 0 then cur :: go iv a b
     else if Dy.compare (I.hi iv) (I.hi cur) > 0 then
-      go acc (I.make (I.lo cur) (I.hi iv)) a b
-    else go acc cur a b
+      go (I.make (I.lo cur) (I.hi iv)) a b
+    else go cur a b
   in
   match (a, b) with
   | [], s | s, [] -> s
   | ia :: a', ib :: b' ->
-      if Dy.compare (I.lo ia) (I.lo ib) <= 0 then go [] ia a' b else go [] ib a b'
+      if Dy.compare (I.lo ia) (I.lo ib) <= 0 then go ia a' b else go ib a b'
 
-let inter a b =
-  let rec go acc a b =
+(* The same sweep as [union], keeping only how far the covered prefix
+   [\[0, reach)] extends, so the stopping predicate allocates nothing. *)
+let union_is_unit a b =
+  let rec go reach a b =
     match (a, b) with
-    | [], _ | _, [] -> List.rev acc
-    | ia :: ra, ib :: rb ->
-        let c = Dy.compare (I.hi ia) (I.hi ib) in
-        let lo = Dy.max (I.lo ia) (I.lo ib) in
-        let hi = if c <= 0 then I.hi ia else I.hi ib in
-        let acc = if Dy.compare lo hi < 0 then I.make lo hi :: acc else acc in
-        if c <= 0 then go acc ra b else go acc a rb
+    | [], [] -> Dy.equal reach Dy.one
+    | iv :: a', [] | [], iv :: a' -> extend reach iv a' []
+    | ia :: a', ib :: b' ->
+        if Dy.compare (I.lo ia) (I.lo ib) <= 0 then extend reach ia a' b
+        else extend reach ib a b'
+  and extend reach iv a b =
+    Dy.compare (I.lo iv) reach <= 0 && go (Dy.max reach (I.hi iv)) a b
   in
-  go [] a b
+  (* A first interval starting below 0 would pass the gap test. *)
+  let starts_in_unit = function
+    | [] -> true
+    | iv :: _ -> Dy.sign (I.lo iv) >= 0
+  in
+  starts_in_unit a && starts_in_unit b && go Dy.zero a b
+
+let[@tail_mod_cons] rec inter a b =
+  match (a, b) with
+  | [], _ | _, [] -> []
+  | ia :: ra, ib :: rb ->
+      let c = Dy.compare (I.hi ia) (I.hi ib) in
+      let lo = Dy.max (I.lo ia) (I.lo ib) in
+      let hi = if c <= 0 then I.hi ia else I.hi ib in
+      if Dy.compare lo hi < 0 then
+        I.make lo hi :: (if c <= 0 then inter ra b else inter a rb)
+      else if c <= 0 then inter ra b
+      else inter a rb
 
 (* Cut each interval of [a] by the intervals of [b] it meets; the
    remainder of a cut interval goes back on [a] for the next one. *)
-let diff a b =
-  let rec go acc a b =
-    match (a, b) with
-    | [], _ -> List.rev acc
-    | _, [] -> List.rev_append acc a
-    | ia :: ra, ib :: rb ->
-        if Dy.compare (I.hi ib) (I.lo ia) <= 0 then go acc a rb
-        else if Dy.compare (I.hi ia) (I.lo ib) <= 0 then go (ia :: acc) ra b
-        else begin
-          let acc =
-            if Dy.compare (I.lo ia) (I.lo ib) < 0 then I.make (I.lo ia) (I.lo ib) :: acc
-            else acc
-          in
-          if Dy.compare (I.hi ib) (I.hi ia) < 0 then
-            go acc (I.make (I.hi ib) (I.hi ia) :: ra) rb
-          else go acc ra b
-        end
-  in
-  go [] a b
+let[@tail_mod_cons] rec diff a b =
+  match (a, b) with
+  | [], _ -> []
+  | _, [] -> a
+  | ia :: ra, ib :: rb ->
+      if Dy.compare (I.hi ib) (I.lo ia) <= 0 then diff a rb
+      else if Dy.compare (I.hi ia) (I.lo ib) <= 0 then ia :: diff ra b
+      else if Dy.compare (I.lo ia) (I.lo ib) < 0 then
+        I.make (I.lo ia) (I.lo ib) :: cut ia ra ib b rb
+      else cut ia ra ib b rb
+
+(* [ib] meets [ia] and nothing of [ia] is left of it: keep what sticks
+   out on the right. *)
+and[@tail_mod_cons] cut ia ra ib b rb =
+  if Dy.compare (I.hi ib) (I.hi ia) < 0 then
+    diff (I.make (I.hi ib) (I.hi ia) :: ra) rb
+  else diff ra b
 
 (* Each interval of [a] must lie inside a single interval of [b]: the
    first one of [b] not entirely to its left. *)

@@ -46,6 +46,10 @@ val is_unit : t -> bool
 (** Does this union cover exactly [\[0,1)]?  The terminal's stopping
     predicate. *)
 
+val union_is_unit : t -> t -> bool
+(** [union_is_unit a b = is_unit (union a b)], in one sweep of both normal
+    forms that allocates nothing. *)
+
 val first_interval : t -> Interval.t option
 (** Leftmost interval of the normal form. *)
 

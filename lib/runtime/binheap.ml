@@ -27,26 +27,32 @@ let push h k v =
     i := (!i - 1) / 2
   done
 
-let peek h = if h.len = 0 then None else Some h.arr.(0)
+let top h =
+  if h.len = 0 then invalid_arg "Binheap.top: empty heap";
+  h.arr.(0)
+
+let remove_top h =
+  if h.len = 0 then invalid_arg "Binheap.remove_top: empty heap";
+  h.len <- h.len - 1;
+  h.arr.(0) <- h.arr.(h.len);
+  let i = ref 0 in
+  let continue = ref (h.len > 1) in
+  while !continue do
+    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+    let smallest = ref !i in
+    if l < h.len && key h l < key h !smallest then smallest := l;
+    if r < h.len && key h r < key h !smallest then smallest := r;
+    if !smallest = !i then continue := false
+    else begin
+      swap h !i !smallest;
+      i := !smallest
+    end
+  done
 
 let pop h =
   if h.len = 0 then None
   else begin
-    let top = h.arr.(0) in
-    h.len <- h.len - 1;
-    h.arr.(0) <- h.arr.(h.len);
-    let i = ref 0 in
-    let continue = ref (h.len > 1) in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.len && key h l < key h !smallest then smallest := l;
-      if r < h.len && key h r < key h !smallest then smallest := r;
-      if !smallest = !i then continue := false
-      else begin
-        swap h !i !smallest;
-        i := !smallest
-      end
-    done;
+    let top = top h in
+    remove_top h;
     Some top
   end

@@ -15,8 +15,13 @@ val is_empty : ('k, 'v) t -> bool
 
 val push : ('k, 'v) t -> 'k -> 'v -> unit
 
-val peek : ('k, 'v) t -> ('k * 'v) option
-(** Minimal-key entry without removing it. *)
+val top : ('k, 'v) t -> 'k * 'v
+(** Minimal-key entry of a non-empty heap, as stored: no allocation.
+    @raise Invalid_argument on an empty heap. *)
+
+val remove_top : ('k, 'v) t -> unit
+(** Remove the minimal-key entry of a non-empty heap.
+    @raise Invalid_argument on an empty heap. *)
 
 val pop : ('k, 'v) t -> ('k * 'v) option
 (** Remove and return the minimal-key entry. *)

@@ -178,60 +178,138 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
   type state = P.state
   type message = P.message
 
-  (* A copy in flight.  Source, target and both ports are recoverable from
-     [edge] via the CSR arrays, so only the scheduling identity, the fault
-     bit, the protocol value (for [receive]), the arena slot (for
-     everything charged by wire size) and the causal provenance travel:
-     [lp] is the lineage node id of the receive that caused this send
-     (0 = root emission or supervisor retransmission) and [ld] this copy's
-     causal depth (parent depth + 1; root copies have depth 1). *)
-  type flight = {
-    seq : int;
-    edge : int;
-    corrupt : bool;
-    lp : int;
-    ld : int;
-    msg : P.message;
-    slot : int;
+  (* {1 The flight slab}
+
+     A copy in flight is a flight id: its fields sit in one int array, at
+     [id * stride + field], and its message in a parallel array, so a
+     delivery reads two neighbourhoods of memory.  Source, target and
+     both ports are recoverable from [edge] via the CSR arrays, so only
+     the scheduling identity ([seq]), the fault bit, the protocol value
+     (for [receive]), the arena slot (for everything charged by wire
+     size) and the causal provenance travel: [lp] is the lineage node id
+     of the receive that caused this send (0 = root emission or
+     supervisor retransmission) and [ld] this copy's causal depth
+     (parent depth + 1; root copies have depth 1).  A delivered copy's id
+     goes on a free list and the next send reuses it, so once the slab
+     has grown to the run's in-flight high-water mark it allocates
+     nothing.
+
+     A freed cell of [msgs] is overwritten with the first message the run
+     sent: a delivered message left there would stay reachable, and the
+     minor GC would promote it.  Both stores into [msgs] are skipped when
+     the cell already holds that value, since each one is a [caml_modify]
+     call; a flood re-sends its first message, so it makes neither. *)
+  let f_seq = 0
+  let f_edge = 1
+  let f_corrupt = 2
+  let f_lp = 3
+  let f_ld = 4
+  let f_slot = 5
+  let stride = 6
+
+  type slab = {
+    mutable ints : int array;
+    mutable msgs : P.message array;
+    mutable filler : P.message option;
+    mutable free : int array;  (** Free ids are [free.(0 .. n_free-1)]. *)
+    mutable n_free : int;
   }
 
-  (* In-flight message pool, specialized per scheduling policy.  Returns
-     (push, pop, drain): [drain] empties the pool and returns whatever was
-     still held, so the engine can report undelivered messages at the end of
-     a run (conservation-law checks need the full cut). *)
-  let make_pool scheduler =
-    (* A full pool array, twice over.  [Array.make] with a young flight as
-       the filler would force a minor collection once the array is too
-       big for the minor heap; appending the array to itself copies. *)
-    let doubled arr f =
-      if Array.length arr = 0 then Array.make 16 f else Array.append arr arr
+  let slab_create () =
+    { ints = [||]; msgs = [||]; filler = None; free = [||]; n_free = 0 }
+
+  let field s id f = s.ints.((id * stride) + f)
+
+  (* Double the slab and free the new ids, lowest on top.  [msgs] is
+     doubled by appending it to itself and blanking the copy: [Array.make]
+     with a young message as the filler would force a minor collection
+     once the array outgrows the minor heap. *)
+  let slab_grow s msg =
+    let cap = Array.length s.free in
+    let cap' = Stdlib.max 16 (2 * cap) in
+    let grown a n =
+      let b = Array.make n 0 in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    s.ints <- grown s.ints (cap' * stride);
+    s.free <- grown s.free cap';
+    (match s.filler with
+    | None ->
+        s.msgs <- Array.make cap' msg;
+        s.filler <- Some msg
+    | Some m ->
+        let msgs = Array.append s.msgs s.msgs in
+        Array.fill msgs cap cap m;
+        s.msgs <- msgs);
+    for i = 0 to cap' - cap - 1 do
+      s.free.(i) <- cap' - 1 - i
+    done;
+    s.n_free <- cap' - cap
+
+  let slab_alloc s ~seq ~edge ~corrupt ~lp ~ld ~slot msg =
+    if s.n_free = 0 then slab_grow s msg;
+    s.n_free <- s.n_free - 1;
+    let id = s.free.(s.n_free) in
+    let base = id * stride in
+    let ints = s.ints in
+    ints.(base + f_seq) <- seq;
+    ints.(base + f_edge) <- edge;
+    ints.(base + f_corrupt) <- Bool.to_int corrupt;
+    ints.(base + f_lp) <- lp;
+    ints.(base + f_ld) <- ld;
+    ints.(base + f_slot) <- slot;
+    if s.msgs.(id) != msg then s.msgs.(id) <- msg;
+    id
+
+  let slab_free s id =
+    (match s.filler with
+    | Some m when s.msgs.(id) != m -> s.msgs.(id) <- m
+    | _ -> ());
+    s.free.(s.n_free) <- id;
+    s.n_free <- s.n_free + 1
+
+  (* In-flight pool of flight ids, specialized per scheduling policy.
+     Returns (push, pop, drain): [pop] returns an id, or -1 when the pool
+     has nothing to deliver; [drain] empties the pool and returns whatever
+     was still held, so the engine can report undelivered messages at the
+     end of a run (conservation-law checks need the full cut). *)
+  let make_pool s scheduler =
+    (* A full id array, twice over.  Appending the array to itself keeps a
+       full ring's order from [first]. *)
+    let doubled arr =
+      if Array.length arr = 0 then Array.make 16 0 else Array.append arr arr
+    in
+    (* [len] ids at the front of a growable array. *)
+    let stack () =
+      let arr = ref [||] and len = ref 0 in
+      let push id =
+        if !len = Array.length !arr then arr := doubled !arr;
+        !arr.(!len) <- id;
+        incr len
+      in
+      (arr, len, push)
     in
     match (scheduler : Scheduler.t) with
     | Fifo ->
-        (* A growable ring: [len] flights from [first], wrapping; the
-           capacity stays a power of two.  Doubling a full ring keeps
-           [first]: its flights sit in order at [first ..] of the copy. *)
+        (* A growable ring: [len] ids from [first], wrapping; the capacity
+           stays a power of two.  Doubling a full ring keeps [first]: its
+           ids sit in order at [first ..] of the copy. *)
         let arr = ref [||] and first = ref 0 and len = ref 0 in
-        let push f =
-          if !len = Array.length !arr then arr := doubled !arr f;
+        let push id =
+          if !len = Array.length !arr then arr := doubled !arr;
           let a = !arr in
-          a.((!first + !len) land (Array.length a - 1)) <- f;
+          a.((!first + !len) land (Array.length a - 1)) <- id;
           incr len
         in
         let pop () =
-          if !len = 0 then None
+          if !len = 0 then -1
           else begin
             let a = !arr in
-            let mask = Array.length a - 1 in
-            let f = a.(!first) in
-            (* Refill the cell with the newest flight, which is still in
-               flight: a delivered flight left in the ring would stay
-               reachable, and the minor GC would promote it and its
-               message. *)
-            a.(!first) <- a.((!first + !len - 1) land mask);
-            first := (!first + 1) land mask;
+            let id = a.(!first) in
+            first := (!first + 1) land (Array.length a - 1);
             decr len;
-            Some f
+            id
           end
         in
         let drain () =
@@ -244,33 +322,30 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
         in
         (push, pop, drain)
     | Lifo ->
-        let st = ref [] in
-        ( (fun f -> st := f :: !st),
-          (fun () ->
-            match !st with
-            | [] -> None
-            | f :: rest ->
-                st := rest;
-                Some f),
-          fun () ->
-            let l = !st in
-            st := [];
-            l )
-    | Random g ->
-        let arr = ref [||] and len = ref 0 in
-        let push f =
-          if !len = Array.length !arr then arr := doubled !arr f;
-          !arr.(!len) <- f;
-          incr len
-        in
+        let arr, len, push = stack () in
         let pop () =
-          if !len = 0 then None
+          if !len = 0 then -1
+          else begin
+            decr len;
+            !arr.(!len)
+          end
+        in
+        let drain () =
+          let l = List.init !len (fun i -> !arr.(!len - 1 - i)) in
+          len := 0;
+          l
+        in
+        (push, pop, drain)
+    | Random g ->
+        let arr, len, push = stack () in
+        let pop () =
+          if !len = 0 then -1
           else begin
             let i = Prng.int g !len in
-            let f = !arr.(i) in
+            let id = !arr.(i) in
             decr len;
             !arr.(i) <- !arr.(!len);
-            Some f
+            id
           end
         in
         let drain () =
@@ -282,11 +357,20 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     | Edge_priority prio ->
         (* Binary min-heap on (priority, seq). *)
         let h = Binheap.create () in
-        let pop () = Option.map snd (Binheap.pop h) in
-        let rec drain acc =
-          match pop () with None -> List.rev acc | Some f -> drain (f :: acc)
+        let pop () =
+          if Binheap.is_empty h then -1
+          else begin
+            let _, id = Binheap.top h in
+            Binheap.remove_top h;
+            id
+          end
         in
-        ((fun f -> Binheap.push h (prio f.edge, f.seq) f), pop, fun () -> drain [])
+        let rec drain acc =
+          match pop () with -1 -> List.rev acc | id -> drain (id :: acc)
+        in
+        ( (fun id -> Binheap.push h (prio (field s id f_edge), field s id f_seq) id),
+          pop,
+          fun () -> drain [] )
     | Replay order ->
         (* Deliver exactly the listed seq numbers, in order.  A listed seq
            that is not yet in flight makes the pool report empty {e without}
@@ -295,24 +379,24 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
            that can still produce it — and retries.  With a faithfully
            recorded schedule the head always appears; if it never does (an
            unfaithful schedule) the run stops where the schedule left it. *)
-        let pool : (int, flight) Hashtbl.t = Hashtbl.create 32 in
+        let pool : (int, int) Hashtbl.t = Hashtbl.create 32 in
         let remaining = ref order in
-        let push f = Hashtbl.replace pool f.seq f in
+        let push id = Hashtbl.replace pool (field s id f_seq) id in
         let pop () =
           match !remaining with
-          | [] -> None
-          | s :: rest -> (
-              match Hashtbl.find_opt pool s with
-              | Some f ->
+          | [] -> -1
+          | q :: rest -> (
+              match Hashtbl.find pool q with
+              | id ->
                   remaining := rest;
-                  Hashtbl.remove pool s;
-                  Some f
-              | None -> None)
+                  Hashtbl.remove pool q;
+                  id
+              | exception Not_found -> -1)
         in
         let drain () =
-          let l = Hashtbl.fold (fun _ f acc -> f :: acc) pool [] in
+          let l = Hashtbl.fold (fun q id acc -> (q, id) :: acc) pool [] in
           Hashtbl.reset pool;
-          List.sort (fun a b -> compare a.seq b.seq) l
+          List.map snd (List.sort compare l)
         in
         (push, pop, drain)
 
@@ -680,7 +764,8 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
           memo_slot := slot;
           slot
     in
-    let push, pop, drain = make_pool scheduler in
+    let slab = slab_create () in
+    let push, pop, drain = make_pool slab scheduler in
     let faulty = not (Faults.is_none faults) in
     let fi = Faults.Instance.start faults in
     let vfaulty = not (Vfaults.is_none vfaults) in
@@ -703,9 +788,9 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     let lost_state_bits = ref 0 in
     let checkpoints = ref 0 in
     let replayed = ref 0 in
-    (* Copies held back by a delay fault, keyed by (release step, seq); they
-       still count as in flight. *)
-    let delayed : (int * int, flight) Binheap.t = Binheap.create () in
+    (* Flight ids held back by a delay fault, keyed by (release step, seq);
+       they still count as in flight. *)
+    let delayed : (int * int, int) Binheap.t = Binheap.create () in
     let next_seq = ref 0 in
     let max_state_bits = ref 0 in
     let in_flight = ref 0 in
@@ -726,12 +811,15 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       let b = P.state_bits st in
       if b > !max_state_bits then max_state_bits := b
     in
-    let enter f ~delay =
+    let enter ~edge ~corrupt ~lp ~ld ~slot msg ~delay =
+      let seq = !next_seq in
+      incr next_seq;
+      let id = slab_alloc slab ~seq ~edge ~corrupt ~lp ~ld ~slot msg in
       incr in_flight;
       incr entered;
       if !in_flight > !max_in_flight then max_in_flight := !in_flight;
-      if delay = 0 then push f
-      else Binheap.push delayed (!deliveries + delay, f.seq) f
+      if delay = 0 then push id
+      else Binheap.push delayed (!deliveries + delay, seq) id
     in
     let until_sample =
       ref (match oh with Some h -> h.oh_sample_every | None -> max_int)
@@ -772,19 +860,12 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       if supervised then last_msg.(edge) <- Some msg;
       let slot = slot_of msg in
       let lp = !lin_parent and ld = !lin_depth + 1 in
-      if not faulty then begin
-        enter
-          { seq = !next_seq; edge; corrupt = false; lp; ld; msg; slot }
-          ~delay:extra_delay;
-        incr next_seq
-      end
+      if not faulty then
+        enter ~edge ~corrupt:false ~lp ~ld ~slot msg ~delay:extra_delay
       else
         List.iter
           (fun ({ delay; flip_bit = corrupt } : Faults.copy_fate) ->
-            enter
-              { seq = !next_seq; edge; corrupt; lp; ld; msg; slot }
-              ~delay:(delay + extra_delay);
-            incr next_seq)
+            enter ~edge ~corrupt ~lp ~ld ~slot msg ~delay:(delay + extra_delay))
           (Faults.Instance.on_send fi ~edge)
     in
     (* Defined once: a [List.iter] closure over [tv] would be allocated on
@@ -818,14 +899,12 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
           !sent
     in
     let release_due () =
-      let continue = ref true in
-      while !continue do
-        match Binheap.peek delayed with
-        | Some ((release, _), _) when release <= !deliveries -> (
-            match Binheap.pop delayed with
-            | Some (_, f) -> push f
-            | None -> continue := false)
-        | _ -> continue := false
+      while
+        (not (Binheap.is_empty delayed))
+        && fst (fst (Binheap.top delayed)) <= !deliveries
+      do
+        push (snd (Binheap.top delayed));
+        Binheap.remove_top delayed
       done
     in
     (match oh with
@@ -850,9 +929,9 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       else begin
         release_due ();
         match pop () with
-        | None -> (
+        | -1 -> (
             match Binheap.pop delayed with
-            | Some (_, f) -> push f
+            | Some (_, id) -> push id
             | None ->
                 if P.accepting states.(t) then begin
                   outcome := Terminated;
@@ -863,22 +942,29 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                   outcome := Quiescent;
                   running := false
                 end)
-        | Some f -> (
+        | id -> (
+            (* Read the copy out of the slab and free its id at once: this
+               delivery's sends may reuse it. *)
+            let seq = field slab id f_seq and edge = field slab id f_edge in
+            let corrupt = field slab id f_corrupt = 1 in
+            let lp = field slab id f_lp and ld = field slab id f_ld in
+            let slot = field slab id f_slot and msg = slab.msgs.(id) in
+            slab_free slab id;
             incr deliveries;
             decr in_flight;
             (match lineage with
             | Some l ->
-                Obs.Lineage.note l ~id:!deliveries ~parent:f.lp ~depth:f.ld
-                  ~edge:f.edge ~vertex:head_arr.(f.edge) ~track:0
+                Obs.Lineage.note l ~id:!deliveries ~parent:lp ~depth:ld
+                  ~edge ~vertex:head_arr.(edge) ~track:0
             | None -> ());
-            (match on_pop with Some hook -> hook f.seq | None -> ());
+            (match on_pop with Some hook -> hook seq | None -> ());
             (* The churn fate comes first, on the edge's own offer clock: a
                copy offered on an absent edge is consumed (it occupies a
                replay-schedule slot, so [on_pop] already saw it) but never
                crossed the channel — no bits are charged to the edge, no
                symbol is recorded, and the vertex fates never fire. *)
             let cfate =
-              if churny then Churn.Instance.on_offer ci ~edge:f.edge
+              if churny then Churn.Instance.on_offer ci ~edge
               else Churn.Cross
             in
             if cfate <> Churn.Cross then begin
@@ -894,7 +980,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                   let tl = h.oh_timeline in
                   let mark kind =
                     Obs.Timeline.instant tl ~track:0
-                      (Printf.sprintf "churn.%s:%d" kind f.edge)
+                      (Printf.sprintf "churn.%s:%d" kind edge)
                   in
                   (match cfate with
                   | Churn.Removed left ->
@@ -905,7 +991,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                   | Churn.Down | Churn.Cross -> ())
             end
             else begin
-              let len_bits = Arena.len_bits arena f.slot in
+              let len_bits = Arena.len_bits arena slot in
               let bits = len_bits + payload_bits in
               (match oh with
               | Some h ->
@@ -922,7 +1008,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
               if verify_codec then begin
                 let r =
                   Bitio.Bit_reader.of_string ~length_bits:len_bits
-                    (Arena.to_string arena f.slot)
+                    (Arena.to_string arena slot)
                 in
                 let decoded =
                   try P.decode r
@@ -932,11 +1018,11 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                          (Printf.sprintf "%s: decode raised %s" P.name
                             (Printexc.to_string exn)))
                 in
-                if not (P.equal_message decoded f.msg) then
+                if not (P.equal_message decoded msg) then
                   raise
                     (Codec_mismatch
                        (Format.asprintf "%s: %a decoded as %a" P.name
-                          P.pp_message f.msg P.pp_message decoded));
+                          P.pp_message msg P.pp_message decoded));
                 if not (Bitio.Bit_reader.at_end r) then
                   raise
                     (Codec_mismatch
@@ -944,16 +1030,16 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                           P.name
                           (Bitio.Bit_reader.remaining r)))
               end;
-              Arena.mark_seen arena f.slot;
+              Arena.mark_seen arena slot;
               total_bits := !total_bits + bits;
-              edge_messages.(f.edge) <- edge_messages.(f.edge) + 1;
-              edge_bits.(f.edge) <- edge_bits.(f.edge) + bits;
+              edge_messages.(edge) <- edge_messages.(edge) + 1;
+              edge_bits.(edge) <- edge_bits.(edge) + bits;
               if bits > !max_message_bits then max_message_bits := bits;
               (* The vertex-fault fate is decided before decode: a delivery
                  consumed by a down, stuttering or crashing vertex is
                  charged to the edge (it did cross the channel) but never
                  reaches [P.receive], and skips the corrupt-bit draw. *)
-              let tv = head_arr.(f.edge) in
+              let tv = head_arr.(edge) in
               let vfate =
                 if vfaulty then Vfaults.Instance.on_deliver vfi ~vertex:tv
                 else Vfaults.Deliver
@@ -1008,18 +1094,18 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                       end)
               | Vfaults.Deliver -> (
                   let delivered =
-                    if not f.corrupt then Some f.msg
-                    else if len_bits = 0 then Some f.msg
+                    if not corrupt then Some msg
+                    else if len_bits = 0 then Some msg
                     else begin
                       let b =
-                        Faults.Instance.corrupt_bit fi ~edge:f.edge
+                        Faults.Instance.corrupt_bit fi ~edge
                           ~length_bits:len_bits
                       in
-                      let s = flip_bit (Arena.to_string arena f.slot) b in
+                      let s = flip_bit (Arena.to_string arena slot) b in
                       let r = Bitio.Bit_reader.of_string ~length_bits:len_bits s in
                       match P.decode r with
                       | decoded ->
-                          if not (P.equal_message decoded f.msg) then begin
+                          if not (P.equal_message decoded msg) then begin
                             incr corrupted_deliveries;
                             match oh with
                             | Some h -> Obs.Registry.incr h.c_corrupted
@@ -1043,16 +1129,16 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                   match delivered with
                   | None -> ()
                   | Some msg ->
-                      let tp = tgt_port.(f.edge) in
+                      let tp = tgt_port.(edge) in
                       (match on_deliver with
                       | Some hook ->
-                          let fv = src.(f.edge) in
+                          let fv = src.(edge) in
                           hook
                             {
                               step = !deliveries;
-                              seq = f.seq;
+                              seq;
                               from_vertex = fv;
-                              from_port = f.edge - row.(fv);
+                              from_port = edge - row.(fv);
                               to_vertex = tv;
                               to_port = tp;
                               bits;
@@ -1095,7 +1181,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                         end
                       end;
                       lin_parent := !deliveries;
-                      lin_depth := f.ld;
+                      lin_depth := ld;
                       send_all tv sends;
                       lin_parent := 0;
                       lin_depth := 0;
@@ -1109,12 +1195,10 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     (match on_undelivered with
     | None -> ()
     | Some hook ->
-        List.iter (fun f -> hook f.msg) (drain ());
-        let continue = ref true in
-        while !continue do
-          match Binheap.pop delayed with
-          | Some (_, f) -> hook f.msg
-          | None -> continue := false
+        List.iter (fun id -> hook slab.msgs.(id)) (drain ());
+        while not (Binheap.is_empty delayed) do
+          hook slab.msgs.(snd (Binheap.top delayed));
+          Binheap.remove_top delayed
         done);
     (match oh with
     | Some h ->

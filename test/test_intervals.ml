@@ -289,6 +289,63 @@ let prop_partition_matches_reference =
       List.equal Is.equal (Is.canonical_partition a d) (Ref.canonical_partition a d)
       && List.for_all normal (Is.canonical_partition a d))
 
+(* {1 The allocation-free stopping predicate} *)
+
+let union_is_unit_agrees (a, b) =
+  Is.union_is_unit a b = Is.is_unit (Is.union a b)
+  && Is.union_is_unit b a = Is.union_is_unit a b
+
+(* Random pairs almost never cover [0,1), so two cases in three pair [a] with
+   its complement, sometimes with a random piece [c] cut out of it or
+   added to it. *)
+let gen_near_cover : (Is.t * Is.t) QCheck.Gen.t =
+  QCheck.Gen.(
+    let* a = gen_iset and* c = gen_iset in
+    let rest = Is.complement (Is.inter a Is.unit) in
+    let* b =
+      frequency
+        [
+          (2, return rest);
+          (1, return (Is.diff rest c));
+          (1, return (Is.union rest c));
+          (2, return c);
+        ]
+    in
+    return (a, b))
+
+let prop_union_is_unit =
+  qcheck_to_alcotest ~count:1000 "union_is_unit = is_unit (union)"
+    (QCheck.make
+       ~print:(fun (a, b) -> Is.to_string a ^ "  |  " ^ Is.to_string b)
+       gen_near_cover)
+    union_is_unit_agrees
+
+let prop_union_is_unit_wide =
+  qcheck_to_alcotest ~count:1000 "union_is_unit = is_unit (union), wide endpoints"
+    arb_wide_iset_pair union_is_unit_agrees
+
+let test_union_is_unit_known () =
+  let q = dy 1 2 and h = Dy.half and tq = dy 3 2 in
+  let check name want a b =
+    Alcotest.(check bool) name want (Is.union_is_unit a b);
+    Alcotest.(check bool) (name ^ " (reference)") want (Is.is_unit (Is.union a b))
+  in
+  check "empty, empty" false Is.empty Is.empty;
+  check "empty side" true Is.empty Is.unit;
+  check "other empty side" true Is.unit Is.empty;
+  check "half and empty" false (Is.interval Dy.zero h) Is.empty;
+  check "starts above 0" false (Is.interval q h) (Is.interval h Dy.one);
+  check "gap of 2^-12" false (Is.interval Dy.zero q)
+    (Is.of_intervals [ iv (dy 1025 12) Dy.one ]);
+  check "touching endpoints" true (Is.interval Dy.zero h) (Is.interval h Dy.one);
+  check "interleaved pieces" true
+    (Is.of_intervals [ iv Dy.zero q; iv h tq ])
+    (Is.of_intervals [ iv q h; iv tq Dy.one ]);
+  check "overlap" true (Is.interval Dy.zero tq) (Is.interval q Dy.one);
+  check "ends short of 1" false (Is.interval Dy.zero h) (Is.interval q tq);
+  check "overshoots 1" false (Is.interval Dy.zero h) (Is.interval h (Dy.add Dy.one q));
+  check "starts below 0" false (Is.interval (Dy.neg q) h) (Is.interval h Dy.one)
+
 (* A decoder must normalize whatever order the intervals arrive in, as a
    corrupted message may carry any. *)
 let prop_read_normalizes =
@@ -348,6 +405,9 @@ let () =
         [
           prop_sweeps_match_reference;
           prop_partition_matches_reference;
+          prop_union_is_unit;
+          prop_union_is_unit_wide;
+          Alcotest.test_case "union_is_unit known" `Quick test_union_is_unit_known;
           prop_read_normalizes;
         ] );
     ]

@@ -98,6 +98,110 @@ let test_pick () =
   Alcotest.(check bool) "pick_list" true
     (List.mem (Prng.pick_list g [ 1; 2; 3 ]) [ 1; 2; 3 ])
 
+(* {1 Golden streams}
+
+   Prefixes recorded from the boxed-state implementation the generator
+   replaced: every seeded experiment, schedule and fault trace in the
+   repository depends on these exact values, so a representation change
+   must reproduce them bit for bit.  The bound [3 * 2^60] redraws 3/8 of
+   the raw draws, so it pins the rejection loop too. *)
+
+type golden = {
+  g_seed : int;
+  g_bits64 : int64 list;
+  g_int : (int * int list) list;
+  g_float : string list;
+  g_split_child : int64 list;
+  g_split_parent : int64 list;
+  g_copy : int64 list;
+}
+
+let goldens =
+  [
+    {
+      g_seed = 0;
+      g_bits64 = [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL; 0xF88BB8A8724C81ECL ];
+      g_int =
+        [
+          (1, [ 0; 0; 0; 0; 0; 0 ]);
+          (7, [ 4; 4; 4; 2; 4; 1 ]);
+          (1 lsl 40, [ 123439343319; 228989907706; 602369467047; 361736061174; 778074077773; 576502845813 ]);
+          (3 lsl 60, [ 1229575180688221911; 521378747276636922; 2037276660749189366; 198731905159091614; 1863404229348448339; 198007126102679172 ]);
+        ];
+      g_float = [ "0x1.c4415072f63b9p-1"; "0x1.b9e279aa86e58p-2"; "0x1.b1174620025p-6" ];
+      g_split_child = [ 0x568A9B0B1A2C05ECL; 0x44E5B8B147EF718BL; 0x458563AB55521133L ];
+      g_split_parent = [ 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ];
+      g_copy = [ 0x06C45D188009454FL; 0xF88BB8A8724C81ECL; 0x1B39896A51A8749BL ];
+    };
+    {
+      g_seed = 1;
+      g_bits64 = [ 0xBFEF8030DDC2D772L; 0x5F552CE482F2AA47L; 0x70335FC3DAF3D8A7L; 0xF440FE3B62C79D2CL ];
+      g_int =
+        [
+          (1, [ 0; 0; 0; 0; 0; 0 ]);
+          (7, [ 5; 4; 2; 6; 6; 2 ]);
+          (1 lsl 40, [ 104939482041; 490724742435; 970351832147; 127530159766; 639746749533; 705794784307 ]);
+          (3 lsl 60, [ 3456442450202160057; 583691011607882835; 1882644409747754646; 2036224772180130867; 744965386395259644; 1219605964238407074 ]);
+        ];
+      g_float = [ "0x1.7fdf0061bb85ap-1"; "0x1.7d54b3920bcaap-2"; "0x1.c0cd7f0f6bcf6p-2" ];
+      g_split_child = [ 0xF0E0E7BE2FCF87EDL; 0xCA7E1C9EF3F43D32L; 0x477203FC7AF79E35L ];
+      g_split_parent = [ 0x5F552CE482F2AA47L; 0x70335FC3DAF3D8A7L ];
+      g_copy = [ 0x70335FC3DAF3D8A7L; 0xF440FE3B62C79D2CL; 0x33BA2F29E7C168BBL ];
+    };
+    {
+      g_seed = 42;
+      g_bits64 = [ 0x989B3F130A063869L; 0x290DB4BF2570DED7L; 0x2A990BE63A01B2D5L; 0x0C4B6B24EF01890EL ];
+      g_int =
+        [
+          (1, [ 0; 0; 0; 0; 0; 0 ]);
+          (7, [ 3; 2; 0; 5; 4; 6 ]);
+          (1 lsl 40, [ 590642093108; 410483453803; 1044163647850; 629070152839; 236918802515; 205797935457 ]);
+          (3 lsl 60, [ 2039461619259612212; 2128883446711715923; 98536372699858534; 133237238020400266; 1256369040645502858; 1383306072426471590 ]);
+        ];
+      g_float = [ "0x1.31367e26140c7p-1"; "0x1.486da5f92b86cp-3"; "0x1.54c85f31d00d8p-3" ];
+      g_split_child = [ 0x33D3B3229FE0C44DL; 0xCC0AAF5E8D84AAC2L; 0xA539E214256B51ECL ];
+      g_split_parent = [ 0x290DB4BF2570DED7L; 0x2A990BE63A01B2D5L ];
+      g_copy = [ 0x2A990BE63A01B2D5L; 0x0C4B6B24EF01890EL; 0xFB16A06E52EC10A7L ];
+    };
+  ]
+
+let draws n f = List.init n (fun _ -> f ())
+
+let test_golden_streams () =
+  List.iter
+    (fun g ->
+      let name what = Printf.sprintf "seed %d %s" g.g_seed what in
+      let p = Prng.create g.g_seed in
+      Alcotest.(check (list int64)) (name "bits64") g.g_bits64
+        (draws (List.length g.g_bits64) (fun () -> Prng.bits64 p));
+      List.iter
+        (fun (bound, want) ->
+          let p = Prng.create g.g_seed in
+          Alcotest.(check (list int))
+            (name (Printf.sprintf "int %d" bound))
+            want
+            (draws (List.length want) (fun () -> Prng.int p bound)))
+        g.g_int;
+      let p = Prng.create g.g_seed in
+      Alcotest.(check (list string)) (name "float") g.g_float
+        (draws (List.length g.g_float) (fun () -> Printf.sprintf "%h" (Prng.float p)));
+      let p = Prng.create g.g_seed in
+      let child = Prng.split p in
+      Alcotest.(check (list int64)) (name "split child") g.g_split_child
+        (draws (List.length g.g_split_child) (fun () -> Prng.bits64 child));
+      Alcotest.(check (list int64)) (name "split parent") g.g_split_parent
+        (draws (List.length g.g_split_parent) (fun () -> Prng.bits64 p));
+      (* The copy is taken after a [bits64] and an [int], and the original
+         advances once more before the copy is read. *)
+      let p = Prng.create g.g_seed in
+      ignore (Prng.bits64 p);
+      ignore (Prng.int p 7);
+      let c = Prng.copy p in
+      ignore (Prng.bits64 p);
+      Alcotest.(check (list int64)) (name "copy") g.g_copy
+        (draws (List.length g.g_copy) (fun () -> Prng.bits64 c)))
+    goldens
+
 let () =
   Alcotest.run "prng"
     [
@@ -107,6 +211,7 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
           Alcotest.test_case "copy" `Quick test_copy_independent;
           Alcotest.test_case "split" `Quick test_split_diverges;
+          Alcotest.test_case "golden streams" `Quick test_golden_streams;
         ] );
       ( "draws",
         [

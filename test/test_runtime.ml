@@ -236,6 +236,29 @@ let test_binheap_duplicate_keys () =
     [ 'a'; 'b'; 'c'; 'd'; 'e'; 'f' ]
     (List.sort compare (List.map snd out))
 
+(* [top]/[remove_top] are the allocation-free peek and pop the engine's
+   pools and delay queue use: [top] returns the stored entry itself, and
+   both reject an empty heap. *)
+let test_binheap_top () =
+  let h = Runtime.Binheap.create () in
+  Alcotest.check_raises "top on empty" (Invalid_argument "Binheap.top: empty heap")
+    (fun () -> ignore (Runtime.Binheap.top h));
+  Alcotest.check_raises "remove_top on empty"
+    (Invalid_argument "Binheap.remove_top: empty heap") (fun () ->
+      Runtime.Binheap.remove_top h);
+  List.iter (fun k -> Runtime.Binheap.push h k (10 * k)) [ 4; 2; 7; 1 ];
+  let order = ref [] in
+  while not (Runtime.Binheap.is_empty h) do
+    let top = Runtime.Binheap.top h in
+    Alcotest.(check bool) "top is the stored entry" true
+      (Runtime.Binheap.top h == top);
+    order := top :: !order;
+    Runtime.Binheap.remove_top h
+  done;
+  Alcotest.(check (list (pair int int))) "ascending"
+    [ (1, 10); (2, 20); (4, 40); (7, 70) ]
+    (List.rev !order)
+
 (* {1 Trace.edge_first_use} *)
 
 let test_edge_first_use () =
@@ -346,6 +369,7 @@ let () =
           prop_binheap_order;
           Alcotest.test_case "ties break by seq" `Quick test_binheap_ties_fifo_by_seq;
           Alcotest.test_case "duplicate keys" `Quick test_binheap_duplicate_keys;
+          Alcotest.test_case "top/remove_top" `Quick test_binheap_top;
         ] );
       ( "trace",
         [ Alcotest.test_case "edge_first_use" `Quick test_edge_first_use ] );
