@@ -1354,28 +1354,8 @@ let serve_cmd =
             "Skip the fsync on journal appends (throwaway servers, \
              benchmarking the baseline).")
   in
-  let watchdog_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "watchdog" ] ~docv:"MS"
-          ~doc:
-            "Enable the stuck-session watchdog with a $(docv) cancel budget: \
-             Running sessions are warned at half the budget, cooperatively \
-             cancelled past it, and a (graph, protocol) pair that keeps \
-             getting cancelled is quarantined behind a circuit breaker.")
-  in
-  let shed_t =
-    Arg.(
-      value & opt int 0
-      & info [ "shed-watermark-ms" ] ~docv:"MS"
-          ~doc:
-            "Queue-latency watermark for adaptive shedding: past it, \
-             submissions whose deadline the backlog would blow are refused \
-             with a retry-after hint instead of queued.  0 disables.")
-  in
   let run graphs socket stdio workers max_queue credits step_limit journal
-      no_sync watchdog_ms shed_watermark_ms =
+      no_sync =
     let parse_pair spec =
       match String.index_opt spec '=' with
       | Some i ->
@@ -1407,17 +1387,6 @@ let serve_cmd =
               step_limit;
               journal;
               journal_sync = not no_sync;
-              shed_watermark_ms;
-              watchdog =
-                Option.map
-                  (fun ms ->
-                    {
-                      Serve.Watchdog.default_config with
-                      tick_ms = max 1 (ms / 4);
-                      warn_after_ms = max 1 (ms / 2);
-                      cancel_after_ms = max 1 ms;
-                    })
-                  watchdog_ms;
             }
           in
           match Serve.Server.create ~config () with
@@ -1457,8 +1426,7 @@ let serve_cmd =
     Term.(
       ret
         (const run $ graph_t $ socket_t $ stdio_t $ workers_t $ max_queue_t
-       $ credits_t $ step_limit_t $ journal_t $ no_sync_t
-       $ watchdog_t $ shed_t))
+       $ credits_t $ step_limit_t $ journal_t $ no_sync_t))
 
 let client_cmd =
   let socket_t =
@@ -1498,8 +1466,8 @@ let client_cmd =
           ~doc:
             "Retry raw requests up to N times on 'overloaded' answers and \
              refused connections, with capped exponential backoff plus \
-             seeded jitter (the supervisor's retransmission schedule), \
-             honouring the server's retry_after_ms hints.  0 disables.")
+             seeded jitter (the supervisor's retransmission schedule).  0 \
+             disables.")
   in
   let retry_base_t =
     Arg.(

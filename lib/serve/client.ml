@@ -60,19 +60,18 @@ let request t line =
    supervisor's retransmission policy ([Runtime.Supervisor.backoff]) —
    one backoff implementation serves both the in-network retransmit
    timers and the out-of-network client, so tuning (cap, jitter shape)
-   stays in one place.  A server-supplied [retry_after_ms] hint can only
-   {e lengthen} a wait: the client sleeps [max backoff hint]. *)
+   stays in one place. *)
 
 type retry = { r_attempts : int; r_base_ms : int; r_seed : int }
 
 let default_retry = { r_attempts = 5; r_base_ms = 50; r_seed = 0 }
 
-let retry_delay_ms r prng ~round ~hint_ms =
+let retry_delay_ms r prng ~round =
   let cfg = Runtime.Supervisor.config ~base_timeout:r.r_base_ms () in
-  Stdlib.max (Runtime.Supervisor.backoff cfg prng ~round) hint_ms
+  Runtime.Supervisor.backoff cfg prng ~round
 
-let retry_sleep r prng ~round ~hint_ms =
-  Unix.sleepf (float_of_int (retry_delay_ms r prng ~round ~hint_ms) /. 1000.0)
+let retry_sleep r prng ~round =
+  Unix.sleepf (float_of_int (retry_delay_ms r prng ~round) /. 1000.0)
 
 let connect_retry ?(retry = default_retry) path =
   let prng = Prng.create retry.r_seed in
@@ -82,39 +81,9 @@ let connect_retry ?(retry = default_retry) path =
     | Error e ->
         if round >= retry.r_attempts then Error e
         else begin
-          retry_sleep retry prng ~round ~hint_ms:0;
+          retry_sleep retry prng ~round;
           go (round + 1)
         end
-  in
-  go 0
-
-(* The response's error object, when it asks to be retried. *)
-let overloaded_hint resp =
-  match J.parse resp with
-  | Error _ -> None
-  | Ok v -> (
-      match Option.bind (J.member "error" v) (J.member "code") with
-      | Some code when J.to_string_opt code = Some "overloaded" ->
-          Some
-            (match
-               Option.bind (J.member "error" v) (fun e ->
-                   Option.bind (J.member "retry_after_ms" e) J.to_int_opt)
-             with
-            | Some ms -> ms
-            | None -> 0)
-      | _ -> None)
-
-let request_retry ?(retry = default_retry) t line =
-  let prng = Prng.create retry.r_seed in
-  let rec go round =
-    match request t line with
-    | Error _ as e -> e
-    | Ok resp -> (
-        match overloaded_hint resp with
-        | Some hint_ms when round < retry.r_attempts ->
-            retry_sleep retry prng ~round ~hint_ms;
-            go (round + 1)
-        | _ -> Ok resp)
   in
   go 0
 
@@ -142,6 +111,21 @@ let result_of resp =
         | _ -> "unknown"
       in
       Error code
+
+(* Resends on [overloaded] only, on the schedule of {!connect_retry}. *)
+let request_retry ?(retry = default_retry) t line =
+  let prng = Prng.create retry.r_seed in
+  let rec go round =
+    match request t line with
+    | Error _ as e -> e
+    | Ok resp -> (
+        match result_of resp with
+        | Error "overloaded" when round < retry.r_attempts ->
+            retry_sleep retry prng ~round;
+            go (round + 1)
+        | _ -> Ok resp)
+  in
+  go 0
 
 let watch t id =
   match request t (Printf.sprintf "{\"op\":\"watch\",\"id\":%s}" (J.escape id)) with

@@ -19,8 +19,7 @@ val request : t -> string -> (string, string) result
 
     Capped exponential backoff with seeded jitter, reusing the
     supervisor's retransmission schedule ([Runtime.Supervisor.backoff])
-    so there is exactly one backoff policy in the tree.  A
-    server-supplied [retry_after_ms] hint can only lengthen a wait. *)
+    so there is exactly one backoff policy in the tree. *)
 
 type retry = {
   r_attempts : int;  (** Max retries beyond the first attempt. *)
@@ -31,18 +30,17 @@ type retry = {
 val default_retry : retry
 (** 5 retries, 50ms base, seed 0. *)
 
-val retry_delay_ms : retry -> Prng.t -> round:int -> hint_ms:int -> int
-(** The wait before retry [round] (0-based):
-    [max (Supervisor.backoff ~round) hint_ms].  Exposed so tests can pin
-    the policy-reuse contract. *)
+val retry_delay_ms : retry -> Prng.t -> round:int -> int
+(** The wait before retry [round] (0-based): [Supervisor.backoff ~round].
+    Exposed so tests can pin the policy-reuse contract. *)
 
 val connect_retry : ?retry:retry -> string -> (t, string) result
 (** {!connect}, retrying refused/missing sockets — rides out a server
     restart. *)
 
 val request_retry : ?retry:retry -> t -> string -> (string, string) result
-(** {!request}, resending on an [overloaded] answer (honouring its
-    [retry_after_ms] hint).  Other errors return immediately. *)
+(** {!request}, resending on an [overloaded] answer.  Other errors return
+    immediately. *)
 
 val result_of : string -> (Obs.Json.value, string) result
 (** Unwrap a response envelope: the ["result"] value, or the error code

@@ -24,9 +24,6 @@ type error_code =
   | No_credit  (** This connection's unfinished-session cap is reached. *)
   | Not_done  (** [result] asked before the session finished. *)
   | Cancelled_error  (** [result] of a cancelled session. *)
-  | Quarantined
-      (** The (graph, protocol) pair tripped the watchdog's circuit
-          breaker; resubmit after the retry-after hint. *)
   | Shutting_down
 
 let code_string = function
@@ -40,7 +37,6 @@ let code_string = function
   | No_credit -> "no_credit"
   | Not_done -> "not_done"
   | Cancelled_error -> "cancelled"
-  | Quarantined -> "quarantined"
   | Shutting_down -> "shutting_down"
 
 (* Inverse spelling, for journal replay of [Failed] records; an unknown
@@ -56,7 +52,6 @@ let code_of_string = function
   | "no_credit" -> No_credit
   | "not_done" -> Not_done
   | "cancelled" -> Cancelled_error
-  | "quarantined" -> Quarantined
   | "shutting_down" -> Shutting_down
   | _ -> Bad_request
 
@@ -278,15 +273,12 @@ let envelope ?id ~ok body =
 
 let ok ?id result_json = envelope ?id ~ok:true ("\"result\":" ^ result_json)
 
-let error ?id ?retry_after_ms code msg =
+let error ?id code msg =
   let b = Buffer.create 64 in
   Buffer.add_string b "\"error\":{\"code\":\"";
   Buffer.add_string b (code_string code);
   Buffer.add_string b "\",\"msg\":";
   J.buf_string b msg;
-  (match retry_after_ms with
-  | Some ms -> Printf.bprintf b ",\"retry_after_ms\":%d" ms
-  | None -> ());
   Buffer.add_char b '}';
   envelope ?id ~ok:false (Buffer.contents b)
 

@@ -19,9 +19,6 @@ type error_code =
   | No_credit  (** The connection's unfinished-session cap is reached. *)
   | Not_done  (** [result] asked before the session finished. *)
   | Cancelled_error  (** [result] of a cancelled session. *)
-  | Quarantined
-      (** The (graph, protocol) pair tripped the watchdog's circuit
-          breaker; resubmit after the [retry_after_ms] hint. *)
   | Shutting_down
 
 val code_string : error_code -> string
@@ -87,10 +84,8 @@ val ok : ?id:string -> string -> string
     embedded {e verbatim} (it must be pre-rendered JSON), which is what
     makes stored session results byte-identical on every [result] call. *)
 
-val error : ?id:string -> ?retry_after_ms:int -> error_code -> string -> string
-(** [retry_after_ms] adds a machine-readable backoff hint to the error
-    object — [overloaded]/[quarantined] answers carry one so clients can
-    pace their retries instead of hammering. *)
+val error : ?id:string -> error_code -> string -> string
+(** [error ?id code msg] builds a failure envelope. *)
 
 val state_result : string -> string
 (** [{"state":"queued"}] etc. — the [submit]/[status]/[cancel] payload. *)

@@ -1,94 +1,47 @@
-(* A bounded multi-producer multi-consumer job queue with adaptive
-   overload control.
+(* A bounded multi-producer multi-consumer job queue.
 
    The admission-control half of the server.  [try_push] never blocks —
-   a full queue is an immediate, typed answer to the client, not
-   invisible latency.  Consumers ([pop]) block on a condition variable;
-   [close] wakes them all and lets them drain what is already queued, so
-   a graceful shutdown finishes accepted work.
-
-   Adaptive shedding: every pop measures how long its item waited and
-   folds it into an EWMA of queue latency.  Below the watermark,
-   admission is plain bounded FIFO.  Once the estimated wait crosses the
-   watermark the queue shifts to {e deadline-aware shedding}: a request
-   whose deadline the current backlog would already blow is refused at
-   the door ([Shed]) instead of being queued, run late and cancelled —
-   the client gets its capacity back as a retry-after hint rather than a
-   doomed session.  Deadline-less work keeps FIFO semantics (it cannot
-   miss a deadline, so queueing it is never a lie). *)
-
-type push_result =
-  | Pushed
-  | Full of int  (* queue at capacity; retry-after hint in ms *)
-  | Shed of int  (* deadline unmeetable at current latency; hint in ms *)
+   a full queue is an immediate answer to the client, not invisible
+   latency.  Consumers ([pop]) block on a condition variable; [close]
+   wakes them all and lets them drain what is already queued, so a
+   graceful shutdown finishes accepted work. *)
 
 type 'a t = {
-  q : ('a * float * float option) Queue.t;  (* item, enqueued-at, deadline *)
+  q : 'a Queue.t;
   cap : int;
-  watermark_ms : int;  (* 0 = shedding disabled *)
   lock : Mutex.t;
   nonempty : Condition.t;
   mutable closed : bool;
-  mutable ewma_wait : float;  (* seconds; EWMA of observed queue waits *)
-  mutable waits : int;  (* samples folded in so far *)
 }
 
-let create ~cap ?(watermark_ms = 0) () =
+let create ~cap =
   if cap < 1 then invalid_arg "Sched.create: cap must be >= 1";
-  if watermark_ms < 0 then
-    invalid_arg "Sched.create: watermark_ms must be >= 0";
   {
     q = Queue.create ();
     cap;
-    watermark_ms;
     lock = Mutex.create ();
     nonempty = Condition.create ();
     closed = false;
-    ewma_wait = 0.0;
-    waits = 0;
   }
 
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* Retry-after: the latency estimate itself, floored at 1ms so a hint is
-   never "now". *)
-let hint_ms_unlocked t =
-  Stdlib.max 1 (int_of_float (Float.ceil (t.ewma_wait *. 1000.0)))
-
-let try_push t ?deadline ~now x =
+let try_push t x =
   locked t (fun () ->
-      if t.closed || Queue.length t.q >= t.cap then Full (hint_ms_unlocked t)
-      else if
-        t.watermark_ms > 0
-        && t.ewma_wait *. 1000.0 > float_of_int t.watermark_ms
-        && match deadline with
-           | Some d -> now +. t.ewma_wait > d
-           | None -> false
-      then Shed (hint_ms_unlocked t)
+      if t.closed || Queue.length t.q >= t.cap then false
       else begin
-        Queue.push (x, now, deadline) t.q;
+        Queue.push x t.q;
         Condition.signal t.nonempty;
-        Pushed
+        true
       end)
-
-(* First sample seeds the EWMA (no cold-start bias toward 0), later ones
-   blend at alpha = 0.2 — reactive enough to notice a latency spike
-   within a handful of pops, smooth enough to ignore one slow session. *)
-let note_wait t ~now enq =
-  let w = Stdlib.max 0.0 (now -. enq) in
-  t.ewma_wait <-
-    (if t.waits = 0 then w else (0.2 *. w) +. (0.8 *. t.ewma_wait));
-  t.waits <- t.waits + 1
 
 let pop t =
   locked t (fun () ->
       let rec go () =
         match Queue.take_opt t.q with
-        | Some (x, enq, _) ->
-            note_wait t ~now:(Unix.gettimeofday ()) enq;
-            Some x
+        | Some _ as x -> x
         | None ->
             if t.closed then None
             else begin
@@ -98,16 +51,7 @@ let pop t =
       in
       go ())
 
-let try_pop ?now t =
-  locked t (fun () ->
-      match Queue.take_opt t.q with
-      | Some (x, enq, _) ->
-          let now =
-            match now with Some n -> n | None -> Unix.gettimeofday ()
-          in
-          note_wait t ~now enq;
-          Some x
-      | None -> None)
+let try_pop t = locked t (fun () -> Queue.take_opt t.q)
 
 let close t =
   locked t (fun () ->
@@ -115,4 +59,3 @@ let close t =
       Condition.broadcast t.nonempty)
 
 let length t = locked t (fun () -> Queue.length t.q)
-let est_wait_ms t = locked t (fun () -> hint_ms_unlocked t)

@@ -1,45 +1,23 @@
-(** Bounded MPMC job queue with adaptive overload control.
+(** Bounded MPMC job queue — the server's admission queue.
 
-    Producers never block: {!try_push} answers immediately with a typed
-    admission decision.  Consumers ({!pop}) block until an item or
+    Producers never block: {!try_push} answers immediately, [false]
+    meaning full (or closed).  Consumers ({!pop}) block until an item or
     {!close} arrives; a closed queue still drains already-accepted items
-    so graceful shutdown finishes accepted work.
-
-    Every dequeue feeds the observed queue wait into an EWMA latency
-    estimate.  When a positive [watermark_ms] is configured and the
-    estimate exceeds it, admission becomes {e deadline-aware}: a request
-    whose deadline the current backlog would already blow is refused
-    ({!push_result.Shed}) with a retry-after hint instead of being
-    queued and cancelled late.  Deadline-less requests keep plain
-    bounded-FIFO semantics. *)
-
-type push_result =
-  | Pushed
-  | Full of int
-      (** Queue at capacity (or closed); payload is a retry-after hint
-          in milliseconds derived from the latency estimate. *)
-  | Shed of int
-      (** Latency estimate above the watermark and the request's
-          deadline unmeetable; same retry-after hint. *)
+    so graceful shutdown finishes accepted work. *)
 
 type 'a t
 
-val create : cap:int -> ?watermark_ms:int -> unit -> 'a t
-(** [watermark_ms = 0] (the default) disables shedding. *)
+val create : cap:int -> 'a t
+(** @raise Invalid_argument if [cap < 1]. *)
 
-val try_push : 'a t -> ?deadline:float -> now:float -> 'a -> push_result
-(** [deadline] is an absolute [Unix.gettimeofday]-clock instant. *)
+val try_push : 'a t -> 'a -> bool
+(** [false] = at capacity or closed; the item was not queued. *)
 
 val pop : 'a t -> 'a option
 (** Blocks; [None] only once closed {e and} drained. *)
 
-val try_pop : ?now:float -> 'a t -> 'a option
-(** Non-blocking. [now] overrides the wall clock for the wait sample —
-    injectable for deterministic latency tests. *)
+val try_pop : 'a t -> 'a option
+(** Non-blocking. *)
 
 val close : 'a t -> unit
 val length : 'a t -> int
-
-val est_wait_ms : 'a t -> int
-(** Current queue-wait estimate, ms, floored at 1 — the retry-after
-    hint clients receive. *)

@@ -42,8 +42,6 @@ type config = {
   max_line : int;
   journal : string option;  (* WAL path; None = no durability *)
   journal_sync : bool;  (* fsync on append (false: bench baselines) *)
-  shed_watermark_ms : int;  (* queue-latency watermark; 0 = plain FIFO *)
-  watchdog : Watchdog.config option;
 }
 
 let default_config =
@@ -57,8 +55,6 @@ let default_config =
     max_line = Wire.default_max_line;
     journal = None;
     journal_sync = true;
-    shed_watermark_ms = 0;
-    watchdog = None;
   }
 
 type recovery = {
@@ -85,7 +81,6 @@ type t = {
   c_cancelled : R.acounter;
   c_failed : R.acounter;
   c_rejected_overloaded : R.acounter;
-  c_rejected_shed : R.acounter;
   c_rejected_no_credit : R.acounter;
   c_frames : R.acounter;
   c_frame_errors : R.acounter;
@@ -97,17 +92,18 @@ type t = {
   keys_tbl : (string, string) Hashtbl.t;  (* idempotency key -> session id *)
   keys_lock : Mutex.t;
   journal : Journal.t option;
-  watchdog : Watchdog.t option;
   recovery : recovery option;
   mutable worker_doms : unit Domain.t list;
-  mutable wd_running : bool;
   mutable stopped : bool;
 }
 
 (* {1 Journal replay = recovery}
 
    Fold the log into per-id entries (submit line + first terminal record
-   of each kind), then restore sessions in submit order.  Precedence:
+   of each kind), then restore sessions in submit order.  A rollback
+   record erases its id's entry: the live server freed that id and its
+   key when admission refused the submit, so replay must too — the id,
+   the key and any later submit of the same id start fresh.  Precedence:
    a [Result] record means the client may have seen those exact bytes, so
    re-execute and digest-verify; [Cancelled]/[Failed] are restored as-is
    (re-running a cancelled session would resurrect work the client
@@ -122,11 +118,17 @@ type t = {
    of a worker's allocation and sets its GC pace. *)
 let session_obs t = Obs.create ~sample_every:t.cfg.sample_every ~capacity:1024 ()
 
+(* The [Cancelled] reason [handle_submit] journals when admission refuses
+   a submit it already journaled. *)
+let rollback_reason = "rollback"
+
 type replay_entry = {
+  e_id : string;
   mutable e_line : string;
   mutable e_result : (string * int * int) option;  (* digest, deliv, bits *)
   mutable e_cancel : string option;
   mutable e_fail : (string * string) option;
+  mutable e_rolled_back : bool;
 }
 
 let replay_journal t ~(scan : Journal.scan) =
@@ -143,14 +145,27 @@ let replay_journal t ~(scan : Journal.scan) =
       match r with
       | Journal.Submitted { id; line } ->
           if not (Hashtbl.mem entries id) then begin
-            Hashtbl.add entries id
-              { e_line = line; e_result = None; e_cancel = None; e_fail = None };
-            order := id :: !order
+            let e =
+              {
+                e_id = id;
+                e_line = line;
+                e_result = None;
+                e_cancel = None;
+                e_fail = None;
+                e_rolled_back = false;
+              }
+            in
+            Hashtbl.add entries id e;
+            order := e :: !order
           end
       | Journal.Result { id; digest; deliveries; total_bits; _ } ->
           terminal id (fun e ->
               if e.e_result = None then
                 e.e_result <- Some (digest, deliveries, total_bits))
+      | Journal.Cancelled { id; reason } when reason = rollback_reason ->
+          terminal id (fun e ->
+              e.e_rolled_back <- true;
+              Hashtbl.remove entries id)
       | Journal.Cancelled { id; reason } ->
           terminal id (fun e ->
               if e.e_cancel = None then e.e_cancel <- Some reason)
@@ -191,8 +206,8 @@ let replay_journal t ~(scan : Journal.scan) =
     res
   in
   List.iter
-    (fun id ->
-      let e = Hashtbl.find entries id in
+    (fun e ->
+      let id = e.e_id in
       match Proto.parse_request e.e_line with
       | Ok (Proto.Submit sub) when sub.Proto.sub_id = id -> (
           match
@@ -281,7 +296,7 @@ let replay_journal t ~(scan : Journal.scan) =
                                  }))
                           t.journal))
       | Ok _ | Error _ -> incr unreplayable)
-    (List.rev !order);
+    (List.rev (List.filter (fun e -> not e.e_rolled_back) !order));
   let rec_summary =
     {
       rec_replayed = !replayed;
@@ -314,8 +329,6 @@ let create ?(config = default_config) () =
   if config.workers < 0 then Error "workers must be >= 0"
   else if config.max_queue < 1 then Error "max_queue must be >= 1"
   else if config.credits < 1 then Error "credits must be >= 1"
-  else if config.shed_watermark_ms < 0 then
-    Error "shed_watermark_ms must be >= 0"
   else if config.graphs = [] then Error "at least one --graph is required"
   else
     let rec resolve acc = function
@@ -331,67 +344,53 @@ let create ?(config = default_config) () =
     match resolve [] config.graphs with
     | Error _ as e -> e
     | Ok graphs -> (
-        let registry = R.create () in
-        let sessions = Session.create_table () in
-        match
-          Option.map
-            (fun wd_cfg -> Watchdog.create wd_cfg sessions registry)
-            config.watchdog
-        with
-        | exception Invalid_argument m -> Error m
-        | watchdog -> (
-            let journal_open =
-              match config.journal with
-              | None -> Ok None
-              | Some path -> (
-                  match Journal.open_append ~sync:config.journal_sync path with
-                  | Ok (j, scan) -> Ok (Some (j, scan))
-                  | Error e -> Error (Printf.sprintf "journal %s: %s" path e))
+        let journal_open =
+          match config.journal with
+          | None -> Ok None
+          | Some path -> (
+              match Journal.open_append ~sync:config.journal_sync path with
+              | Ok (j, scan) -> Ok (Some (j, scan))
+              | Error e -> Error (Printf.sprintf "journal %s: %s" path e))
+        in
+        match journal_open with
+        | Error _ as e -> e
+        | Ok journal_open ->
+            let registry = R.create () in
+            let t =
+              {
+                cfg = config;
+                graphs;
+                sessions = Session.create_table ();
+                queue = Sched.create ~cap:config.max_queue;
+                registry;
+                merge_lock = Mutex.create ();
+                c_submitted = R.acounter registry "server.sessions.submitted";
+                c_completed = R.acounter registry "server.sessions.completed";
+                c_cancelled = R.acounter registry "server.sessions.cancelled";
+                c_failed = R.acounter registry "server.sessions.failed";
+                c_rejected_overloaded =
+                  R.acounter registry "server.rejected.overloaded";
+                c_rejected_no_credit =
+                  R.acounter registry "server.rejected.no_credit";
+                c_frames = R.acounter registry "server.frames";
+                c_frame_errors = R.acounter registry "server.frame_errors";
+                c_overflows = R.acounter registry "server.wire.overflows";
+                c_key_hits = R.acounter registry "server.sessions.key_hits";
+                shutdown_flag = Atomic.make false;
+                credits_tbl = Hashtbl.create 8;
+                credits_lock = Mutex.create ();
+                keys_tbl = Hashtbl.create 16;
+                keys_lock = Mutex.create ();
+                journal = Option.map fst journal_open;
+                recovery = None;
+                worker_doms = [];
+                stopped = false;
+              }
             in
-            match journal_open with
-            | Error _ as e -> e
-            | Ok journal_open ->
-                let t =
-                  {
-                    cfg = config;
-                    graphs;
-                    sessions;
-                    queue =
-                      Sched.create ~cap:config.max_queue
-                        ~watermark_ms:config.shed_watermark_ms ();
-                    registry;
-                    merge_lock = Mutex.create ();
-                    c_submitted = R.acounter registry "server.sessions.submitted";
-                    c_completed = R.acounter registry "server.sessions.completed";
-                    c_cancelled = R.acounter registry "server.sessions.cancelled";
-                    c_failed = R.acounter registry "server.sessions.failed";
-                    c_rejected_overloaded =
-                      R.acounter registry "server.rejected.overloaded";
-                    c_rejected_shed = R.acounter registry "server.rejected.shed";
-                    c_rejected_no_credit =
-                      R.acounter registry "server.rejected.no_credit";
-                    c_frames = R.acounter registry "server.frames";
-                    c_frame_errors = R.acounter registry "server.frame_errors";
-                    c_overflows = R.acounter registry "server.wire.overflows";
-                    c_key_hits = R.acounter registry "server.sessions.key_hits";
-                    shutdown_flag = Atomic.make false;
-                    credits_tbl = Hashtbl.create 8;
-                    credits_lock = Mutex.create ();
-                    keys_tbl = Hashtbl.create 16;
-                    keys_lock = Mutex.create ();
-                    journal = Option.map fst journal_open;
-                    watchdog;
-                    recovery = None;
-                    worker_doms = [];
-                    wd_running = false;
-                    stopped = false;
-                  }
-                in
-                let recovery =
-                  Option.map (fun (_, scan) -> replay_journal t ~scan)
-                    journal_open
-                in
-                Ok { t with recovery }))
+            let recovery =
+              Option.map (fun (_, scan) -> replay_journal t ~scan) journal_open
+            in
+            Ok { t with recovery })
 
 (* {1 Credits} *)
 
@@ -507,7 +506,6 @@ let execute t (s : Session.t) =
         match s.Session.state with
         | Queued ->
             s.Session.state <- Running;
-            s.Session.t_started <- Unix.gettimeofday ();
             true
         | _ -> false  (* cancelled while queued; nothing to do *))
   in
@@ -563,12 +561,7 @@ let execute t (s : Session.t) =
         let state =
           match res.Runner.r_outcome with
           | Runtime.Engine.Cancelled ->
-              (* Reason, best effort: the watchdog raised [wd_level] to 2
-                 before flipping the flag, so the order of checks makes
-                 the escalation visible in the reason string. *)
-              if s.Session.wd_level >= 2 then Session.Cancelled "watchdog"
-              else if Atomic.get s.Session.cancel then
-                Session.Cancelled "cancel"
+              if Atomic.get s.Session.cancel then Session.Cancelled "cancel"
               else Session.Cancelled "deadline"
           | _ -> Session.Done res.Runner.json
         in
@@ -595,23 +588,13 @@ let worker_loop t () =
 let start_workers t =
   if t.worker_doms = [] && t.cfg.workers > 0 then
     t.worker_doms <-
-      List.init t.cfg.workers (fun _ -> Domain.spawn (worker_loop t));
-  match t.watchdog with
-  | Some wd when not t.wd_running ->
-      t.wd_running <- true;
-      Watchdog.start wd
-  | _ -> ()
+      List.init t.cfg.workers (fun _ -> Domain.spawn (worker_loop t))
 
 (* Close the queue and join the workers; accepted sessions drain first. *)
 let stop t =
   if not t.stopped then begin
     t.stopped <- true;
     Atomic.set t.shutdown_flag true;
-    (match t.watchdog with
-    | Some wd when t.wd_running ->
-        t.wd_running <- false;
-        Watchdog.stop wd
-    | _ -> ());
     Sched.close t.queue;
     List.iter Domain.join t.worker_doms;
     t.worker_doms <- [];
@@ -673,79 +656,51 @@ let handle_submit t ~conn ~raw (sub : Proto.submit) =
       (Printf.sprintf "unknown graph %S (one of: %s)" sub.Proto.sub_graph
          (String.concat ", " (List.map fst t.graphs)))
   else
-    let quarantine =
-      Option.bind t.watchdog (fun wd ->
-          Watchdog.quarantined wd ~graph:sub.Proto.sub_graph
-            ~protocol:sub.Proto.sub_protocol ~now:(Unix.gettimeofday ()))
-    in
-    match quarantine with
-    | Some remaining_ms ->
-        Proto.error ~id ~retry_after_ms:remaining_ms Proto.Quarantined
-          (Printf.sprintf "(%s, %s) is quarantined by the watchdog"
-             sub.Proto.sub_graph sub.Proto.sub_protocol)
-    | None -> (
-        match key_claim t sub with
-        | `Dup orig_id ->
-            R.aincr t.c_key_hits;
-            reply_for_original t ~id orig_id
-        | (`Claimed | `No_key) as claim -> (
-            let unclaim () =
-              match (claim, sub.Proto.sub_key) with
-              | `Claimed, Some k -> key_unclaim t k id
-              | _ -> ()
-            in
-            if not (credit_take t conn) then begin
+    match key_claim t sub with
+    | `Dup orig_id ->
+        R.aincr t.c_key_hits;
+        reply_for_original t ~id orig_id
+    | (`Claimed | `No_key) as claim -> (
+        let unclaim () =
+          match (claim, sub.Proto.sub_key) with
+          | `Claimed, Some k -> key_unclaim t k id
+          | _ -> ()
+        in
+        if not (credit_take t conn) then begin
+          unclaim ();
+          R.aincr t.c_rejected_no_credit;
+          Proto.error ~id Proto.No_credit
+            (Printf.sprintf "connection has %d unfinished sessions"
+               t.cfg.credits)
+        end
+        else
+          match Session.add t.sessions ~conn ~now:(Unix.gettimeofday ()) sub with
+          | Error () ->
+              credit_release t conn;
               unclaim ();
-              R.aincr t.c_rejected_no_credit;
-              Proto.error ~id Proto.No_credit
-                (Printf.sprintf "connection has %d unfinished sessions"
-                   t.cfg.credits)
-            end
-            else
-              let now = Unix.gettimeofday () in
-              match Session.add t.sessions ~conn ~now sub with
-              | Error () ->
-                  credit_release t conn;
-                  unclaim ();
-                  Proto.error ~id Proto.Duplicate_id
-                    (Printf.sprintf "session %S already exists" id)
-              | Ok s -> (
-                  (* Durability point: the submit record is on disk
-                     before any acknowledgement leaves this function. *)
-                  journal_append t (Journal.Submitted { id; line = raw });
-                  let deadline =
-                    Option.map
-                      (fun ms -> now +. (float_of_int ms /. 1000.0))
-                      sub.Proto.sub_deadline_ms
-                  in
-                  let rollback () =
-                    (* Close the journaled submit so recovery restores it
-                       as cancelled instead of re-executing a run the
-                       client was told we refused. *)
-                    journal_append t
-                      (Journal.Cancelled { id; reason = "rollback" });
-                    Session.remove t.sessions id;
-                    credit_release t conn;
-                    unclaim ()
-                  in
-                  match Sched.try_push t.queue ?deadline ~now s with
-                  | Sched.Pushed ->
-                      R.aincr t.c_submitted;
-                      Proto.ok ~id (Proto.state_result "queued")
-                  | Sched.Full hint ->
-                      rollback ();
-                      R.aincr t.c_rejected_overloaded;
-                      Proto.error ~id ~retry_after_ms:hint Proto.Overloaded
-                        (Printf.sprintf "admission queue full (%d)"
-                           t.cfg.max_queue)
-                  | Sched.Shed hint ->
-                      rollback ();
-                      R.aincr t.c_rejected_shed;
-                      Proto.error ~id ~retry_after_ms:hint Proto.Overloaded
-                        (Printf.sprintf
-                           "shed: estimated queue wait %dms exceeds the \
-                            deadline"
-                           (Sched.est_wait_ms t.queue)))))
+              Proto.error ~id Proto.Duplicate_id
+                (Printf.sprintf "session %S already exists" id)
+          | Ok s ->
+              (* Durability point: the submit record is on disk before any
+                 acknowledgement leaves this function. *)
+              journal_append t (Journal.Submitted { id; line = raw });
+              if Sched.try_push t.queue s then begin
+                R.aincr t.c_submitted;
+                Proto.ok ~id (Proto.state_result "queued")
+              end
+              else begin
+                (* Close the journaled submit with a rollback record, which
+                   recovery reads as "this submit never happened", then
+                   free the id, the credit and the key. *)
+                journal_append t
+                  (Journal.Cancelled { id; reason = rollback_reason });
+                Session.remove t.sessions id;
+                credit_release t conn;
+                unclaim ();
+                R.aincr t.c_rejected_overloaded;
+                Proto.error ~id Proto.Overloaded
+                  (Printf.sprintf "admission queue full (%d)" t.cfg.max_queue)
+              end)
 
 let with_session t id f =
   match Session.find t.sessions id with
@@ -811,8 +766,6 @@ let metrics_json t =
   Mutex.lock t.merge_lock;
   let g = R.gauge t.registry "server.queue_depth" in
   R.set g (Sched.length t.queue);
-  R.set (R.gauge t.registry "server.queue_wait_est_ms")
-    (Sched.est_wait_ms t.queue);
   (match t.journal with
   | Some j ->
       let st = Journal.stats j in
@@ -858,10 +811,7 @@ let handle_overflow t =
 (* {1 Introspection (tests and bench)} *)
 
 let registry t = t.registry
-let queue_length t = Sched.length t.queue
-let graph_names t = List.map fst t.graphs
 let recovery t = t.recovery
-let watchdog t = t.watchdog
 let journal_stats t = Option.map Journal.stats t.journal
 
 let await t id =
@@ -870,11 +820,6 @@ let await t id =
 let session_times t id =
   Option.map
     (fun (s : Session.t) -> (s.Session.t_submitted, s.Session.t_finished))
-    (Session.find t.sessions id)
-
-let session_counts t id =
-  Option.map
-    (fun (s : Session.t) -> (s.Session.deliveries, s.Session.total_bits))
     (Session.find t.sessions id)
 
 (* {1 The stdio / socket event loop}

@@ -37,15 +37,11 @@ type config = {
   journal_sync : bool;
       (** fsync on append (group-committed).  [false] = write-through
           without fsync, for bench baselines and throwaway servers. *)
-  shed_watermark_ms : int;
-      (** Queue-latency watermark for adaptive shedding; [0] keeps plain
-          bounded-FIFO admission. *)
-  watchdog : Watchdog.config option;  (** [None] = no watchdog. *)
 }
 
 val default_config : config
 (** One graph ["small" = comb:8], 2 workers, queue 64, 32 credits; no
-    journal, no watchdog, shedding off. *)
+    journal. *)
 
 (** What journal replay did at boot — all zeros / [false] for a fresh
     log.  Mirrored exactly into ["server.recovered.*"] counters. *)
@@ -56,7 +52,10 @@ type recovery = {
   rec_mismatched : int;  (** Determinism violations — should be 0. *)
   rec_completed : int;
       (** Acknowledged-but-unfinished submits finished by recovery. *)
-  rec_cancelled : int;  (** Restored from [Cancelled] records, not re-run. *)
+  rec_cancelled : int;
+      (** Restored from [Cancelled] records, not re-run.  Rollback records
+          (a submit admission refused) are not counted: they erase their
+          submit, leaving the id and key free. *)
   rec_failed : int;  (** Restored from [Failed] records, not re-run. *)
   rec_orphans : int;  (** Terminal records with no surviving submit. *)
   rec_unreplayable : int;
@@ -83,7 +82,7 @@ val handle_overflow : t -> string
     it on ["server.frame_errors"] and ["server.wire.overflows"]. *)
 
 val start_workers : t -> unit
-(** Spawn worker domains and (when configured) the watchdog domain. *)
+(** Spawn the worker domains. *)
 
 val step : t -> bool
 (** Run one queued session inline on the calling domain ([false] = queue
@@ -91,8 +90,7 @@ val step : t -> bool
 
 val stop : t -> unit
 (** Close the admission queue, join the workers (accepted sessions finish
-    first), fail anything still queued, stop the watchdog, close the
-    journal.  Queued sessions drained here get no terminal journal
+    first), fail anything still queued, close the journal.  Queued sessions drained here get no terminal journal
     record, so the next boot re-executes them.  Idempotent. *)
 
 val shutting_down : t -> bool
@@ -108,15 +106,10 @@ val serve_loop : ?socket:string -> ?stdio:bool -> t -> unit
 (** {1 Introspection} (tests and bench) *)
 
 val registry : t -> Obs.Registry.t
-val queue_length : t -> int
-val graph_names : t -> string list
 
 val recovery : t -> recovery option
 (** [Some] iff this server booted with a journal (fresh log ⇒ all-zero
     summary). *)
-
-val watchdog : t -> Watchdog.t option
-(** The live watchdog, for deterministic [sweep] calls in tests. *)
 
 val journal_stats : t -> Journal.stats option
 
@@ -127,5 +120,3 @@ val await : t -> string -> Session.state option
 val session_times : t -> string -> (float * float) option
 (** [(submitted, finished)] wall-clock stamps, for latency measurement. *)
 
-val session_counts : t -> string -> (int * int) option
-(** [(deliveries, total_bits)] from the session's report. *)

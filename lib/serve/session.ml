@@ -11,7 +11,7 @@ type state =
   | Queued
   | Running
   | Done of string  (* pre-rendered result JSON, echoed verbatim *)
-  | Cancelled of string  (* reason: "cancel" | "deadline" | "watchdog" *)
+  | Cancelled of string  (* reason: "cancel" | "deadline" *)
   | Failed of Proto.error_code * string
 
 let state_name = function
@@ -39,12 +39,7 @@ type t = {
   mutable watch_seen : Obs.Registry.snapshot;
       (* registry state the last watch reply already covered *)
   mutable t_submitted : float;  (* wall clock, latency measurement only — *)
-  mutable t_started : float;  (* never part of the result payload *)
-  mutable t_finished : float;
-  mutable wd_level : int;
-      (* watchdog escalation: 0 none, 1 warned, 2 cancelled.  Written by
-         the watchdog under the table lock; the worker's cancel-reason
-         read is racy by design (telemetry-grade, not a contract). *)
+  mutable t_finished : float;  (* never part of the result payload *)
 }
 
 type table = {
@@ -79,9 +74,7 @@ let add tab ~conn ~now (submit : Proto.submit) =
             registry = None;
             watch_seen = [];
             t_submitted = now;
-            t_started = 0.0;
             t_finished = 0.0;
-            wd_level = 0;
           }
         in
         Hashtbl.add tab.tbl s.id s;

@@ -11,7 +11,8 @@ type state =
   | Running
   | Done of string  (** Pre-rendered result JSON, echoed verbatim. *)
   | Cancelled of string
-      (** Reason: ["cancel"], ["deadline"] or ["watchdog"]. *)
+      (** Reason: ["cancel"] or ["deadline"]; a journal written by an
+          older server may also restore ["watchdog"]. *)
   | Failed of Proto.error_code * string
 
 val state_name : state -> string
@@ -41,12 +42,7 @@ type t = {
   mutable t_submitted : float;
       (** Wall clock, for latency measurement only — timing never enters
           the result payload (that would break byte-determinism). *)
-  mutable t_started : float;
-      (** When a worker claimed the session (0.0 while queued) — the
-          clock the watchdog ages Running sessions against. *)
   mutable t_finished : float;
-  mutable wd_level : int;
-      (** Watchdog escalation: 0 none, 1 warned, 2 cancelled. *)
 }
 
 type table

@@ -2,7 +2,9 @@
    chunking fuzz), the full session lifecycle over [Server.handle_line]
    (the exact function the socket loop calls), admission control and
    credits, cancellation in every phase, byte-determinism of results
-   under concurrent load, and exact metrics reconciliation. *)
+   under concurrent load, exact metrics reconciliation, journal recovery,
+   and a model-based property that checks every answer of a random
+   command sequence — crashes included — against a pure model. *)
 
 open Helpers
 module W = Serve.Wire
@@ -102,6 +104,14 @@ let err_code resp =
   with
   | Some c -> c
   | None -> Alcotest.failf "no error code in %s" resp
+
+let err_msg resp =
+  match
+    Option.bind (J.member "error" (parse_resp resp)) (fun e ->
+        Option.bind (J.member "msg" e) J.to_string_opt)
+  with
+  | Some m -> m
+  | None -> Alcotest.failf "no error msg in %s" resp
 
 let state_of resp =
   match
@@ -256,14 +266,7 @@ let test_deadline () =
   Alcotest.(check string) "deadline cancels" "cancelled" (state_of (status t "d"));
   let resp = result t "d" in
   Alcotest.(check string) "typed error" "cancelled" (err_code resp);
-  let msg =
-    match
-      Option.bind (J.member "error" (parse_resp resp)) (fun e ->
-          Option.bind (J.member "msg" e) J.to_string_opt)
-    with
-    | Some m -> m
-    | None -> ""
-  in
+  let msg = err_msg resp in
   Alcotest.(check bool) "names the deadline" true
     (let n = String.length msg in
      let rec go i = i + 8 <= n && (String.sub msg i 8 = "deadline" || go (i + 1)) in
@@ -580,43 +583,21 @@ let test_wire_fuzz () =
     (counter_of t "server.frame_errors" >= !overflows);
   S.stop t
 
-(* {1 Adaptive shedding (Sched unit)} *)
+(* {1 Admission queue (Sched unit)} *)
 
-let test_sched_shed () =
+let test_sched_bounded () =
   let module Sc = Serve.Sched in
-  let q : string Sc.t = Sc.create ~cap:4 ~watermark_ms:50 () in
-  (match Sc.try_push q ~now:0.0 "a" with
-  | Sc.Pushed -> ()
-  | _ -> Alcotest.fail "first push refused");
-  (* The item waited 200ms (synthetic clock): EWMA seeds at 200. *)
-  (match Sc.try_pop ~now:0.2 q with
-  | Some "a" -> ()
-  | _ -> Alcotest.fail "pop");
-  Alcotest.(check int) "ewma seeded by first sample" 200 (Sc.est_wait_ms q);
-  (* Past the watermark, a doomed deadline is refused at the door... *)
-  (match Sc.try_push q ~now:1.0 ~deadline:1.05 "doomed" with
-  | Sc.Shed hint -> Alcotest.(check int) "hint = estimate" 200 hint
-  | _ -> Alcotest.fail "expected Shed");
-  (* ...a meetable one and deadline-less work keep FIFO semantics. *)
-  (match Sc.try_push q ~now:1.0 ~deadline:2.0 "fine" with
-  | Sc.Pushed -> ()
-  | _ -> Alcotest.fail "meetable deadline refused");
-  (match Sc.try_push q ~now:1.0 "no-deadline" with
-  | Sc.Pushed -> ()
-  | _ -> Alcotest.fail "deadline-less refused");
-  (* Capacity still bounds admission, with the same hint. *)
-  (match Sc.try_push q ~now:1.0 "c3" with Sc.Pushed -> () | _ -> Alcotest.fail "c3");
-  (match Sc.try_push q ~now:1.0 "c4" with Sc.Pushed -> () | _ -> Alcotest.fail "c4");
-  (match Sc.try_push q ~now:1.0 "over" with
-  | Sc.Full hint -> Alcotest.(check bool) "full hint" true (hint >= 1)
-  | _ -> Alcotest.fail "expected Full");
-  (* watermark_ms = 0 never sheds, however stale the queue got. *)
-  let q0 : string Sc.t = Sc.create ~cap:2 () in
-  (match Sc.try_push q0 ~now:0.0 "x" with Sc.Pushed -> () | _ -> Alcotest.fail "x");
-  ignore (Sc.try_pop ~now:9.0 q0);
-  (match Sc.try_push q0 ~now:10.0 ~deadline:10.001 "y" with
-  | Sc.Pushed -> ()
-  | _ -> Alcotest.fail "shedding disabled must stay FIFO")
+  let q : string Sc.t = Sc.create ~cap:2 in
+  Alcotest.(check bool) "a admitted" true (Sc.try_push q "a");
+  Alcotest.(check bool) "b admitted" true (Sc.try_push q "b");
+  Alcotest.(check bool) "full refuses" false (Sc.try_push q "c");
+  Alcotest.(check (option string)) "FIFO" (Some "a") (Sc.try_pop q);
+  Alcotest.(check bool) "slot freed" true (Sc.try_push q "d");
+  Sc.close q;
+  Alcotest.(check bool) "closed refuses" false (Sc.try_push q "e");
+  Alcotest.(check (option string)) "closed still drains" (Some "b") (Sc.pop q);
+  Alcotest.(check (option string)) "in order" (Some "d") (Sc.pop q);
+  Alcotest.(check (option string)) "then ends" None (Sc.pop q)
 
 (* {1 Idempotency keys} *)
 
@@ -671,110 +652,15 @@ let test_key_rollback_on_overload () =
   Alcotest.(check (option string)) "a fresh claim, not a dup" None (key_of_resp r);
   S.stop t
 
-(* {1 Watchdog} *)
+(* {1 Cancelling a running session}
 
-let mk_submit ?(protocol = "amnesiac") ?(graph = "mid") id =
-  {
-    Serve.Proto.sub_id = id;
-    sub_protocol = protocol;
-    sub_graph = graph;
-    sub_scheduler = "fifo";
-    sub_seed = 0;
-    sub_payload = 0;
-    sub_step_limit = None;
-    sub_faults = None;
-    sub_churn = None;
-    sub_deadline_ms = None;
-    sub_key = None;
-  }
+   A livelocking amnesiac flood on a cyclic graph, with a budget it will
+   not exhaust, holds a worker until a client cancels it; the other
+   worker keeps completing healthy sessions meanwhile. *)
 
-(* The escalation ladder, on a synthetic clock: warn at [warn_after_ms],
-   cancel at [cancel_after_ms], breaker after [quarantine_strikes]. *)
-let test_watchdog_ladder () =
-  let module WD = Serve.Watchdog in
-  let module Sn = Serve.Session in
-  let tab = Sn.create_table () in
-  let reg = Obs.Registry.create () in
-  let cfg =
-    {
-      WD.tick_ms = 10;
-      warn_after_ms = 100;
-      cancel_after_ms = 200;
-      quarantine_strikes = 2;
-      quarantine_ms = 1_000;
-    }
-  in
-  let wd = WD.create cfg tab reg in
-  let running id ~at =
-    match Sn.add tab ~conn:0 ~now:at (mk_submit id) with
-    | Error () -> Alcotest.failf "add %s" id
-    | Ok s ->
-        Sn.transition tab s (fun s ->
-            s.Sn.state <- Sn.Running;
-            s.Sn.t_started <- at);
-        s
-  in
-  let s1 = running "w1" ~at:0.0 in
-  Alcotest.(check int) "young: untouched" 0 (WD.sweep wd ~now:0.05);
-  Alcotest.(check int) "level still 0" 0 s1.Serve.Session.wd_level;
-  Alcotest.(check int) "past warn: warned" 1 (WD.sweep wd ~now:0.15);
-  Alcotest.(check int) "level 1" 1 s1.Serve.Session.wd_level;
-  Alcotest.(check bool) "warn does not cancel" false (Atomic.get s1.Serve.Session.cancel);
-  Alcotest.(check int) "warn is once" 0 (WD.sweep wd ~now:0.16);
-  Alcotest.(check int) "past cancel: cancelled" 1 (WD.sweep wd ~now:0.25);
-  Alcotest.(check int) "level 2" 2 s1.Serve.Session.wd_level;
-  Alcotest.(check bool) "cancel flag flipped" true (Atomic.get s1.Serve.Session.cancel);
-  Alcotest.(check int) "ladder tops out" 0 (WD.sweep wd ~now:0.30);
-  (* One strike of (mid, amnesiac): breaker still closed. *)
-  Alcotest.(check bool) "one strike: closed" true
-    (WD.quarantined wd ~graph:"mid" ~protocol:"amnesiac" ~now:0.3 = None);
-  (* Second stuck session of the same pair trips it. *)
-  let s2 = running "w2" ~at:0.3 in
-  Alcotest.(check int) "w2 cancelled directly" 1 (WD.sweep wd ~now:0.6);
-  Alcotest.(check int) "w2 level 2" 2 s2.Serve.Session.wd_level;
-  (match WD.quarantined wd ~graph:"mid" ~protocol:"amnesiac" ~now:0.7 with
-  | Some ms -> Alcotest.(check bool) "remaining in (0, 1000]" true (ms >= 1 && ms <= 1_000)
-  | None -> Alcotest.fail "breaker should be open");
-  Alcotest.(check bool) "other pairs unaffected" true
-    (WD.quarantined wd ~graph:"small" ~protocol:"flood" ~now:0.7 = None);
-  Alcotest.(check bool) "window expires" true
-    (WD.quarantined wd ~graph:"mid" ~protocol:"amnesiac" ~now:2.0 = None);
-  (* Finished sessions never escalate. *)
-  Sn.transition tab s1 (fun s -> s.Sn.state <- Sn.Cancelled "watchdog");
-  Sn.transition tab s2 (fun s -> s.Sn.state <- Sn.Cancelled "watchdog");
-  Alcotest.(check int) "nothing left to escalate" 0 (WD.sweep wd ~now:9.9)
-
-(* End to end: a livelocking amnesiac flood on a cyclic graph wedges a
-   worker; the watchdog domain cancels it within its budget while
-   healthy sessions keep completing; the (graph, protocol) pair is then
-   quarantined with a retry-after hint. *)
-let test_watchdog_cancels_wedged () =
-  let wd_cfg =
-    {
-      Serve.Watchdog.tick_ms = 10;
-      warn_after_ms = 40;
-      cancel_after_ms = 80;
-      quarantine_strikes = 1;
-      quarantine_ms = 60_000;
-    }
-  in
-  let config =
-    {
-      S.default_config with
-      graphs = [ ("small", "comb:4"); ("mid", "random:12:3") ];
-      workers = 2;
-      step_limit = 20_000;
-      watchdog = Some wd_cfg;
-    }
-  in
-  let t =
-    match S.create ~config () with
-    | Ok t -> t
-    | Error e -> Alcotest.failf "server create: %s" e
-  in
+let test_cancel_running () =
+  let t = mk ~workers:2 () in
   S.start_workers t;
-  (* The wedge: amnesiac flooding never quiesces on a cyclic graph, and
-     its huge explicit budget means only the watchdog can end it. *)
   Alcotest.(check bool) "wedge submitted" true
     (is_ok
        (req t
@@ -782,10 +668,21 @@ let test_watchdog_cancels_wedged () =
              ~step_limit:500_000_000 "wedge")));
   Alcotest.(check bool) "healthy 1" true (is_ok (req t (submit_line "h1")));
   Alcotest.(check bool) "healthy 2" true (is_ok (req t (submit_line ~seed:2 "h2")));
+  let rec until_running tries =
+    match state_of (status t "wedge") with
+    | "running" -> ()
+    | st when tries = 0 -> Alcotest.failf "wedge never ran (%s)" st
+    | _ ->
+        Unix.sleepf 0.001;
+        until_running (tries - 1)
+  in
+  until_running 5_000;
+  Alcotest.(check string) "cancel asks it to stop" "cancelling"
+    (state_of (cancel t "wedge"));
   (match S.await t "wedge" with
-  | Some (Serve.Session.Cancelled "watchdog") -> ()
+  | Some (Serve.Session.Cancelled "cancel") -> ()
   | Some st ->
-      Alcotest.failf "wedge ended as %s, not watchdog-cancelled"
+      Alcotest.failf "wedge ended as %s, not cancelled by the client"
         (Serve.Session.state_name st)
   | None -> Alcotest.fail "wedge unknown");
   (match S.await t "h1" with
@@ -794,22 +691,6 @@ let test_watchdog_cancels_wedged () =
   (match S.await t "h2" with
   | Some (Serve.Session.Done _) -> ()
   | _ -> Alcotest.fail "healthy session h2 should complete");
-  (* The pair is now behind the breaker, with a machine-readable hint. *)
-  let r = req t (submit_line ~protocol:"amnesiac" ~graph:"mid" "wedge2") in
-  Alcotest.(check string) "quarantined" "quarantined" (err_code r);
-  (match
-     Option.bind (J.member "error" (parse_resp r)) (fun e ->
-         Option.bind (J.member "retry_after_ms" e) J.to_int_opt)
-   with
-  | Some ms -> Alcotest.(check bool) "retry-after hint" true (ms > 0)
-  | None -> Alcotest.fail "quarantined answer must carry retry_after_ms");
-  (* Other work is unaffected. *)
-  Alcotest.(check bool) "flood/small still admitted" true
-    (is_ok (req t (submit_line ~seed:3 "h3")));
-  Alcotest.(check bool) "watchdog cancels counted" true
-    (counter_of t "server.watchdog.cancelled" >= 1);
-  Alcotest.(check bool) "quarantine counted" true
-    (counter_of t "server.watchdog.quarantines" >= 1);
   S.stop t
 
 (* {1 Journal recovery (in-process restart)} *)
@@ -845,6 +726,20 @@ let test_recovery_restart () =
       ignore (cancel t1 "b");
       Alcotest.(check bool) "c" true (is_ok (req t1 (submit_line ~seed:3 "c")));
       S.stop t1;
+      (* Records only an older server wrote: a watchdog cancel of a submit
+         that carried a deadline.  They restore as-is, without a re-run. *)
+      (match Serve.Journal.open_append ~sync:false path with
+      | Error e -> Alcotest.failf "reopen journal: %s" e
+      | Ok (j, _) ->
+          Serve.Journal.append j
+            (Serve.Journal.Submitted
+               {
+                 id = "w";
+                 line = submit_line ~protocol:"amnesiac" ~deadline_ms:50 "w";
+               });
+          Serve.Journal.append j
+            (Serve.Journal.Cancelled { id = "w"; reason = "watchdog" });
+          Serve.Journal.close j);
       (* Generation 2 replays the journal before serving. *)
       let t2 = boot () in
       (match S.recovery t2 with
@@ -854,7 +749,7 @@ let test_recovery_restart () =
           Alcotest.(check int) "verified" 1 r.S.rec_verified;
           Alcotest.(check int) "mismatched" 0 r.S.rec_mismatched;
           Alcotest.(check int) "completed" 1 r.S.rec_completed;
-          Alcotest.(check int) "cancelled" 1 r.S.rec_cancelled;
+          Alcotest.(check int) "cancelled" 2 r.S.rec_cancelled;
           Alcotest.(check int) "failed" 0 r.S.rec_failed;
           Alcotest.(check int) "orphans" 0 r.S.rec_orphans;
           Alcotest.(check int) "unreplayable" 0 r.S.rec_unreplayable;
@@ -880,6 +775,9 @@ let test_recovery_restart () =
         (J.to_string (result_json (result t2 "a")));
       (* The cancelled session stayed cancelled (not resurrected)... *)
       Alcotest.(check string) "b still cancelled" "cancelled" (err_code (result t2 "b"));
+      Alcotest.(check string) "w keeps its watchdog reason"
+        "session cancelled (watchdog)"
+        (err_msg (result t2 "w"));
       (* ...and the acked-but-unfinished one was finished by recovery. *)
       Alcotest.(check string) "c completed" "done" (state_of (status t2 "c"));
       (* Recovered ids stay taken; recovered keys stay claimed. *)
@@ -891,11 +789,379 @@ let test_recovery_restart () =
         (J.to_string (result_json rk));
       S.stop t2)
 
+(* A submit refused by admission is journaled and then rolled back.
+   Recovery must treat it as never having happened: a later acknowledged
+   submit of the same id survives the reboot, and the refused id and key
+   are free afterwards. *)
+let test_recovery_rollback () =
+  let path = Filename.temp_file "anonet-serve" ".journal" in
+  Sys.remove path;
+  let config =
+    {
+      S.default_config with
+      graphs = [ ("small", "comb:4") ];
+      workers = 0;
+      max_queue = 1;
+      step_limit = 20_000;
+      journal = Some path;
+      journal_sync = false;
+    }
+  in
+  let boot () =
+    match S.create ~config () with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "server create: %s" e
+  in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      (* An acknowledged resubmit of a refused id is not lost. *)
+      let t1 = boot () in
+      Alcotest.(check bool) "a" true (is_ok (req t1 (submit_line "a")));
+      Alcotest.(check string) "b refused" "overloaded"
+        (err_code (req t1 (submit_key_line ~key:"kb" "b")));
+      Alcotest.(check bool) "a runs" true (S.step t1);
+      Alcotest.(check string) "b resubmitted" "queued"
+        (state_of (req t1 (submit_key_line ~key:"kb" "b")));
+      S.stop t1;
+      let t2 = boot () in
+      (match S.recovery t2 with
+      | None -> Alcotest.fail "no recovery summary"
+      | Some r ->
+          Alcotest.(check int) "b completed by recovery" 1 r.S.rec_completed;
+          Alcotest.(check int) "rollback is not a cancel" 0 r.S.rec_cancelled;
+          Alcotest.(check int) "nothing unreplayable" 0 r.S.rec_unreplayable);
+      Alcotest.(check string) "b done" "done" (state_of (status t2 "b"));
+      S.stop t2;
+      Sys.remove path;
+      (* A refused id and its key stay free across a reboot. *)
+      let t1 = boot () in
+      Alcotest.(check bool) "a" true (is_ok (req t1 (submit_line "a")));
+      Alcotest.(check string) "b refused" "overloaded"
+        (err_code (req t1 (submit_key_line ~key:"kb" "b")));
+      S.stop t1;
+      let t2 = boot () in
+      Alcotest.(check string) "b unknown" "unknown_id" (err_code (status t2 "b"));
+      let r = req t2 (submit_key_line ~key:"kb" "c") in
+      Alcotest.(check string) "c queued" "queued" (state_of r);
+      Alcotest.(check (option string)) "kb is a fresh claim" None (key_of_resp r);
+      S.stop t2)
+
+(* {1 Model-based test}
+
+   Random command sequences against a [workers = 0] server with a
+   journal, checked answer by answer against a pure model.  A crash is
+   [stop] followed by [create] on the same journal: with no workers,
+   [stop] appends nothing (it drains queued sessions as [shutting_down],
+   which is never journaled), so the file is exactly what a [kill -9]
+   would leave.  Result bytes are checked to be equal for equal
+   (protocol, graph, seed), across ids and reboots. *)
+
+type mcmd =
+  | M_submit of {
+      id : int;
+      key : int option;
+      protocol : string;
+      graph : string;
+      seed : int;
+    }
+  | M_status of int
+  | M_result of int
+  | M_cancel of int
+  | M_step
+  | M_shutdown
+  | M_crash
+
+let m_ids = [ 0; 1; 2; 3; 4 ]
+let m_id i = Printf.sprintf "s%d" i
+let m_key k = Printf.sprintf "k%d" k
+
+let print_mcmd = function
+  | M_submit { id; key; protocol; graph; seed } ->
+      Printf.sprintf "submit %s%s %s/%s seed %d" (m_id id)
+        (match key with None -> "" | Some k -> " key " ^ m_key k)
+        protocol graph seed
+  | M_status i -> "status " ^ m_id i
+  | M_result i -> "result " ^ m_id i
+  | M_cancel i -> "cancel " ^ m_id i
+  | M_step -> "step"
+  | M_shutdown -> "shutdown"
+  | M_crash -> "crash"
+
+let arb_mcmds =
+  let open QCheck.Gen in
+  let id = int_range 0 4 in
+  let submit =
+    map
+      (fun (id, key, protocol, graph, seed) ->
+        M_submit { id; key; protocol; graph; seed })
+      (tup5 id
+         (oneofl [ None; Some 0; Some 1 ])
+         (oneofl [ "flood"; "counting" ])
+         (oneofl [ "small"; "mid" ])
+         (int_range 0 2))
+  in
+  let cmd =
+    frequency
+      [
+        (6, submit);
+        (2, map (fun i -> M_status i) id);
+        (2, map (fun i -> M_result i) id);
+        (2, map (fun i -> M_cancel i) id);
+        (4, return M_step);
+        (1, return M_shutdown);
+        (1, return M_crash);
+      ]
+  in
+  QCheck.make
+    ~print:(fun cmds -> String.concat "; " (List.map print_mcmd cmds))
+    (* [Shrink.list] only drops suffixes; the array shrinker removes any
+       run of commands, down to single ones. *)
+    ~shrink:(fun cmds yield ->
+      QCheck.Shrink.array (Array.of_list cmds) (fun a -> yield (Array.to_list a)))
+    (list_size (int_range 1 30) cmd)
+
+let m_max_queue = 2
+let m_credits = 3
+
+module SM = Map.Make (String)
+
+type mstate = M_queued | M_done | M_cancelled
+
+let mstate_name = function
+  | M_queued -> "queued"
+  | M_done -> "done"
+  | M_cancelled -> "cancelled"
+
+type model = {
+  sessions : (string * string * int * mstate) SM.t;
+      (* id -> protocol, graph, seed, state *)
+  keys : string SM.t;  (* idempotency key -> id *)
+  queue : string list;  (* admitted ids, oldest first; cancelled ones
+                           stay until a step pops them *)
+  shut : bool;
+}
+
+(* What an answer must be: a state (with the [key_of] pointer of a
+   duplicate-key answer), a result payload of a given run, an error code,
+   or the boolean of a [step]. *)
+type answer =
+  | A_state of string * string option
+  | A_payload of string * string * int
+  | A_err of string
+  | A_step of bool
+
+let print_answer = function
+  | A_state (st, None) -> "state " ^ st
+  | A_state (st, Some k) -> Printf.sprintf "state %s (key_of %s)" st k
+  | A_payload (p, g, seed) -> Printf.sprintf "payload of %s/%s seed %d" p g seed
+  | A_err c -> "error " ^ c
+  | A_step b -> Printf.sprintf "step %b" b
+
+let model_empty =
+  { sessions = SM.empty; keys = SM.empty; queue = []; shut = false }
+
+let model_status m id =
+  match SM.find_opt id m.sessions with
+  | None -> A_err "unknown_id"
+  | Some (_, _, _, st) -> A_state (mstate_name st, None)
+
+let set_state m id st =
+  SM.update id (Option.map (fun (p, g, seed, _) -> (p, g, seed, st))) m.sessions
+
+(* Recovery finishes every acknowledged submit; nothing is queued and the
+   new process accepts submits again. *)
+let model_crash m =
+  {
+    m with
+    sessions =
+      SM.map
+        (fun (p, g, seed, st) ->
+          (p, g, seed, if st = M_queued then M_done else st))
+        m.sessions;
+    queue = [];
+    shut = false;
+  }
+
+(* One command's transition and the answer it must get. *)
+let model_step m = function
+  | M_submit { id; key; protocol; graph; seed } -> (
+      let id = m_id id and key = Option.map m_key key in
+      let dup = Option.bind key (fun k -> SM.find_opt k m.keys) in
+      (* With no workers the unfinished sessions are the queued ones, so
+         the two-slot queue refuses before the three credits run out. *)
+      let unfinished =
+        SM.fold
+          (fun _ (_, _, _, st) n -> if st = M_queued then n + 1 else n)
+          m.sessions 0
+      in
+      if m.shut then (m, A_err "shutting_down")
+      else
+        match dup with
+        | Some orig -> (
+            match SM.find orig m.sessions with
+            | p, g, seed, M_done -> (m, A_payload (p, g, seed))
+            | _, _, _, M_cancelled -> (m, A_err "cancelled")
+            | _, _, _, M_queued -> (m, A_state ("queued", Some orig)))
+        | None ->
+            if unfinished >= m_credits then (m, A_err "no_credit")
+            else if SM.mem id m.sessions then (m, A_err "duplicate_id")
+            else if List.length m.queue >= m_max_queue then
+              (m, A_err "overloaded")
+            else
+              ( {
+                  m with
+                  sessions =
+                    SM.add id (protocol, graph, seed, M_queued) m.sessions;
+                  keys =
+                    (match key with Some k -> SM.add k id m.keys | None -> m.keys);
+                  queue = m.queue @ [ id ];
+                },
+                A_state ("queued", None) ))
+  | M_status i -> (m, model_status m (m_id i))
+  | M_result i -> (
+      match SM.find_opt (m_id i) m.sessions with
+      | None -> (m, A_err "unknown_id")
+      | Some (p, g, seed, M_done) -> (m, A_payload (p, g, seed))
+      | Some (_, _, _, M_cancelled) -> (m, A_err "cancelled")
+      | Some (_, _, _, M_queued) -> (m, A_err "not_done"))
+  | M_cancel i -> (
+      let id = m_id i in
+      match SM.find_opt id m.sessions with
+      | None -> (m, A_err "unknown_id")
+      | Some (_, _, _, M_queued) ->
+          ( { m with sessions = set_state m id M_cancelled },
+            A_state ("cancelled", None) )
+      | Some (_, _, _, st) -> (m, A_state (mstate_name st, None)))
+  | M_step -> (
+      match m.queue with
+      | [] -> (m, A_step false)
+      | id :: rest ->
+          let sessions =
+            match SM.find id m.sessions with
+            | _, _, _, M_queued -> set_state m id M_done
+            | _ -> m.sessions
+          in
+          ({ m with sessions; queue = rest }, A_step true))
+  | M_shutdown -> ({ m with shut = true }, A_state ("shutting_down", None))
+  | M_crash -> invalid_arg "model_step: a crash has no answer; see model_crash"
+
+let submit_of_mcmd ~id ~key ~protocol ~graph ~seed =
+  Printf.sprintf
+    "{\"op\":\"submit\",\"id\":%s,\"protocol\":%s,\"graph\":%s,\"scheduler\":\"random\",\"seed\":%d%s}"
+    (J.escape (m_id id)) (J.escape protocol) (J.escape graph) seed
+    (match key with
+    | None -> ""
+    | Some k -> Printf.sprintf ",\"key\":%s" (J.escape (m_key k)))
+
+let run_model_case cmds =
+  let path = Filename.temp_file "anonet-model" ".journal" in
+  Sys.remove path;
+  let config =
+    {
+      S.default_config with
+      graphs = [ ("small", "comb:4"); ("mid", "random:12:3") ];
+      workers = 0;
+      max_queue = m_max_queue;
+      credits = m_credits;
+      step_limit = 2_000;
+      journal = Some path;
+      journal_sync = false;
+    }
+  in
+  let boot () =
+    match S.create ~config () with
+    | Ok t -> t
+    | Error e -> QCheck.Test.fail_reportf "server create: %s" e
+  in
+  (* Result bytes seen so far, per (protocol, graph, seed). *)
+  let payloads = Hashtbl.create 8 in
+  let check_answer ~what expected resp =
+    let fail () =
+      QCheck.Test.fail_reportf "%s: expected %s, got %s" what
+        (print_answer expected) resp
+    in
+    let v =
+      match J.parse resp with Ok v -> v | Error _ -> fail ()
+    in
+    let ok = Option.bind (J.member "ok" v) J.to_bool_opt = Some true in
+    let str obj name =
+      Option.bind (J.member obj v) (fun o ->
+          Option.bind (J.member name o) J.to_string_opt)
+    in
+    match expected with
+    | A_err code -> if ok || str "error" "code" <> Some code then fail ()
+    | A_state (st, key_of) ->
+        if (not ok) || str "result" "state" <> Some st
+           || str "result" "key_of" <> key_of
+        then fail ()
+    | A_payload (p, g, seed) -> (
+        match J.member "result" v with
+        | Some r when ok && J.member "state" r = None -> (
+            let bytes = J.to_string r in
+            match Hashtbl.find_opt payloads (p, g, seed) with
+            | None -> Hashtbl.add payloads (p, g, seed) bytes
+            | Some b when b = bytes -> ()
+            | Some b ->
+                QCheck.Test.fail_reportf "%s: payload %s differs from %s" what
+                  bytes b)
+        | _ -> fail ())
+    | A_step _ -> fail ()
+  in
+  let server = ref (boot ()) in
+  let run m cmd =
+    let what = print_mcmd cmd in
+    let t = !server in
+    let answer resp =
+      let m', expected = model_step m cmd in
+      check_answer ~what expected resp;
+      m'
+    in
+    match cmd with
+    | M_crash ->
+        S.stop t;
+        server := boot ();
+        (match S.recovery !server with
+        | Some r when r.S.rec_mismatched = 0 -> ()
+        | _ -> QCheck.Test.fail_reportf "%s: recovery mismatched" what);
+        let m = model_crash m in
+        (* Every acknowledged id is terminal; refused ids are free. *)
+        List.iter
+          (fun i ->
+            check_answer
+              ~what:(Printf.sprintf "%s, then status %s" what (m_id i))
+              (model_status m (m_id i))
+              (status !server (m_id i)))
+          m_ids;
+        m
+    | M_step ->
+        let m', expected = model_step m cmd in
+        if A_step (S.step t) <> expected then
+          QCheck.Test.fail_reportf "%s: expected %s" what (print_answer expected);
+        m'
+    | M_submit { id; key; protocol; graph; seed } ->
+        answer (req t (submit_of_mcmd ~id ~key ~protocol ~graph ~seed))
+    | M_status i -> answer (status t (m_id i))
+    | M_result i -> answer (result t (m_id i))
+    | M_cancel i -> answer (cancel t (m_id i))
+    | M_shutdown -> answer (req t "{\"op\":\"shutdown\"}")
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      S.stop !server;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      ignore (List.fold_left run model_empty cmds);
+      true)
+
+let prop_serve_model =
+  qcheck_to_alcotest ~count:300 "answers match the model across crashes"
+    arb_mcmds run_model_case
+
 (* {1 Client retry policy}
 
    The client's backoff IS the supervisor's retransmission schedule:
-   same config, same PRNG, same numbers.  A server hint can only
-   lengthen a wait. *)
+   same config, same PRNG, same numbers. *)
 
 let test_retry_policy_reuse () =
   let r = { Serve.Client.default_retry with r_base_ms = 20; r_seed = 7 } in
@@ -905,10 +1171,8 @@ let test_retry_policy_reuse () =
     Alcotest.(check int)
       (Printf.sprintf "round %d matches Supervisor.backoff" round)
       (Runtime.Supervisor.backoff cfg p_sup ~round)
-      (Serve.Client.retry_delay_ms r p_client ~round ~hint_ms:0)
-  done;
-  Alcotest.(check int) "server hint dominates short backoffs" 10_000
-    (Serve.Client.retry_delay_ms r (Prng.create 7) ~round:0 ~hint_ms:10_000)
+      (Serve.Client.retry_delay_ms r p_client ~round)
+  done
 
 let () =
   Alcotest.run "serve"
@@ -932,22 +1196,18 @@ let () =
         [
           Alcotest.test_case "overloaded" `Quick test_overloaded;
           Alcotest.test_case "no_credit" `Quick test_no_credit;
-          Alcotest.test_case "adaptive shedding (Sched)" `Quick test_sched_shed;
+          Alcotest.test_case "bounded queue (Sched)" `Quick test_sched_bounded;
           Alcotest.test_case "idempotency keys" `Quick test_idempotent_keys;
           Alcotest.test_case "key rollback on overload" `Quick
             test_key_rollback_on_overload;
-        ] );
-      ( "watchdog",
-        [
-          Alcotest.test_case "escalation ladder (synthetic clock)" `Quick
-            test_watchdog_ladder;
-          Alcotest.test_case "wedged session cancelled, healthy complete"
-            `Quick test_watchdog_cancels_wedged;
         ] );
       ( "recovery",
         [
           Alcotest.test_case "journal replay across restart" `Quick
             test_recovery_restart;
+          Alcotest.test_case "refused submits stay refused" `Quick
+            test_recovery_rollback;
+          prop_serve_model;
           Alcotest.test_case "client backoff = supervisor policy" `Quick
             test_retry_policy_reuse;
         ] );
@@ -956,6 +1216,8 @@ let () =
           Alcotest.test_case "queued" `Quick test_cancel_queued;
           Alcotest.test_case "deadline" `Quick test_deadline;
           Alcotest.test_case "running races" `Quick test_cancel_running_race;
+          Alcotest.test_case "wedged session cancelled, healthy complete"
+            `Quick test_cancel_running;
         ] );
       ( "contracts",
         [
