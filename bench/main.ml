@@ -1,11 +1,12 @@
 (* Experiment harness: regenerates the quantitative content of every result
-   in the paper (DESIGN.md's E1..E10) and, under "timing", runs Bechamel
-   wall-clock benchmarks of each protocol.
+   in the paper (DESIGN.md's E1..E10), times each protocol ("timing") and
+   runs the JSON benches E15..E22.  Every wall-clock number goes through
+   [Timer].
 
    Usage:
      dune exec bench/main.exe              # all experiment tables + timing
      dune exec bench/main.exe -- e4 e7     # selected tables
-     dune exec bench/main.exe -- timing    # Bechamel micro-benchmarks only
+     dune exec bench/main.exe -- timing    # per-protocol wall clock only
      dune exec bench/main.exe -- campaign  # fault campaign, JSON on stdout
      dune exec bench/main.exe -- check     # model-checking sweep, JSON on stdout
      dune exec bench/main.exe -- throughput        # E15 pool sweeps, JSON
@@ -32,8 +33,8 @@ let outcome_str = function
   | E.Step_limit -> "step-limit"
   | E.Cancelled -> "cancelled"
 
-(* Average float-valued measurements over seeds. *)
-let avg l = List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
+(* A [Timer] measurement of [f] that keeps [f]'s last result in [last]. *)
+let timed ?batch last f () = Timer.seconds ?batch (fun () -> last := Some (f ()))
 
 (* {1 E1 — Theorem 3.1: grounded-tree broadcast upper bound} *)
 
@@ -55,9 +56,9 @@ let e1 () =
               float_of_int st.max_edge_bits ))
           [ 1; 2; 3 ]
       in
-      let e = avg (List.map (fun (a, _, _) -> a) samples) in
-      let bits = avg (List.map (fun (_, b, _) -> b) samples) in
-      let bw = avg (List.map (fun (_, _, c) -> c) samples) in
+      let e = Metrics.mean (List.map (fun (a, _, _) -> a) samples) in
+      let bits = Metrics.mean (List.map (fun (_, b, _) -> b) samples) in
+      let bw = Metrics.mean (List.map (fun (_, _, c) -> c) samples) in
       pf "%8d %8.0f %10.0f %14.3f %8.1f %12.1f\n" n e bits
         (bits /. (e *. (log e /. log 2.0)))
         bw
@@ -99,10 +100,10 @@ let e3 () =
               float_of_int r.total_bits ))
           [ 1; 2; 3 ]
       in
-      let e = avg (List.map (fun (a, _, _, _) -> a) samples) in
-      let msgs = avg (List.map (fun (_, b, _, _) -> b) samples) in
-      let mm = avg (List.map (fun (_, _, c, _) -> c) samples) in
-      let bits = avg (List.map (fun (_, _, _, d) -> d) samples) in
+      let e = Metrics.mean (List.map (fun (a, _, _, _) -> a) samples) in
+      let msgs = Metrics.mean (List.map (fun (_, b, _, _) -> b) samples) in
+      let mm = Metrics.mean (List.map (fun (_, _, c, _) -> c) samples) in
+      let bits = Metrics.mean (List.map (fun (_, _, _, d) -> d) samples) in
       pf "%8d %8.0f %10.0f %10.1f %12.4f %12.0f\n" n e msgs mm (mm /. e) bits)
     [ 8; 16; 32; 64; 128; 256; 512 ]
 
@@ -157,7 +158,7 @@ let e5 () =
               float_of_int st.total_bits /. (e *. e *. v *. logd) ))
           e5_seeds
       in
-      let pick f = avg (List.map f samples) in
+      let pick f = Metrics.mean (List.map f samples) in
       pf "%8d %8.0f %8.0f %10.0f %12.0f %10.0f %14.6f\n" n
         (pick (fun (e, _, _, _, _, _) -> e))
         (pick (fun (_, v, _, _, _, _) -> v))
@@ -196,7 +197,7 @@ let e6 () =
               float_of_int max_label /. (v *. logd) ))
           [ 1; 2; 3 ]
       in
-      let pick f = avg (List.map f samples) in
+      let pick f = Metrics.mean (List.map f samples) in
       pf "%8d %8.0f %8.0f %12.0f %12.1f %14.4f\n" n
         (pick (fun (e, _, _, _, _) -> e))
         (pick (fun (_, v, _, _, _) -> v))
@@ -438,8 +439,9 @@ let fits () =
         else begin
           let runs = List.map (e5_run n) e5_seeds in
           Some
-            ( avg (List.map (fun (g, _) -> float_of_int (G.n_edges g)) runs),
-              avg
+            ( Metrics.mean
+                (List.map (fun (g, _) -> float_of_int (G.n_edges g)) runs),
+              Metrics.mean
                 (List.map
                    (fun (_, (st : Anonet.stats)) -> float_of_int st.total_bits)
                    runs) )
@@ -450,12 +452,12 @@ let fits () =
   pf "E5 general total bits ~ |E|^k   : k = %.3f (bound: <= 3 + o(1), R2=%.3f)\n"
     f.Metrics.slope f.Metrics.r2
 
-(* {1 Bechamel timing benchmarks} *)
+(* {1 Wall-clock timing of each protocol} *)
 
+(* One row per experiment: the median seconds per run of [Timer.repeat]
+   over batches sized so that a reading lasts about 50 ms. *)
 let timing () =
-  header "TIMING" "Bechamel wall-clock benchmarks (one Test.make per experiment)";
-  let open Bechamel in
-  let open Toolkit in
+  header "TIMING" "Wall clock per run, median of 9 batched readings";
   let tree_g = F.comb 256 in
   let dag_g = F.grid_dag ~rows:12 ~cols:12 in
   let prng = Prng.create 99 in
@@ -464,52 +466,32 @@ let timing () =
   in
   let skel_g = F.skeleton ~n:8 ~subset:(Array.make 8 true) in
   let pruned_g = F.pruned_tree ~height:32 ~degree:4 in
-  let tests =
-    Test.make_grouped ~name:"anonet" ~fmt:"%s %s"
-      [
-        Test.make ~name:"e1-tree-broadcast-comb256"
-          (Staged.stage (fun () -> ignore (Anonet.broadcast_tree tree_g)));
-        Test.make ~name:"e2-comb-symbols-128"
-          (Staged.stage (fun () -> ignore (LB.comb_symbols 128)));
-        Test.make ~name:"e3-dag-broadcast-grid12"
-          (Staged.stage (fun () -> ignore (Anonet.broadcast_dag dag_g)));
-        Test.make ~name:"e4-skeleton-n8"
-          (Staged.stage (fun () -> ignore (Anonet.Dag_engine.run skel_g)));
-        Test.make ~name:"e5-general-broadcast-n60"
-          (Staged.stage (fun () -> ignore (Anonet.broadcast_general gen_g)));
-        Test.make ~name:"e6-labeling-n60"
-          (Staged.stage (fun () -> ignore (Anonet.assign_labels gen_g)));
-        Test.make ~name:"e7-pruned-labeling-h32d4"
-          (Staged.stage (fun () -> ignore (Anonet.Labeling_engine.run pruned_g)));
-        Test.make ~name:"e8-mapping-n60"
-          (Staged.stage (fun () -> ignore (Anonet.map_network gen_g)));
-        Test.make ~name:"e9-naive-tree-comb256"
-          (Staged.stage (fun () -> ignore (Anonet.broadcast_tree_naive tree_g)));
-        Test.make ~name:"e10-general-lifo-n60"
-          (Staged.stage (fun () ->
-               ignore
-                 (Anonet.broadcast_general ~scheduler:Runtime.Scheduler.Lifo gen_g)));
-      ]
+  let rows =
+    [
+      ("e1-tree-broadcast-comb256", fun () -> ignore (Anonet.broadcast_tree tree_g));
+      ("e2-comb-symbols-128", fun () -> ignore (LB.comb_symbols 128));
+      ("e3-dag-broadcast-grid12", fun () -> ignore (Anonet.broadcast_dag dag_g));
+      ("e4-skeleton-n8", fun () -> ignore (Anonet.Dag_engine.run skel_g));
+      ("e5-general-broadcast-n60", fun () -> ignore (Anonet.broadcast_general gen_g));
+      ("e6-labeling-n60", fun () -> ignore (Anonet.assign_labels gen_g));
+      ( "e7-pruned-labeling-h32d4",
+        fun () -> ignore (Anonet.Labeling_engine.run pruned_g) );
+      ("e8-mapping-n60", fun () -> ignore (Anonet.map_network gen_g));
+      ("e9-naive-tree-comb256", fun () -> ignore (Anonet.broadcast_tree_naive tree_g));
+      ( "e10-general-lifo-n60",
+        fun () ->
+          ignore (Anonet.broadcast_general ~scheduler:Runtime.Scheduler.Lifo gen_g)
+      );
+    ]
   in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |])
-      Instance.monotonic_clock raw
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let est =
-        match Analyze.OLS.estimates ols with Some [ e ] -> e | _ -> Float.nan
-      in
-      rows := (name, est) :: !rows)
-    results;
-  pf "%45s %16s\n" "benchmark" "ns/run";
+  pf "%45s %14s %14s %14s\n" "benchmark" "median ns/run" "q1" "q3";
   List.iter
-    (fun (name, est) -> pf "%45s %16.1f\n" name est)
-    (List.sort compare !rows)
+    (fun (name, f) ->
+      let batch = max 1 (int_of_float (0.05 /. Timer.seconds f)) in
+      let s = Timer.repeat ~repeats:9 (fun () -> Timer.seconds ~batch f) in
+      pf "%45s %14.1f %14.1f %14.1f\n" name (s.median *. 1e9) (s.q1 *. 1e9)
+        (s.q3 *. 1e9))
+    rows
 
 (* {1 Fault campaign (JSON)} *)
 
@@ -686,36 +668,21 @@ let throughput ~small () =
       explored;
     (List.length cases, Buffer.contents b)
   in
-  (* Per domain count: median wall seconds over [repeats] runs, the work
-     units, and whether every run rendered the same JSON as the first
-     1-domain run. *)
+  (* Per sweep: 1 against 2 domains as one [Timer.pair], the work units,
+     and whether every run rendered the same JSON as the first one (the
+     1-domain warm-up). *)
   let measure sweep =
-    let reference = ref None in
-    let series =
-      List.map
-        (fun domains ->
-          let runs =
-            List.init repeats (fun _ ->
-                let t0 = Unix.gettimeofday () in
-                let units, json = sweep domains in
-                let dt = Unix.gettimeofday () -. t0 in
-                let same =
-                  match !reference with
-                  | None ->
-                      reference := Some json;
-                      true
-                  | Some j -> String.equal j json
-                in
-                (dt, units, same))
-          in
-          let _, units, _ = List.hd runs in
-          ( domains,
-            units,
-            Metrics.median (List.map (fun (t, _, _) -> t) runs),
-            List.for_all (fun (_, _, same) -> same) runs ))
-        [ 1; 2 ]
+    let reference = ref None and identical = ref true and last = ref None in
+    let at domains () =
+      let dt = timed last (fun () -> sweep domains) () in
+      let json = snd (Option.get !last) in
+      (match !reference with
+      | None -> reference := Some json
+      | Some j -> if not (String.equal j json) then identical := false);
+      dt
     in
-    (series, List.for_all (fun (_, _, _, same) -> same) series)
+    let p = Timer.pair ~repeats (at 1) (at 2) in
+    (fst (Option.get !last), p, !identical)
   in
   let sweeps =
     [
@@ -726,82 +693,75 @@ let throughput ~small () =
   in
   pf "{\n";
   pf "  \"experiment\": \"E15-pool-sweeps\",\n";
+  pf "  \"env\": %s,\n" (Timer.env_json ());
   pf "  \"repeats\": %d,\n" repeats;
   pf "  \"campaign_seeds\": %d,\n" n_seeds;
   pf "  \"chaos_budget\": %d,\n" budget;
   pf "  \"check_max_edges\": %d,\n" max_edges;
-  pf "  \"recommended_domain_count\": %d,\n" (Domain.recommended_domain_count ());
   pf "  \"sweeps\": [";
   List.iteri
-    (fun i (name, engine, unit, (series, identical)) ->
+    (fun i (name, engine, unit, (units, (p : Timer.paired), identical)) ->
       if i > 0 then pf ",";
-      pf "\n    {\"sweep\": %S, \"engine\": %S, \"unit\": %S, \"series\": ["
-        name engine unit;
+      pf "\n    {\"sweep\": %S, \"engine\": %S, \"unit\": %S, \"units\": %d, \
+          \"series\": ["
+        name engine unit units;
       List.iteri
-        (fun j (domains, units, med, _) ->
+        (fun j (domains, (s : Timer.summary)) ->
           if j > 0 then pf ", ";
-          pf "{\"domains\": %d, \"units\": %d, \"median_s\": %.4f, \
-              \"units_per_s\": %.1f}"
-            domains units med
-            (float_of_int units /. med))
-        series;
-      pf "], \"identical_json\": %b}" identical)
+          pf "{\"domains\": %d, \"seconds\": %s, \"units_per_s\": %.1f}"
+            domains (Timer.json s)
+            (float_of_int units /. s.median))
+        [ (1, p.a); (2, p.b) ];
+      pf "], \"time_change_2_vs_1\": %s, \"identical_json\": %b}"
+        (Timer.json p.delta) identical)
     sweeps;
   pf "\n  ],\n";
-  pf "  \"pass\": %b\n"
-    (List.for_all (fun (_, _, _, (_, identical)) -> identical) sweeps);
+  pf "  \"pass\": %b\n" (List.for_all (fun (_, _, _, (_, _, id)) -> id) sweeps);
   pf "}\n"
 
 (* {1 E16 — instrumentation overhead + reconciliation (JSON)} *)
 
 (* Prices the [?obs] hook on the 120k-edge layered flood: the same run bare and
    instrumented (metrics registry + timeline, sampling every 1024
-   deliveries), overhead as a fraction of the bare median, and exact
-   reconciliation of the Obs counters against the engine report (the flood
-   under Fifo is deterministic, so [repeats] instrumented runs accumulate
-   exactly [repeats * per-run] in each counter).  The emitted Chrome trace
-   is round-tripped through the validating JSON parser. *)
+   deliveries) as one [Timer.pair], and exact reconciliation of the Obs
+   counters against the engine report (the flood under Fifo is
+   deterministic, so the [repeats + 1] instrumented runs, warm-up included,
+   accumulate exactly [(repeats + 1) * per-run] in each counter).  The
+   emitted Chrome trace is round-tripped through the validating JSON
+   parser. *)
 let obs_bench ~small () =
   let target_edges = if small then 30_000 else 120_000 in
   let repeats = if small then 5 else 7 in
   let g = F.random_layered_large (Prng.create 42) ~target_edges in
   let module En = Runtime.Engine.Make (Anonet.Flood) in
   let o = Obs.create ~sample_every:1024 () in
-  (* Warm up, then interleave bare/instrumented pairs so machine drift
-     lands on both sides of the comparison. *)
-  ignore (En.run g);
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
+  let bare_r = ref None and inst_r = ref None in
+  let p =
+    Timer.pair ~repeats
+      (timed bare_r (fun () -> En.run g))
+      (timed inst_r (fun () -> En.run ~obs:o g))
   in
-  let pairs =
-    List.init repeats (fun _ ->
-        (timed (fun () -> En.run g), timed (fun () -> En.run ~obs:o g)))
-  in
-  let bare_med = Metrics.median (List.map (fun ((t, _), _) -> t) pairs) in
-  let inst_med = Metrics.median (List.map (fun (_, (t, _)) -> t) pairs) in
-  let (_, (bare_r : _ E.report)), (_, (inst_r : _ E.report)) = List.hd pairs in
+  let bare_r = Option.get !bare_r and inst_r = Option.get !inst_r in
+  let runs = repeats + 1 in
   let snap = Obs.Registry.snapshot o.Obs.registry in
   let find name = Option.value ~default:min_int (Obs.Registry.find snap name) in
   let reconcile_deliveries =
-    find "engine.deliveries" = repeats * inst_r.E.deliveries
+    find "engine.deliveries" = runs * inst_r.E.deliveries
   in
-  let reconcile_bits =
-    find "engine.total_bits" = repeats * inst_r.E.total_bits
-  in
+  let reconcile_bits = find "engine.total_bits" = runs * inst_r.E.total_bits in
   let trace_valid = Obs.Json.valid (Obs.Export.chrome_trace o.Obs.timeline) in
   pf "{\n";
   pf "  \"experiment\": \"E16-obs-overhead\",\n";
+  pf "  \"env\": %s,\n" (Timer.env_json ());
   pf "  \"protocol\": \"flood\",\n";
   pf "  \"graph\": {\"vertices\": %d, \"edges\": %d},\n" (G.n_vertices g)
     (G.n_edges g);
   pf "  \"repeats\": %d,\n" repeats;
   pf "  \"sample_every\": 1024,\n";
   pf "  \"deliveries\": %d,\n" bare_r.E.deliveries;
-  pf "  \"bare_median_s\": %.6f,\n" bare_med;
-  pf "  \"instrumented_median_s\": %.6f,\n" inst_med;
-  pf "  \"overhead_fraction\": %.4f,\n" ((inst_med -. bare_med) /. bare_med);
+  pf "  \"bare_s\": %s,\n" (Timer.json p.a);
+  pf "  \"instrumented_s\": %s,\n" (Timer.json p.b);
+  pf "  \"overhead_fraction\": %s,\n" (Timer.json p.delta);
   pf "  \"timeline_events\": %d,\n" (Obs.Timeline.recorded o.Obs.timeline);
   pf "  \"reconcile\": {\"deliveries\": %b, \"total_bits\": %b},\n"
     reconcile_deliveries reconcile_bits;
@@ -811,94 +771,63 @@ let obs_bench ~small () =
 
 (* {1 E21 — causal-lineage overhead (JSON)} *)
 
-(* Prices the [?lineage] hook on the 120k-edge layered flood: interleaved
-   bare/recorded run pairs, medians, overhead as a fraction of the bare
-   median, gated at <= 10%.  Sampling every 256 deliveries keeps the store
-   (and its clock reads) off the hot path while the per-delivery causal
-   aggregates stay exact: every instrumented run must reconcile
-   nodes = deliveries.  The recorder's JSON round-trips through the
-   validating parser. *)
+(* Prices the [?lineage] hook on the 120k-edge layered flood: bare against
+   recorded as one [Timer.pair], overhead gated at <= 10%.  Sampling every
+   256 deliveries keeps the store (and its clock reads) off the hot path
+   while the per-delivery causal aggregates stay exact: the instrumented
+   run must reconcile nodes = deliveries.  The recorder's JSON round-trips
+   through the validating parser. *)
 let lineage_bench ~small () =
   let target_edges = if small then 30_000 else 120_000 in
   let repeats = if small then 15 else 9 in
   let g = F.random_layered_large (Prng.create 42) ~target_edges in
   let module En = Runtime.Engine.Make (Anonet.Flood) in
   let mk () = Obs.Lineage.create ~sample_every:256 () in
-  ignore (En.run g);
-  (* Each sample times a batch of back-to-back runs: single runs are a
+  (* Each reading times a batch of back-to-back runs: single runs are a
      couple of milliseconds here, where page-fault and allocator
      transients right after a major collection dominate the reading. *)
   let batch = 4 in
-  let timed f =
-    (* Level the GC between variants: without this, the instrumented
-       run pays the collection debt of the allocations that preceded
-       it (recorder + bind arrays) and reads a few percent slow. *)
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    let r = ref (f ()) in
-    for _ = 2 to batch do
-      r := f ()
-    done;
-    ((Unix.gettimeofday () -. t0) /. float_of_int batch, !r)
-  in
-  let last = ref (mk ()) in
-  let bare () = timed (fun () -> En.run g) in
+  let bare_r = ref None and lin_r = ref None and last = ref (mk ()) in
   let lin () =
-    let r =
-      timed (fun () ->
+    let t =
+      timed ~batch lin_r
+        (fun () ->
           let l = mk () in
           let r = En.run ~lineage:l g in
           last := l;
           r)
+        ()
     in
     (* Realize outside the timed region — the CLI does the same between
        run and export — so the retained journal does not hold the
        engine's ring across later timed runs. *)
     ignore (Obs.Lineage.nodes !last);
-    r
+    t
   in
-  (* Alternate which side of each pair runs first: allocator state after
-     a run (retained journals, freshly unmapped pages) systematically
-     favors one ordering, and flipping it per repeat cancels that bias
-     in the median. *)
-  let pairs =
-    List.init repeats (fun i ->
-        if i land 1 = 1 then
-          let l = lin () in
-          (bare (), l)
-        else
-          let b = bare () in
-          (b, lin ()))
-  in
-  let bare_med = Metrics.median (List.map (fun ((b, _), _) -> b) pairs) in
-  let lin_med = Metrics.median (List.map (fun (_, (l, _)) -> l) pairs) in
-  (* Overhead is the median of per-pair ratios: each bare/instrumented
-     pair ran back to back, so slow machine drift cancels inside a pair
-     instead of skewing one side's median. *)
-  let over =
-    Metrics.median (List.map (fun ((b, _), (l, _)) -> (l -. b) /. b) pairs)
-  in
-  let (_, (r : _ E.report)) = snd (List.hd pairs) in
+  let p = Timer.pair ~repeats (timed ~batch bare_r (fun () -> En.run g)) lin in
+  let (r : _ E.report) = Option.get !lin_r in
   let l = !last in
   let module L = Obs.Lineage in
   let reconcile = L.nodes l = r.E.deliveries in
   let json_valid = Obs.Json.valid (L.to_json l) in
-  let pass = over <= 0.10 && reconcile && json_valid in
+  let pass = p.delta.median <= 0.10 && reconcile && json_valid in
   pf "{\n";
   pf "  \"experiment\": \"E21-lineage-overhead\",\n";
+  pf "  \"env\": %s,\n" (Timer.env_json ());
   pf "  \"protocol\": \"flood\",\n";
   pf "  \"graph\": {\"vertices\": %d, \"edges\": %d},\n" (G.n_vertices g)
     (G.n_edges g);
   pf "  \"repeats\": %d,\n" repeats;
+  pf "  \"batch\": %d,\n" batch;
   pf "  \"sample_every\": 256,\n";
   pf "  \"deliveries\": %d,\n" r.E.deliveries;
   pf
     "  \"lineage\": {\"nodes\": %d, \"max_depth\": %d, \"width\": %d, \
      \"stored\": %d, \"dropped\": %d},\n"
     (L.nodes l) (L.max_depth l) (L.width l) (L.stored l) (L.dropped l);
-  pf "  \"bare_median_s\": %.6f,\n" bare_med;
-  pf "  \"lineage_median_s\": %.6f,\n" lin_med;
-  pf "  \"overhead_fraction\": %.4f,\n" over;
+  pf "  \"bare_s\": %s,\n" (Timer.json p.a);
+  pf "  \"lineage_s\": %s,\n" (Timer.json p.b);
+  pf "  \"overhead_fraction\": %s,\n" (Timer.json p.delta);
   pf "  \"reconcile_nodes_eq_deliveries\": %b,\n" reconcile;
   pf "  \"json_valid\": %b,\n" json_valid;
   pf "  \"pass\": %b\n" pass;
@@ -926,9 +855,9 @@ let chaos_bench ~small () =
   let sup_runner =
     Anonet.Resilient.chaos_runner ~k:3 (module Anonet.General_broadcast)
   in
-  let t0 = Unix.gettimeofday () in
-  let sup = Ch.run sup_cfg ~runners:[ sup_runner ] ~graphs in
-  let sup_s = Unix.gettimeofday () -. t0 in
+  let sup, sup_s =
+    Timer.time (fun () -> Ch.run sup_cfg ~runners:[ sup_runner ] ~graphs)
+  in
   (* (2) The negative control, amnesia only, no edge kills. *)
   let neg_cfg =
     Ch.config ~budget:(if small then 20 else 60) ~seed:11
@@ -956,29 +885,24 @@ let chaos_bench ~small () =
       ~t_edge_prob:0.25
   in
   let module En = Runtime.Engine.Make (Anonet.General_broadcast) in
-  ignore (En.run g);
   let repeats = if small then 5 else 7 in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
   let o = Obs.create ~sample_every:1024 () in
-  let pairs =
-    List.init repeats (fun _ ->
-        ( timed (fun () -> En.run g),
-          timed (fun () -> En.run ~supervisor:Runtime.Supervisor.default ~obs:o g)
-        ))
+  let bare_r = ref None and sup_r = ref None in
+  let p =
+    Timer.pair ~repeats
+      (timed bare_r (fun () -> En.run g))
+      (timed sup_r (fun () ->
+           En.run ~supervisor:Runtime.Supervisor.default ~obs:o g))
   in
-  let bare_med = Metrics.median (List.map (fun ((t, _), _) -> t) pairs) in
-  let sup_med = Metrics.median (List.map (fun (_, (t, _)) -> t) pairs) in
-  let (_, (bare_r : _ E.report)), (_, (sup_r : _ E.report)) = List.hd pairs in
+  let bare_r = Option.get !bare_r and sup_r = Option.get !sup_r in
+  (* Every supervised run, the warm-up included, lands in the registry. *)
+  let runs = repeats + 1 in
   let snap = Obs.Registry.snapshot o.Obs.registry in
   let find name = Option.value ~default:min_int (Obs.Registry.find snap name) in
   let reconcile =
-    find "engine.deliveries" = repeats * sup_r.E.deliveries
-    && find "engine.checkpoints" = repeats * sup_r.E.vfault_stats.E.checkpoints
-    && find "engine.replayed" = repeats * sup_r.E.vfault_stats.E.replayed
+    find "engine.deliveries" = runs * sup_r.E.deliveries
+    && find "engine.checkpoints" = runs * sup_r.E.vfault_stats.E.checkpoints
+    && find "engine.replayed" = runs * sup_r.E.vfault_stats.E.replayed
     && find "engine.crashes" = 0
   in
   let delivery_overhead =
@@ -987,6 +911,7 @@ let chaos_bench ~small () =
   in
   pf "{\n";
   pf "  \"experiment\": \"E17-chaos-recovery\",\n";
+  pf "  \"env\": %s,\n" (Timer.env_json ());
   pf "  \"supervised\": {\"runner\": %S, \"trials\": %d, \"hits\": %d, \
       \"unsound\": %d, \"starved\": %d, \"seconds\": %.2f},\n"
     sup_runner.Ch.r_name sup.Ch.trials_run sup.Ch.hits sup.Ch.unsound
@@ -998,10 +923,12 @@ let chaos_bench ~small () =
     neg_min_atoms neg_confirmed;
   pf "  \"overhead\": {\"graph\": {\"vertices\": %d, \"edges\": %d}, \
       \"repeats\": %d, \"bare_deliveries\": %d, \"supervised_deliveries\": \
-      %d, \"delivery_overhead_fraction\": %.4f, \"bare_median_s\": %.6f, \
-      \"supervised_median_s\": %.6f, \"checkpoints\": %d, \"replayed\": %d},\n"
+      %d, \"delivery_overhead_fraction\": %.4f, \"bare_s\": %s, \
+      \"supervised_s\": %s, \"time_overhead_fraction\": %s, \
+      \"checkpoints\": %d, \"replayed\": %d},\n"
     (G.n_vertices g) (G.n_edges g) repeats bare_r.E.deliveries
-    sup_r.E.deliveries delivery_overhead bare_med sup_med
+    sup_r.E.deliveries delivery_overhead (Timer.json p.a) (Timer.json p.b)
+    (Timer.json p.delta)
     sup_r.E.vfault_stats.E.checkpoints sup_r.E.vfault_stats.E.replayed;
   pf "  \"reconcile_obs\": %b,\n" reconcile;
   pf "  \"pass\": %b\n"
@@ -1038,7 +965,7 @@ let churn_bench ~small () =
   let rates = [ 0.05; 0.15; 0.3 ] in
   let ts = [ 2; 4; 8 ] in
   let seeds = List.init (if small then 3 else 8) (fun k -> k + 1) in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Timer.now () in
   (* (1) + (2) the sweep. *)
   let cells =
     List.concat_map
@@ -1095,7 +1022,7 @@ let churn_bench ~small () =
           ts)
       rates
   in
-  let sweep_s = Unix.gettimeofday () -. t0 in
+  let sweep_s = Timer.now () -. t0 in
   let total f = List.fold_left (fun a c -> a + f c) 0 cells in
   let runs_per_cell = List.length seeds in
   let sweep_unsound = total (fun (_, _, _, u, _, _, _) -> u) in
@@ -1175,6 +1102,7 @@ let churn_bench ~small () =
   in
   pf "{\n";
   pf "  \"experiment\": \"E18-churn-dynamic\",\n";
+  pf "  \"env\": %s,\n" (Timer.env_json ());
   pf "  \"sweep\": {\"runs_per_cell\": %d, \"seconds\": %.2f, \"cells\": [\n"
     runs_per_cell sweep_s;
   List.iteri
@@ -1205,45 +1133,40 @@ let churn_bench ~small () =
 
 (* {1 E20 — engine throughput (JSON)} *)
 
-(* Prices the engine's two paths on the 120k-edge layered flood.  The Fifo run
-   takes the certified flood fast path (ring of edge indices, absorbed
-   deliveries as two array ops); the Lifo run takes the generic path (CSR
-   adjacency + arena-backed messages + encode memo).  Flood delivers one
-   copy per edge under any schedule, so both rows must report exactly
-   [|E|] deliveries, quiescence and full coverage, which is what [pass]
-   gates on.  The JSON gives each path's rate and the fast path's gain
-   over the generic one, reported rather than gated: on the small graph a
-   run lasts about a millisecond, too short for a stable ratio. *)
+(* Prices the engine's two paths on the 120k-edge layered flood, as one
+   [Timer.pair].  The Fifo run takes the certified flood fast path (ring of
+   edge indices, absorbed deliveries as two array ops); the Lifo run takes
+   the generic path (CSR adjacency + arena-backed messages + encode memo).
+   Flood delivers one copy per edge under any schedule, so every run must
+   report exactly [|E|] deliveries, quiescence and full coverage, which is
+   what [pass] gates on.  The JSON gives each path's rate and the generic
+   path's per-pair time change against the fast one, reported rather than
+   gated: on the small graph a run lasts about a millisecond, too short
+   for a stable ratio. *)
 let engine_bench ~small () =
   let target_edges = if small then 30_000 else 120_000 in
   let repeats = if small then 3 else 5 in
   let g = F.random_layered_large (Prng.create 42) ~target_edges in
   let module En = Runtime.Engine.Make (Anonet.Flood) in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let sound (r : _ E.report) =
-    r.E.outcome = E.Quiescent
-    && r.E.deliveries = G.n_edges g
-    && r.E.final_in_flight = 0
-    && Array.for_all Fun.id r.E.visited
-  in
-  let row sched =
-    let run () = En.run ~scheduler:sched g in
-    ignore (run ());
-    let samples = List.init repeats (fun _ -> timed run) in
-    let med = Metrics.median (List.map fst samples) in
-    (med, List.for_all (fun (_, r) -> sound r) samples)
-  in
-  let fifo = row Runtime.Scheduler.Fifo in
-  let lifo = row Runtime.Scheduler.Lifo in
   let deliveries = G.n_edges g in
-  let gain = fst lifo /. fst fifo in
-  let pass = snd fifo && snd lifo in
+  let pass = ref true in
+  let row sched () =
+    let last = ref None in
+    let t = timed last (fun () -> En.run ~scheduler:sched g) () in
+    let r = Option.get !last in
+    pass :=
+      !pass && r.E.outcome = E.Quiescent
+      && r.E.deliveries = deliveries
+      && r.E.final_in_flight = 0
+      && Array.for_all Fun.id r.E.visited;
+    t
+  in
+  let p =
+    Timer.pair ~repeats (row Runtime.Scheduler.Fifo) (row Runtime.Scheduler.Lifo)
+  in
   pf "{\n";
   pf "  \"experiment\": \"E20-engine-throughput\",\n";
+  pf "  \"env\": %s,\n" (Timer.env_json ());
   pf "  \"protocol\": \"flood\",\n";
   pf "  \"graph\": {\"vertices\": %d, \"edges\": %d},\n" (G.n_vertices g)
     (G.n_edges g);
@@ -1251,19 +1174,34 @@ let engine_bench ~small () =
   pf "  \"deliveries\": %d,\n" deliveries;
   pf "  \"series\": [";
   List.iteri
-    (fun i (path, sched, (t, _)) ->
+    (fun i (path, sched, (s : Timer.summary)) ->
       if i > 0 then pf ",";
       pf
         "\n\
-        \    {\"path\": %S, \"scheduler\": %S, \"median_s\": %.6f, \
+        \    {\"path\": %S, \"scheduler\": %S, \"seconds\": %s, \
          \"deliveries_per_s\": %.0f}"
-        path sched t
-        (float_of_int deliveries /. t))
-    [ ("fast", "fifo", fifo); ("generic", "lifo", lifo) ];
+        path sched (Timer.json s)
+        (float_of_int deliveries /. s.median))
+    [ ("fast", "fifo", p.a); ("generic", "lifo", p.b) ];
   pf "\n  ],\n";
-  pf "  \"fast_over_generic\": %.2f,\n" gain;
-  pf "  \"pass\": %b\n" pass;
+  pf "  \"generic_time_change\": %s,\n" (Timer.json p.delta);
+  pf "  \"pass\": %b\n" !pass;
   pf "}\n"
+
+(* A serve response's ["ok"] flag, and its error code ("" if none). *)
+let ok_of resp =
+  match Obs.Json.parse resp with
+  | Ok v -> Obs.Json.(member "ok" v |> Option.map to_bool_opt) = Some (Some true)
+  | Error _ -> false
+
+let code_of resp =
+  let module J = Obs.Json in
+  match J.parse resp with
+  | Ok v ->
+      Option.value ~default:""
+        (Option.bind (J.member "error" v) (fun e ->
+             Option.bind (J.member "code" e) J.to_string_opt))
+  | Error _ -> ""
 
 (* E19: the serve layer under load.  Drives [Server.handle_line] directly —
    the same function the socket loop calls, minus syscalls — with an
@@ -1310,26 +1248,7 @@ let serve_bench ~small () =
           "{\"op\":\"submit\",\"id\":\"%s\",\"protocol\":\"general\",\"graph\":\"mid\",\"scheduler\":\"random\",\"seed\":%d,\"churn\":{\"rate\":0.05,\"seed\":%d}}"
           id seed seed
   in
-  let ok_of resp =
-    match J.parse resp with
-    | Ok v -> (
-        match Option.map J.to_bool_opt (J.member "ok" v) with
-        | Some (Some b) -> b
-        | _ -> false)
-    | Error _ -> false
-  in
-  let code_of resp =
-    match J.parse resp with
-    | Ok v -> (
-        match
-          Option.bind (J.member "error" v) (fun e ->
-              Option.bind (J.member "code" e) J.to_string_opt)
-        with
-        | Some c -> c
-        | None -> "")
-    | Error _ -> ""
-  in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Timer.now () in
   let overloads = ref 0 in
   for i = 0 to sessions - 1 do
     let line = submit_line i in
@@ -1353,7 +1272,7 @@ let serve_bench ~small () =
         | Some st -> (id, st)
         | None -> failwith ("lost session " ^ id))
   in
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let wall_s = Timer.now () -. t0 in
   let stuck =
     Array.fold_left
       (fun acc (_, st) ->
@@ -1433,9 +1352,10 @@ let serve_bench ~small () =
            | None -> nan)
          results)
   in
-  let pcts = Metrics.percentiles [ 50.0; 99.0 ] latencies_ms in
-  let p50, p99 =
-    match pcts with [ a; b ] -> (a, b) | _ -> (nan, nan)
+  let q1, p50, q3, p99 =
+    match Metrics.percentiles [ 25.0; 50.0; 75.0; 99.0 ] latencies_ms with
+    | [ a; b; c; d ] -> (a, b, c, d)
+    | _ -> assert false
   in
   S.stop server;
   let pass =
@@ -1444,11 +1364,14 @@ let serve_bench ~small () =
   in
   pf "{\n";
   pf "  \"experiment\": \"E19-serve\",\n";
+  pf "  \"env\": %s,\n" (Timer.env_json ());
   pf "  \"sessions\": %d,\n" sessions;
   pf "  \"workers\": %d,\n" workers;
   pf "  \"wall_seconds\": %.3f,\n" wall_s;
   pf "  \"sessions_per_sec\": %.1f,\n" (float_of_int sessions /. wall_s);
-  pf "  \"latency_ms\": {\"p50\": %.3f, \"p99\": %.3f},\n" p50 p99;
+  pf "  \"latency_ms\": {\"q1\": %.3f, \"p50\": %.3f, \"q3\": %.3f, \
+      \"p99\": %.3f},\n"
+    q1 p50 q3 p99;
   pf "  \"overload_retries\": %d,\n" !overloads;
   pf "  \"stuck\": %d,\n" stuck;
   pf "  \"unsound\": %d,\n" unsound;
@@ -1540,25 +1463,6 @@ let recover_bench ~small () =
         "{\"op\":\"submit\",\"id\":\"%s\",\"protocol\":\"counting\",\"graph\":\"grid\",\"scheduler\":\"random\",\"seed\":%d}"
         (rid i) i
   in
-  let ok_of resp =
-    match J.parse resp with
-    | Ok v -> (
-        match Option.map J.to_bool_opt (J.member "ok" v) with
-        | Some (Some b) -> b
-        | _ -> false)
-    | Error _ -> false
-  in
-  let code_of resp =
-    match J.parse resp with
-    | Ok v -> (
-        match
-          Option.bind (J.member "error" v) (fun e ->
-              Option.bind (J.member "code" e) J.to_string_opt)
-        with
-        | Some c -> c
-        | None -> "")
-    | Error _ -> ""
-  in
   let result_bytes resp =
     match J.parse resp with
     | Ok v -> (
@@ -1577,13 +1481,13 @@ let recover_bench ~small () =
     | Error e -> failwith ("submit io: " ^ e)
   in
   let poll_result c id ~budget_s =
-    let deadline = Unix.gettimeofday () +. budget_s in
+    let deadline = Timer.now () +. budget_s in
     let rec go () =
       match C.request c (Printf.sprintf "{\"op\":\"result\",\"id\":\"%s\"}" id) with
       | Ok resp when ok_of resp -> `Done (result_bytes resp)
       | Ok resp ->
           let c' = code_of resp in
-          if c' = "not_done" && Unix.gettimeofday () < deadline then begin
+          if c' = "not_done" && Timer.now () < deadline then begin
             Unix.sleepf 0.005;
             go ()
           end
@@ -1592,7 +1496,7 @@ let recover_bench ~small () =
     in
     go ()
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Timer.now () in
   let per_phase = n / (crashes + 1) in
   let next = ref 0 in
   let kill_points = ref [] in
@@ -1671,7 +1575,7 @@ let recover_bench ~small () =
   ignore (C.shutdown ~socket:sock);
   ignore (Unix.waitpid [] !pid);
   rm sock;
-  let chaos_wall = Unix.gettimeofday () -. t0 in
+  let chaos_wall = Timer.now () -. t0 in
   (* {2 Overhead phase} — closed-loop producers, journal on/off.  A
      single open-loop producer can't price the journal: the
      journal-slowed producer keeps the queue SHORTER, so measured wait
@@ -1746,15 +1650,8 @@ let recover_bench ~small () =
     in
     (p50, jstats)
   in
-  ignore (overhead_run None);  (* warm-up *)
   let j2 = tag ^ ".overhead.journal" in
-  (* Paired rounds with the off/on order FLIPPED each round, overhead
-     taken as the median of per-round deltas.  Two defenses at once:
-     pairing beats run-to-run scheduling noise, and order-flipping
-     cancels monotonic drift (CPU frequency ramp, cache warming) that
-     otherwise hands whichever side runs later a systematic win. *)
-  let rounds = 4 in
-  let offs = ref [] and ons = ref [] and pcts = ref [] and jstats = ref None in
+  let jstats = ref None in
   let run_off () = fst (overhead_run None) in
   let run_on () =
     rm j2;
@@ -1763,26 +1660,14 @@ let recover_bench ~small () =
     rm j2;
     p
   in
-  for r = 1 to rounds do
-    let off, on =
-      if r mod 2 = 1 then
-        let o = run_off () in
-        (o, run_on ())
-      else
-        let n = run_on () in
-        (run_off (), n)
-    in
-    offs := off :: !offs;
-    ons := on :: !ons;
-    pcts := ((on -. off) /. off *. 100.0) :: !pcts
-  done;
+  (* A reading here is one run's p50 session latency in ms.  Pairing beats
+     run-to-run scheduling noise, and flipping the off/on order each pair
+     cancels monotonic drift (CPU frequency ramp, cache warming) that
+     otherwise hands whichever side runs later a systematic win. *)
+  let rounds = 4 in
+  let p = Timer.pair ~repeats:rounds run_off run_on in
   rm journal;
-  let median l =
-    match Metrics.percentiles [ 50.0 ] l with [ p ] -> p | _ -> nan
-  in
-  let p50_off = median !offs and p50_on = median !ons in
   let jstats = !jstats in
-  let overhead_pct = median !pcts in
   let appends, fsyncs, jbytes =
     match jstats with
     | Some st -> Serve.Journal.(st.s_appends, st.s_fsyncs, st.s_bytes)
@@ -1790,10 +1675,11 @@ let recover_bench ~small () =
   in
   let pass =
     !lost = 0 && !mismatches = 0 && rec_mismatched = 0 && rec_replayed > 0
-    && overhead_pct <= 10.0
+    && p.delta.median <= 0.10
   in
   pf "{\n";
   pf "  \"experiment\": \"E22-recover\",\n";
+  pf "  \"env\": %s,\n" (Timer.env_json ());
   pf "  \"sessions\": %d,\n" n;
   pf "  \"crashes\": %d,\n" crashes;
   pf "  \"kill_points\": [%s],\n"
@@ -1807,55 +1693,56 @@ let recover_bench ~small () =
   pf "  \"recovered\": {\"replayed\": %d, \"verified\": %d, \"mismatched\": \
       %d, \"completed\": %d},\n"
     rec_replayed rec_verified rec_mismatched rec_completed;
-  pf "  \"overhead\": {\"sessions\": %d, \"p50_off_ms\": %.3f, \"p50_on_ms\": \
-      %.3f, \"pct\": %.1f, \"appends\": %d, \"fsyncs\": %d, \"bytes\": %d},\n"
-    m p50_off p50_on overhead_pct appends fsyncs jbytes;
+  pf "  \"overhead\": {\"sessions\": %d, \"rounds\": %d, \"p50_off_ms\": %s, \
+      \"p50_on_ms\": %s, \"overhead_fraction\": %s, \"appends\": %d, \
+      \"fsyncs\": %d, \"bytes\": %d},\n"
+    m rounds (Timer.json p.a) (Timer.json p.b) (Timer.json p.delta) appends fsyncs
+    jbytes;
   pf "  \"pass\": %b\n" pass;
   pf "}\n"
 
-let all_tables =
+(* What runs with no arguments: every table, then the timing rows. *)
+let tables =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5);
     ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
     ("e11", e11); ("e12", e12); ("e13", e13); ("fits", fits);
+    ("timing", timing);
   ]
 
+(* A [Sized] bench also runs as "NAME:small", its CI-sized variant. *)
+type bench = Fixed of (unit -> unit) | Sized of (small:bool -> unit -> unit)
+
+let benches =
+  List.map (fun (name, f) -> (name, Fixed f)) tables
+  @ [
+      ("campaign", Fixed campaign); ("check", Fixed check);
+      ("throughput", Sized throughput); ("obs", Sized obs_bench);
+      ("chaos", Sized chaos_bench); ("churn", Sized churn_bench);
+      ("serve", Sized serve_bench); ("recover", Sized recover_bench);
+      ("engine", Sized engine_bench); ("lineage", Sized lineage_bench);
+    ]
+
+let by_name =
+  List.concat_map
+    (function
+      | name, Fixed f -> [ (name, f) ]
+      | name, Sized f -> [ (name, f ~small:false); (name ^ ":small", f ~small:true) ])
+    benches
+
+let known =
+  String.concat ", "
+    (List.map
+       (function name, Fixed _ -> name | name, Sized _ -> name ^ "[:small]")
+       benches)
+
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  match args with
-  | [] ->
-      List.iter (fun (_, f) -> f ()) all_tables;
-      timing ()
-  | _ ->
+  match List.tl (Array.to_list Sys.argv) with
+  | [] -> List.iter (fun (_, f) -> f ()) tables
+  | args ->
       List.iter
         (fun a ->
-          if a = "timing" then timing ()
-          else if a = "campaign" then campaign ()
-          else if a = "check" then check ()
-          else if a = "throughput" then throughput ~small:false ()
-          else if a = "throughput:small" then throughput ~small:true ()
-          else if a = "obs" then obs_bench ~small:false ()
-          else if a = "obs:small" then obs_bench ~small:true ()
-          else if a = "chaos" then chaos_bench ~small:false ()
-          else if a = "chaos:small" then chaos_bench ~small:true ()
-          else if a = "churn" then churn_bench ~small:false ()
-          else if a = "churn:small" then churn_bench ~small:true ()
-          else if a = "serve" then serve_bench ~small:false ()
-          else if a = "serve:small" then serve_bench ~small:true ()
-          else if a = "recover" then recover_bench ~small:false ()
-          else if a = "recover:small" then recover_bench ~small:true ()
-          else if a = "engine" then engine_bench ~small:false ()
-          else if a = "engine:small" then engine_bench ~small:true ()
-          else if a = "lineage" then lineage_bench ~small:false ()
-          else if a = "lineage:small" then lineage_bench ~small:true ()
-          else
-            match List.assoc_opt a all_tables with
-            | Some f -> f ()
-            | None ->
-                pf
-                  "unknown table %s (known: e1..e13, fits, campaign, check, \
-                   timing, throughput[:small], obs[:small], chaos[:small], \
-                   churn[:small], serve[:small], recover[:small], \
-                   engine[:small], lineage[:small])\n"
-                  a)
+          match List.assoc_opt a by_name with
+          | Some f -> f ()
+          | None -> pf "unknown table %s (known: %s)\n" a known)
         args

@@ -71,6 +71,10 @@ let payload_t =
     & info [ "payload" ] ~docv:"BITS"
         ~doc:"Size of the broadcast message m, charged to every protocol message.")
 
+(* Checked before anything is printed, so a bad size is one error line. *)
+let check_payload payload =
+  if payload < 0 then invalid_arg "--payload must be >= 0"
+
 let describe_graph g =
   pf "network : |V|=%d |E|=%d d_out=%d class=%s\n" (G.n_vertices g) (G.n_edges g)
     (G.max_out_degree g)
@@ -310,6 +314,7 @@ let run_cmd =
     | None -> `Error (false, Printf.sprintf "unknown protocol %S" protocol)
     | Some (module P : Runtime.Protocol_intf.PROTOCOL) -> (
         try
+          check_payload payload;
           let obs = make_obs ~sample trace_out metrics_out csv_out in
           let lineage = make_lineage ~sample:lineage_sample lineage_out obs in
           let churn = churn_of ~rate:churn_rate ~t:churn_t ~seed:churn_seed g in
@@ -361,39 +366,29 @@ let sync_cmd =
       & info [ "p"; "protocol" ] ~docv:"PROTO" ~doc:"tree | dag | general | labeling | mapping")
   in
   let run g protocol payload =
-    describe_graph g;
-    pf "protocol: %s (synchronous rounds), payload: %d bits\n\n" protocol payload;
-    let show rounds base =
-      pf "rounds           : %d\n" rounds;
-      describe_stats (Anonet.stats_of_report base)
+    let show (r : _ Runtime.Sync_engine.report) =
+      pf "rounds           : %d\n" r.rounds;
+      describe_stats (Anonet.stats_of_report r.base);
+      `Ok 0
     in
     let module ST = Runtime.Sync_engine.Make (Anonet.Tree_broadcast) in
     let module SD = Runtime.Sync_engine.Make (Anonet.Dag_broadcast_pow2) in
     let module SG = Runtime.Sync_engine.Make (Anonet.General_broadcast) in
     let module SL = Runtime.Sync_engine.Make (Anonet.Labeling) in
     let module SM = Runtime.Sync_engine.Make (Anonet.Mapping) in
-    match protocol with
-    | "tree" ->
-        let r = ST.run ~payload_bits:payload g in
-        show r.rounds r.base;
-        `Ok 0
-    | "dag" ->
-        let r = SD.run ~payload_bits:payload g in
-        show r.rounds r.base;
-        `Ok 0
-    | "general" ->
-        let r = SG.run ~payload_bits:payload g in
-        show r.rounds r.base;
-        `Ok 0
-    | "labeling" ->
-        let r = SL.run ~payload_bits:payload g in
-        show r.rounds r.base;
-        `Ok 0
-    | "mapping" ->
-        let r = SM.run ~payload_bits:payload g in
-        show r.rounds r.base;
-        `Ok 0
-    | p -> `Error (false, Printf.sprintf "unknown protocol %S" p)
+    try
+      check_payload payload;
+      describe_graph g;
+      pf "protocol: %s (synchronous rounds), payload: %d bits\n\n" protocol
+        payload;
+      match protocol with
+      | "tree" -> show (ST.run ~payload_bits:payload g)
+      | "dag" -> show (SD.run ~payload_bits:payload g)
+      | "general" -> show (SG.run ~payload_bits:payload g)
+      | "labeling" -> show (SL.run ~payload_bits:payload g)
+      | "mapping" -> show (SM.run ~payload_bits:payload g)
+      | p -> `Error (false, Printf.sprintf "unknown protocol %S" p)
+    with Invalid_argument msg -> `Error (false, msg)
   in
   Cmd.v
     (Cmd.info "sync"
@@ -822,6 +817,7 @@ let obs_cmd =
     | Some (module P : Runtime.Protocol_intf.PROTOCOL) -> (
         try
           if sample < 1 then invalid_arg "--sample must be at least 1";
+          check_payload payload;
           let o = Obs.create ~sample_every:sample () in
           describe_graph g;
           pf "protocol: %s, scheduler: %s, payload: %d bits, sample every %d\n\n"

@@ -179,8 +179,12 @@ let config ?(budget = 500) ?(max_faults = 4) ?(seed = 0) ?(p_edge = 0.5)
   if recoveries = [] then invalid_arg "Chaos.config: recoveries must be non-empty";
   if max_at < 1 then invalid_arg "Chaos.config: max_at must be >= 1";
   if max_downtime < 1 then invalid_arg "Chaos.config: max_downtime must be >= 1";
-  if p_churn < 0.0 || p_churn > 1.0 then
-    invalid_arg "Chaos.config: p_churn must be in [0,1]";
+  let unit_range name p =
+    if not (p >= 0.0 && p <= 1.0) then
+      invalid_arg (Printf.sprintf "Chaos.config: %s must be in [0,1]" name)
+  in
+  unit_range "p_edge" p_edge;
+  unit_range "p_churn" p_churn;
   (match churn_t with
   | Some t when t < 1 -> invalid_arg "Chaos.config: churn_t must be >= 1"
   | _ -> ());

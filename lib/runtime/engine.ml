@@ -1284,6 +1284,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       ?(vfaults = Vfaults.none) ?(churn = Churn.none) ?supervisor
       ?(verify_codec = false) ?stop ?obs ?lineage ?on_deliver ?on_pop
       ?on_undelivered g =
+    if payload_bits < 0 then invalid_arg "Engine.run: payload_bits must be >= 0";
     let oh = Option.map obs_hooks obs in
     let gc0 =
       match obs with

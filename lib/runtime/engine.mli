@@ -173,6 +173,7 @@ module Make (P : Protocol_intf.PROTOCOL) : sig
   (** Defaults: [scheduler = Fifo], [payload_bits = 0],
       [step_limit = 10_000_000], no faults, no vertex faults, no churn,
       no supervisor, [verify_codec = false], no [stop] hook.
+      Raises [Invalid_argument] if [payload_bits < 0].
 
       [stop], when given, is polled between deliveries; the first [true]
       ends the run with outcome {!Cancelled} at a message boundary — no

@@ -110,5 +110,6 @@ module Make (P : Protocol_intf.CHECKABLE) : sig
     replay
   (** Re-run a recorded schedule through {!Engine.Make} under
       [Scheduler.Replay], returning the outcome, the soundness diagnosis and
-      the rendered trace.  Deterministic: same schedule, same run. *)
+      the rendered trace.  Deterministic: same schedule, same run.  Raises
+      [Invalid_argument] if [payload_bits < 0]. *)
 end

@@ -11,6 +11,8 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
   }
 
   let run ?(payload_bits = 0) ?(round_limit = 100_000) ?on_deliver g =
+    if payload_bits < 0 then
+      invalid_arg "Sync_engine.run: payload_bits must be >= 0";
     let n = Digraph.n_vertices g in
     let ne = Digraph.n_edges g in
     let t = Digraph.terminal g in

@@ -21,5 +21,6 @@ module Make (P : Protocol_intf.PROTOCOL) : sig
     ?on_deliver:(Engine.event -> P.message -> unit) ->
     Digraph.t ->
     P.state report
-  (** Defaults: [payload_bits = 0], [round_limit = 100_000]. *)
+  (** Defaults: [payload_bits = 0], [round_limit = 100_000].  Raises
+      [Invalid_argument] if [payload_bits < 0]. *)
 end

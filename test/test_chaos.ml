@@ -196,6 +196,17 @@ let test_par_chaos_matches_sequential () =
   Alcotest.(check string) "byte-identical JSON" (Ch.to_json seq)
     (Ch.to_json par)
 
+let test_config_rejects_out_of_range_rates () =
+  Alcotest.check_raises "p_edge > 1"
+    (Invalid_argument "Chaos.config: p_edge must be in [0,1]") (fun () ->
+      ignore (Ch.config ~p_edge:3.0 ()));
+  Alcotest.check_raises "p_edge < 0"
+    (Invalid_argument "Chaos.config: p_edge must be in [0,1]") (fun () ->
+      ignore (Ch.config ~p_edge:(-0.1) ()));
+  Alcotest.check_raises "p_churn > 1"
+    (Invalid_argument "Chaos.config: p_churn must be in [0,1]") (fun () ->
+      ignore (Ch.config ~p_churn:1.5 ()))
+
 let () =
   Alcotest.run "chaos"
     [
@@ -206,6 +217,8 @@ let () =
           Alcotest.test_case "required excuses stopped + cut" `Quick
             test_required_excuses_stopped_and_cut;
           Alcotest.test_case "compile round trip" `Quick test_compile_round_trip;
+          Alcotest.test_case "config rejects out-of-range rates" `Quick
+            test_config_rejects_out_of_range_rates;
         ] );
       ( "replay",
         [

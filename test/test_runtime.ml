@@ -71,6 +71,22 @@ let test_payload_bits_charged () =
     (base.total_bits + (100 * base.deliveries))
     loaded.total_bits
 
+module Sync_flood = Runtime.Sync_engine.Make (Anonet.Flood)
+
+(* Both engines, and both of Engine's paths (flood fast path under Fifo,
+   generic under Lifo), refuse a negative message size. *)
+let test_negative_payload_rejected () =
+  let g = F.path 3 in
+  let engine = Invalid_argument "Engine.run: payload_bits must be >= 0" in
+  Alcotest.check_raises "engine, fast path" engine (fun () ->
+      ignore (Flood_engine.run ~payload_bits:(-50) g));
+  Alcotest.check_raises "engine, generic path" engine (fun () ->
+      ignore
+        (Flood_engine.run ~scheduler:Runtime.Scheduler.Lifo ~payload_bits:(-1) g));
+  Alcotest.check_raises "sync engine"
+    (Invalid_argument "Sync_engine.run: payload_bits must be >= 0") (fun () ->
+      ignore (Sync_flood.run ~payload_bits:(-50) g))
+
 let test_step_limit () =
   let g = F.grid_dag ~rows:4 ~cols:4 in
   let r = Hops_engine.run ~step_limit:5 g in
@@ -349,6 +365,8 @@ let () =
           Alcotest.test_case "hop counts" `Quick test_hop_counts_on_path;
           Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
           Alcotest.test_case "payload bits" `Quick test_payload_bits_charged;
+          Alcotest.test_case "negative payload rejected" `Quick
+            test_negative_payload_rejected;
           Alcotest.test_case "step limit" `Quick test_step_limit;
           Alcotest.test_case "trace hook" `Quick test_trace_hook;
           Alcotest.test_case "in-flight high water" `Quick test_in_flight_highwater;
