@@ -572,7 +572,7 @@ let campaign () =
 let buf_check_case b (c : Anonet.Check_suite.case) (r : Runtime.Explore.result)
     ~cpu_s =
   let module X = Runtime.Explore in
-  let module J = Runtime.Json in
+  let module J = Obs.Json in
   Buffer.add_string b "{\"protocol\":";
   J.buf_string b c.c_protocol;
   Buffer.add_string b ",\"family\":";
@@ -944,16 +944,16 @@ let chaos_bench ~small () =
    churn-rate x T-interval grid stays sound in every cell (a terminated run
    covers everything) and heals outages under retransmission.  (2) The
    T-interval contract is meaningful: the same adversary clamped by
-   [Churn.constrain] records zero window violations by construction, while
+   [Faults.constrain] records zero window violations by construction, while
    [with_contract] accounting shows the raw adversary breaching small
-   windows.  (3) Churn-free runs pay nothing: arming [Churn.none] changes
+   windows.  (3) Churn-free runs pay nothing: arming [Faults.none] changes
    no counter.  (4) The amnesiac negative control: stateless flooding
    quiesces while a cycle edge is absent and livelocks the moment a churn
    [Add] splices it in — and a small all-churn chaos search finds that
    livelock and replays it byte-for-byte. *)
 let churn_bench ~small () =
   let module Ch = Runtime.Chaos in
-  let module C = Runtime.Churn in
+  let module C = Runtime.Faults in
   let module En = Runtime.Engine.Make (Anonet.General_broadcast) in
   (* The hardened stack of E17 / chaos_churn: the supervisor is a blind
      repeater, so its duplicates need Redundant(3)'s wire-encoding dedup —
@@ -983,11 +983,11 @@ let churn_bench ~small () =
                     C.uniform (C.plan ~remove:rate ~max_downtime:3 ()) ~seed
                   in
                   let clamped =
-                    En3.run ~churn:(C.constrain ~t_interval:t g spec)
+                    En3.run ~faults:(C.constrain ~t_interval:t g spec)
                       ~supervisor:Runtime.Supervisor.default g
                   in
                   let raw =
-                    En3.run ~churn:(C.with_contract ~t_interval:t g spec)
+                    En3.run ~faults:(C.with_contract ~t_interval:t g spec)
                       ~supervisor:Runtime.Supervisor.default g
                   in
                   (clamped, raw))
@@ -1007,15 +1007,15 @@ let churn_bench ~small () =
                   (if bad c then 1 else 0) + if bad r then 1 else 0)
             in
             let heals =
-              count (fun ((c : _ E.report), _) -> c.E.churn_stats.E.heals)
+              count (fun ((c : _ E.report), _) -> c.E.fault_stats.E.heals)
             in
             let clamped_violations =
               count (fun ((c : _ E.report), _) ->
-                  c.E.churn_stats.E.window_violations)
+                  c.E.fault_stats.E.window_violations)
             in
             let raw_violations =
               count (fun (_, (r : _ E.report)) ->
-                  r.E.churn_stats.E.window_violations)
+                  r.E.fault_stats.E.window_violations)
             in
             (rate, t, terminated, unsound, heals, clamped_violations,
              raw_violations))
@@ -1035,11 +1035,11 @@ let churn_bench ~small () =
       ~t_edge_prob:0.25
   in
   let bare = En.run g0 in
-  let armed = En.run ~churn:C.none g0 in
+  let armed = En.run ~faults:C.none g0 in
   let zero_overhead =
     bare.E.deliveries = armed.E.deliveries
     && bare.E.total_bits = armed.E.total_bits
-    && armed.E.churn_stats = E.no_churn_stats
+    && armed.E.fault_stats = E.no_faults_stats
   in
   (* (4) amnesiac flooding: quiesce vs churned-in livelock, then the chaos
      search that must rediscover it. *)
@@ -1052,7 +1052,7 @@ let churn_bench ~small () =
     (* Every initially-absent edge stays absent: its add point is pushed
        beyond any traffic the finite single pass can produce. *)
     Am.run ~step_limit:10_000
-      ~churn:
+      ~faults:
         (C.script
            (List.filter_map
               (fun (d : F.dyn_event) ->
@@ -1064,7 +1064,7 @@ let churn_bench ~small () =
   in
   let livelock =
     Am.run ~step_limit:10_000
-      ~churn:
+      ~faults:
         (C.script
            (List.filter_map
               (fun (d : F.dyn_event) ->

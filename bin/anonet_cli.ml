@@ -154,18 +154,16 @@ let churn_seed_t =
 let churn_of ~rate ~t ~seed g =
   if rate < 0.0 || rate > 1.0 then
     invalid_arg "--churn-rate must be in [0,1]";
-  if rate = 0.0 then Runtime.Churn.none
-  else
-    let c =
-      Runtime.Churn.uniform
-        (Runtime.Churn.plan ~remove:rate ~max_downtime:3 ())
-        ~seed
-    in
-    match t with
-    | None -> c
-    | Some t -> Runtime.Churn.with_contract ~t_interval:t g c
+  let c =
+    Runtime.Faults.uniform
+      (Runtime.Faults.plan ~remove:rate ~max_downtime:3 ())
+      ~seed
+  in
+  match t with
+  | None -> c
+  | Some t -> Runtime.Faults.with_contract ~t_interval:t g c
 
-let describe_churn (cs : E.churn_stats) =
+let describe_churn (cs : E.fault_stats) =
   pf "churn            : %d adds, %d removes, %d heals, %d lost in flight, \
       %d window violations\n"
     cs.E.adds cs.E.removes cs.E.heals cs.E.messages_lost_in_flight
@@ -324,10 +322,11 @@ let run_cmd =
             payload;
           let module En = Runtime.Engine.Make (P) in
           let r =
-            En.run ~scheduler ~payload_bits:payload ~churn ?obs ?lineage g
+            En.run ~scheduler ~payload_bits:payload ~faults:churn ?obs
+              ?lineage g
           in
-          if not (Runtime.Churn.is_none churn) then
-            describe_churn r.E.churn_stats;
+          if not (Runtime.Faults.is_none churn) then
+            describe_churn r.E.fault_stats;
           let res = finish (Anonet.stats_of_report r) in
           flush_obs
             ~meta:[ ("command", "run"); ("protocol", protocol) ]
@@ -898,6 +897,59 @@ let obs_cmd =
         (const run $ family_t $ protocol_t $ scheduler_t $ payload_t
        $ sample_t $ trace_out_t $ metrics_out_t $ csv_out_t))
 
+(* {1 Chaos witnesses}
+
+   What the [chaos] and [churn] searches print: the tally, then every
+   witness with the verdict of a replay of its recorded schedule, and the
+   result JSON when asked for. *)
+
+let print_witnesses ?json_out cfg runner graphs (res : Runtime.Chaos.result) =
+  let module Ch = Runtime.Chaos in
+  pf "trials: %d   hits: %d   duplicates: %d   witnesses: %d \
+      (unsound %d, starved %d, livelocked %d)\n"
+    res.Ch.trials_run res.Ch.hits res.Ch.duplicates
+    (List.length res.Ch.witnesses)
+    res.Ch.unsound res.Ch.starved res.Ch.livelocked;
+  List.iter
+    (fun (w : Ch.witness) ->
+      let gc =
+        List.find (fun gc -> gc.Runtime.Campaign.g_name = w.Ch.w_graph) graphs
+      in
+      let confirmed = Ch.confirms w (Ch.replay cfg runner gc w) in
+      pf "\n%s on %s (trial %d, shrunk %d -> %d atoms)%s\n"
+        (Ch.describe_kind w.Ch.w_kind)
+        w.Ch.w_graph w.Ch.w_trial w.Ch.w_original_size
+        (List.length w.Ch.w_faults)
+        (if confirmed then ", replay confirms" else " — REPLAY DIVERGED");
+      List.iter (fun f -> pf "  %s\n" (Ch.describe_fault f)) w.Ch.w_faults;
+      pf "  missing: [%s]\n"
+        (String.concat "; " (List.map string_of_int w.Ch.w_missing)))
+    res.Ch.witnesses;
+  Option.iter
+    (fun p ->
+      write_file p (Ch.to_json res);
+      pf "\nresult written  : %s\n" p)
+    json_out
+
+(* Replay the first witness instrumented, so the Perfetto trace shows the
+   violating schedule itself, churn instants included, and the lineage the
+   causal chain that starved the missing vertices. *)
+let replay_first ?obs ?lineage cfg runner graphs (res : Runtime.Chaos.result) =
+  match res.Runtime.Chaos.witnesses with
+  | w :: _ when obs <> None || lineage <> None ->
+      let gc =
+        List.find
+          (fun gc -> gc.Runtime.Campaign.g_name = w.Runtime.Chaos.w_graph)
+          graphs
+      in
+      ignore (Runtime.Chaos.replay ?obs ?lineage cfg runner gc w)
+  | _ -> ()
+
+let exit_of (res : Runtime.Chaos.result) =
+  if res.Runtime.Chaos.unsound > 0 then 2
+  else if res.starved > 0 || res.livelocked > 0 then 1
+  else 0
+
 let chaos_cmd =
   let module Ch = Runtime.Chaos in
   let protocol_t =
@@ -1003,62 +1055,9 @@ let chaos_cmd =
             if domains > 1 then Par.Chaos.run ~domains cfg ~runners:[ runner ] ~graphs
             else Ch.run cfg ~runners:[ runner ] ~graphs
           in
-          pf "trials: %d   hits: %d   duplicates: %d   witnesses: %d \
-              (unsound %d, starved %d, livelocked %d)\n"
-            res.Ch.trials_run res.Ch.hits res.Ch.duplicates
-            (List.length res.Ch.witnesses)
-            res.Ch.unsound res.Ch.starved res.Ch.livelocked;
-          List.iter
-            (fun (w : Ch.witness) ->
-              let gc =
-                List.find
-                  (fun gc -> gc.Runtime.Campaign.g_name = w.Ch.w_graph)
-                  graphs
-              in
-              let confirmed = Ch.confirms w (Ch.replay cfg runner gc w) in
-              pf "\n%s on %s (trial %d, shrunk %d -> %d atoms)%s\n"
-                (Ch.describe_kind w.Ch.w_kind)
-                w.Ch.w_graph w.Ch.w_trial w.Ch.w_original_size
-                (List.length w.Ch.w_faults)
-                (if confirmed then ", replay confirms"
-                 else " — REPLAY DIVERGED");
-              List.iter (fun f -> pf "  %s\n" (Ch.describe_fault f)) w.Ch.w_faults;
-              pf "  missing: [%s]\n"
-                (String.concat "; " (List.map string_of_int w.Ch.w_missing)))
-            res.Ch.witnesses;
-          Option.iter
-            (fun p ->
-              write_file p (Ch.to_json res);
-              pf "\nresult written  : %s\n" p)
-            json_out;
-          (* Instrument a replay of the first witness so the Perfetto trace
-             shows the violating schedule itself. *)
+          print_witnesses ?json_out cfg runner graphs res;
           let obs = make_obs ~sample trace_out metrics_out csv_out in
-          (match (obs, res.Ch.witnesses) with
-          | Some o, (w : Ch.witness) :: _ ->
-              let gc =
-                List.find
-                  (fun gc -> gc.Runtime.Campaign.g_name = w.Ch.w_graph)
-                  graphs
-              in
-              let g = gc.Runtime.Campaign.build ~seed:cfg.Ch.seed in
-              let faults, vfaults, churn = Ch.compile w.Ch.w_faults in
-              let churn =
-                match cfg.Ch.churn_t with
-                | None -> churn
-                | Some t -> Runtime.Churn.with_contract ~t_interval:t g churn
-              in
-              let (module R) =
-                if k = 1 then (module P : Runtime.Protocol_intf.PROTOCOL)
-                else Anonet.Resilient.redundant ~k (module P)
-              in
-              let module En = Runtime.Engine.Make (R) in
-              ignore
-                (En.run
-                   ~scheduler:(Runtime.Scheduler.Replay w.Ch.w_schedule)
-                   ~faults ~vfaults ~churn ?supervisor
-                   ~step_limit:cfg.Ch.step_limit ~obs:o g)
-          | _ -> ());
+          replay_first ?obs cfg runner graphs res;
           flush_obs
             ~meta:
               [
@@ -1067,10 +1066,7 @@ let chaos_cmd =
                 ("witnesses", string_of_int (List.length res.Ch.witnesses));
               ]
             obs trace_out metrics_out csv_out;
-          `Ok
-            (if res.Ch.unsound > 0 then 2
-             else if res.Ch.starved > 0 || res.Ch.livelocked > 0 then 1
-             else 0)
+          `Ok (exit_of res)
         with Invalid_argument msg -> `Error (false, msg))
   in
   let chaos_churn_rate_t =
@@ -1142,16 +1138,6 @@ let churn_cmd =
       & info [ "json-out" ] ~docv:"FILE"
           ~doc:"Write the full search result (witnesses included) as JSON.")
   in
-  let dynamic_case ~n =
-    {
-      Runtime.Campaign.g_name = Printf.sprintf "random-dynamic-%d" n;
-      build =
-        (fun ~seed ->
-          fst
-            (F.random_dynamic (Prng.create seed) ~n ~extra_edges:6
-               ~back_edges:2 ~t_edge_prob:0.3 ()));
-    }
-  in
   let run amnesiac budget seed rate t_interval json_out sample trace_out
       metrics_out csv_out lineage_out lineage_sample =
     try
@@ -1160,20 +1146,19 @@ let churn_cmd =
          stack (Redundant(3) + supervisor, joint kill x crash x churn space)
          that must stay sound, and the amnesiac negative control that must
          livelock.  Both replay their witnesses byte-for-byte. *)
-      let cfg, runner, graphs, supervisor =
+      let cfg, runner, graphs =
         if amnesiac then
           ( Ch.config ~budget ~seed ~p_churn:1.0 ~max_faults:1
               ~step_limit:10_000 ~churn_t:t_interval (),
             Anonet.Resilient.chaos_runner ~k:1 (module Anonet.Amnesiac_flood),
-            [ dynamic_case ~n:12 ],
-            None )
+            [ Anonet.Check_suite.dynamic_case ~n:12 ] )
         else
           ( Ch.config ~budget ~seed ~p_churn:rate ~churn_t:t_interval
               ~supervisor:Runtime.Supervisor.default (),
             Anonet.Resilient.chaos_runner ~k:3
               (module Anonet.General_broadcast),
-            Anonet.Resilient.chaos_graphs () @ [ dynamic_case ~n:12 ],
-            Some Runtime.Supervisor.default )
+            Anonet.Resilient.chaos_graphs ()
+            @ [ Anonet.Check_suite.dynamic_case ~n:12 ] )
       in
       pf "churn search: %s, %d fault sets x %d families, churn rate %.2f, \
           T = %d, seed %d%s\n\n"
@@ -1182,66 +1167,10 @@ let churn_cmd =
         t_interval seed
         (if amnesiac then " (amnesiac negative control)" else ", supervised");
       let res = Ch.run cfg ~runners:[ runner ] ~graphs in
-      pf "trials: %d   hits: %d   duplicates: %d   witnesses: %d \
-          (unsound %d, starved %d, livelocked %d)\n"
-        res.Ch.trials_run res.Ch.hits res.Ch.duplicates
-        (List.length res.Ch.witnesses)
-        res.Ch.unsound res.Ch.starved res.Ch.livelocked;
-      List.iter
-        (fun (w : Ch.witness) ->
-          let gc =
-            List.find
-              (fun gc -> gc.Runtime.Campaign.g_name = w.Ch.w_graph)
-              graphs
-          in
-          let confirmed = Ch.confirms w (Ch.replay cfg runner gc w) in
-          pf "\n%s on %s (trial %d, shrunk %d -> %d atoms)%s\n"
-            (Ch.describe_kind w.Ch.w_kind)
-            w.Ch.w_graph w.Ch.w_trial w.Ch.w_original_size
-            (List.length w.Ch.w_faults)
-            (if confirmed then ", replay confirms" else " — REPLAY DIVERGED");
-          List.iter (fun f -> pf "  %s\n" (Ch.describe_fault f)) w.Ch.w_faults;
-          pf "  missing: [%s]\n"
-            (String.concat "; " (List.map string_of_int w.Ch.w_missing)))
-        res.Ch.witnesses;
-      Option.iter
-        (fun p ->
-          write_file p (Ch.to_json res);
-          pf "\nresult written  : %s\n" p)
-        json_out;
-      (* Instrument a replay of the first witness so the Perfetto trace
-         shows the violating schedule, churn instants included — and the
-         lineage the causal chain that starved the missing vertices. *)
+      print_witnesses ?json_out cfg runner graphs res;
       let obs = make_obs ~sample trace_out metrics_out csv_out in
       let lineage = make_lineage ~sample:lineage_sample lineage_out obs in
-      (match res.Ch.witnesses with
-      | (w : Ch.witness) :: _ when obs <> None || lineage <> None ->
-          let gc =
-            List.find
-              (fun gc -> gc.Runtime.Campaign.g_name = w.Ch.w_graph)
-              graphs
-          in
-          let g = gc.Runtime.Campaign.build ~seed:cfg.Ch.seed in
-          let faults, vfaults, churn = Ch.compile w.Ch.w_faults in
-          let churn =
-            match cfg.Ch.churn_t with
-            | None -> churn
-            | Some t -> Runtime.Churn.with_contract ~t_interval:t g churn
-          in
-          let replay_one (module P : Runtime.Protocol_intf.PROTOCOL) =
-            let module En = Runtime.Engine.Make (P) in
-            ignore
-              (En.run
-                 ~scheduler:(Runtime.Scheduler.Replay w.Ch.w_schedule)
-                 ~faults ~vfaults ~churn ?supervisor
-                 ~step_limit:cfg.Ch.step_limit ?obs ?lineage g)
-          in
-          replay_one
-            (if amnesiac then (module Anonet.Amnesiac_flood)
-             else
-               Anonet.Resilient.redundant ~k:3
-                 (module Anonet.General_broadcast))
-      | _ -> ());
+      replay_first ?obs ?lineage cfg runner graphs res;
       flush_obs
         ~meta:
           [
@@ -1251,10 +1180,7 @@ let churn_cmd =
           ]
         ?lineage obs trace_out metrics_out csv_out;
       flush_lineage lineage lineage_out;
-      `Ok
-        (if res.Ch.unsound > 0 then 2
-         else if res.Ch.starved > 0 || res.Ch.livelocked > 0 then 1
-         else 0)
+      `Ok (exit_of res)
     with Invalid_argument msg -> `Error (false, msg)
   in
   Cmd.v

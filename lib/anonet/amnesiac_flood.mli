@@ -9,9 +9,10 @@
     moment the network contains a directed cycle reachable from [s], tokens
     circulate forever and the engine hits its step limit.
 
-    That fragility is the point: a single {!Runtime.Churn} [Add] event that
-    closes a back edge mid-run converts a quiescing execution into a
-    non-terminating one — the witness class the churn-aware {!Runtime.Chaos}
-    search ([Livelock] kind) is asked to find and replay. *)
+    That fragility is the point: a single {!Runtime.Faults} churn [Add]
+    event that closes a back edge mid-run converts a quiescing execution
+    into a non-terminating one — the witness class the churn-aware
+    {!Runtime.Chaos} search ([Livelock] kind) is asked to find and
+    replay. *)
 
 include Runtime.Protocol_intf.CHECKABLE

@@ -60,7 +60,8 @@ val chaos_negative : ?budget:int -> ?seed:int -> unit -> Runtime.Chaos.result
 
 val chaos_supervised : ?budget:int -> ?seed:int -> unit -> Runtime.Chaos.result
 (** The positive control: [Redundant(3)]-wrapped general broadcast under a
-    default {!Runtime.Supervisor} (checkpoint cadence 1), searched over the
+    default {!Runtime.Supervisor} (a checkpoint after every receive),
+    searched over the
     full joint edge-and-vertex fault space.  Must report zero [Unsound]
     witnesses — starvation is permitted (and expected: a crash-stop can
     make coverage impossible), false termination is not. *)
@@ -72,6 +73,10 @@ val chaos_churn : ?budget:int -> ?seed:int -> unit -> Runtime.Chaos.result
     installed for accounting.  Must report zero [Unsound] witnesses:
     bounded outages heal under supervisor retransmission, so soundness
     survives churn.  Defaults: [budget = 40], [seed = 11]. *)
+
+val dynamic_case : n:int -> Runtime.Campaign.graph_case
+(** [random-dynamic-n]: the {!Digraph.Families.random_dynamic} footprint
+    (its script dropped) that the churn searches add to their suite. *)
 
 val chaos_amnesiac : ?budget:int -> ?seed:int -> unit -> Runtime.Chaos.result
 (** The dynamic-network negative control (Austin et al.): amnesiac flooding

@@ -333,7 +333,7 @@ type dyn_event = { de_edge : int; de_at : int; de_down_for : int option }
    edges are the *added* ones: absent when the run starts, appearing at a
    scripted offer — the Austin et al. edge-insertion scenario (a DAG-quiet
    amnesiac flood goes non-terminating the moment a cycle edge appears).
-   Removal events land on uniformly random edges.  [Runtime.Churn.of_dynamic]
+   Removal events land on uniformly random edges.  [Runtime.Faults.of_dynamic]
    turns the script into an engine-ready spec. *)
 let random_dynamic prng ~n ~extra_edges ~back_edges ~t_edge_prob
     ?(removals = 4) ?(max_at = 4) ?(max_down = 3) () =

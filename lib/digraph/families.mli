@@ -133,7 +133,7 @@ val random_dynamic :
     (the amnesiac-flooding breakage scenario), plus [removals] random
     bounded outages.  Defaults: [removals = 4], [max_at = 4], [max_down = 3].
     Deterministic from the PRNG state; feed the script to
-    [Runtime.Churn.of_dynamic]. *)
+    [Runtime.Faults.of_dynamic]. *)
 
 (** {1 Family specifications} *)
 

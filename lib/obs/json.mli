@@ -4,8 +4,7 @@
     JSON producer in the tree ({!Export}, {!Registry.to_json},
     [Runtime.Campaign.to_json], the model-checking report of
     [bench -- check]); callers compose objects by hand, which keeps the
-    output byte-stable for diffing.  [Runtime.Json] re-exports this module,
-    so existing [Runtime.Json.*] call sites are unaffected. *)
+    output byte-stable for diffing. *)
 
 val buf_string : Buffer.t -> string -> unit
 (** Append [s] as a JSON string literal: surrounding quotes, with quote,

@@ -8,8 +8,7 @@
     - {!Lineage} — causal-provenance forest over deliveries (parent
       delivery ids, critical-path depth, per-edge/per-vertex
       attribution), threaded through the engines via [?lineage];
-    - {!Json} — the tree's shared JSON emission/validation helpers
-      (re-exported as [Runtime.Json]).
+    - {!Json} — the tree's shared JSON emission/validation helpers.
 
     An {!t} bundles one registry and one timeline with a sampling period;
     pass it as the [?obs] argument of [Runtime.Engine.Make.run] or

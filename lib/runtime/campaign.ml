@@ -293,12 +293,6 @@ let sound res = res.violations = []
 
 (* {1 JSON} *)
 
-(* All string escaping goes through the shared {!Json} helper so every JSON
-   producer in the tree agrees on the escaping rules. *)
-let buf_json_string = Json.buf_string
-let buf_list = Json.buf_list
-let buf_int_list = Json.buf_int_list
-
 let buf_plan b (p : Faults.plan) =
   Buffer.add_string b
     (Printf.sprintf
@@ -307,16 +301,16 @@ let buf_plan b (p : Faults.plan) =
 
 let buf_point b pt =
   Buffer.add_string b "{\"label\":";
-  buf_json_string b pt.label;
+  Obs.Json.buf_string b pt.label;
   Buffer.add_string b ",\"plan\":";
   buf_plan b pt.fault_plan;
   Buffer.add_char b '}'
 
 let buf_cell b c =
   Buffer.add_string b "{\"runner\":";
-  buf_json_string b c.c_runner;
+  Obs.Json.buf_string b c.c_runner;
   Buffer.add_string b ",\"graph\":";
-  buf_json_string b c.c_graph;
+  Obs.Json.buf_string b c.c_graph;
   Buffer.add_string b ",\"point\":";
   buf_point b c.c_point;
   Buffer.add_string b
@@ -327,38 +321,38 @@ let buf_cell b c =
 
 let buf_violation b v =
   Buffer.add_string b "{\"runner\":";
-  buf_json_string b v.v_runner;
+  Obs.Json.buf_string b v.v_runner;
   Buffer.add_string b ",\"graph\":";
-  buf_json_string b v.v_graph;
+  Obs.Json.buf_string b v.v_graph;
   Buffer.add_string b ",\"point\":";
   buf_point b v.v_point;
   Buffer.add_string b (Printf.sprintf ",\"seed\":%d,\"unreached\":" v.v_seed);
-  buf_int_list b v.unreached;
+  Obs.Json.buf_int_list b v.unreached;
   Buffer.add_string b ",\"shrunk_point\":";
   buf_point b v.shrunk_point;
   Buffer.add_string b (Printf.sprintf ",\"shrunk_seed\":%d}" v.shrunk_seed)
 
 let buf_starvation b s =
   Buffer.add_string b "{\"runner\":";
-  buf_json_string b s.s_runner;
+  Obs.Json.buf_string b s.s_runner;
   Buffer.add_string b ",\"graph\":";
-  buf_json_string b s.s_graph;
+  Obs.Json.buf_string b s.s_graph;
   Buffer.add_string b ",\"point\":";
   buf_point b s.s_point;
   Buffer.add_string b (Printf.sprintf ",\"seed\":%d,\"starved\":" s.s_seed);
-  buf_int_list b s.starved;
+  Obs.Json.buf_int_list b s.starved;
   Buffer.add_string b ",\"dark_edges\":";
-  buf_int_list b s.dark_edges;
+  Obs.Json.buf_int_list b s.dark_edges;
   Buffer.add_char b '}'
 
 let to_json res =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"cells\":";
-  buf_list b buf_cell res.cells;
+  Obs.Json.buf_list b buf_cell res.cells;
   Buffer.add_string b ",\"violations\":";
-  buf_list b buf_violation res.violations;
+  Obs.Json.buf_list b buf_violation res.violations;
   Buffer.add_string b ",\"starvations\":";
-  buf_list b buf_starvation res.starvations;
+  Obs.Json.buf_list b buf_starvation res.starvations;
   Buffer.add_string b ",\"sound\":";
   Buffer.add_string b (if sound res then "true" else "false");
   Buffer.add_char b '}';

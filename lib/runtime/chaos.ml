@@ -1,14 +1,14 @@
 type fault =
   | Kill_edge of int
   | Crash_vertex of Vfaults.crash_event
-  | Churn_edge of Churn.event
+  | Churn_edge of Faults.event
 
 let describe_fault = function
   | Kill_edge e -> Printf.sprintf "kill-edge:%d" e
   | Crash_vertex c ->
       Printf.sprintf "crash:%d@%d/%d/%s" c.Vfaults.cv c.at c.downtime
         (Vfaults.describe_recovery c.c_recovery)
-  | Churn_edge e -> Churn.describe_event e
+  | Churn_edge e -> Faults.describe_event e
 
 let canonical_key fs =
   String.concat ";" (List.sort compare (List.map describe_fault fs))
@@ -20,13 +20,13 @@ let compile fs =
   let crashes =
     List.filter_map (function Crash_vertex c -> Some c | _ -> None) fs
   in
-  (* [Churn.script] admits at most one [Add] per edge; random trials may
+  (* A churn script admits at most one [Add] per edge; random trials may
      draw several, so keep the first and let shrinking do the rest. *)
-  let churn_events =
+  let script =
     let seen_add = Hashtbl.create 4 in
     List.filter_map
       (function
-        | Churn_edge (Churn.Add { edge; _ } as e) ->
+        | Churn_edge (Faults.Add { edge; _ } as e) ->
             if Hashtbl.mem seen_add edge then None
             else begin
               Hashtbl.add seen_add edge ();
@@ -37,15 +37,15 @@ let compile fs =
       fs
   in
   let faults =
-    if killed = [] then Faults.none
+    if killed = [] then Faults.script script
     else
-      Faults.per_edge
+      Faults.per_edge ~script
         (fun e ->
           if List.mem e killed then Faults.plan ~kill:1.0 ()
           else Faults.reliable)
         ~seed:0
   in
-  (faults, Vfaults.script crashes, Churn.script churn_events)
+  (faults, Vfaults.script crashes)
 
 (* The degraded coverage obligation: reachable from [s] through live edges
    and vertices that never crash-stop.  A crash-stopped vertex is excused
@@ -63,7 +63,7 @@ let required g fs =
     List.filter_map
       (function
         | Kill_edge e -> Some e
-        | Churn_edge (Churn.Add { edge; _ }) -> Some edge
+        | Churn_edge (Faults.Add { edge; _ }) -> Some edge
         | _ -> None)
       fs
   in
@@ -108,7 +108,6 @@ type summary = {
   total_bits : int;
   fault_stats : Engine.fault_stats;
   vfault_stats : Engine.vertex_fault_stats;
-  churn_stats : Engine.churn_stats;
   schedule : int list;
 }
 
@@ -119,9 +118,10 @@ type runner = {
     record:bool ->
     faults:Faults.t ->
     vfaults:Vfaults.t ->
-    churn:Churn.t ->
     supervisor:Supervisor.config option ->
     step_limit:int ->
+    ?obs:Obs.t ->
+    ?lineage:Obs.Lineage.t ->
     Digraph.t ->
     summary;
 }
@@ -133,13 +133,13 @@ module Of_protocol (P : Protocol_intf.PROTOCOL) = struct
     {
       r_name = (match name with Some n -> n | None -> P.name);
       run =
-        (fun ~scheduler ~record ~faults ~vfaults ~churn ~supervisor ~step_limit
-             g ->
+        (fun ~scheduler ~record ~faults ~vfaults ~supervisor ~step_limit ?obs
+             ?lineage g ->
           let popped = ref [] in
           let on_pop = if record then Some (fun s -> popped := s :: !popped) else None in
           let r =
-            E.run ~scheduler ~faults ~vfaults ~churn ?supervisor ~step_limit
-              ?on_pop g
+            E.run ~scheduler ~faults ~vfaults ?supervisor ~step_limit ?obs
+              ?lineage ?on_pop g
           in
           {
             outcome = r.outcome;
@@ -148,7 +148,6 @@ module Of_protocol (P : Protocol_intf.PROTOCOL) = struct
             total_bits = r.total_bits;
             fault_stats = r.fault_stats;
             vfault_stats = r.vfault_stats;
-            churn_stats = r.churn_stats;
             schedule = List.rev !popped;
           });
     }
@@ -245,10 +244,10 @@ let gen_fault cfg prng g =
   if cfg.p_churn > 0.0 && ne > 0 && Prng.chance prng cfg.p_churn then begin
     let edge = Prng.int prng ne in
     let at = 1 + Prng.int prng cfg.max_at in
-    if Prng.chance prng 0.25 then Churn_edge (Churn.add_event ~edge ~at)
+    if Prng.chance prng 0.25 then Churn_edge (Faults.add_event ~edge ~at)
     else
       Churn_edge
-        (Churn.remove_event ~edge ~at
+        (Faults.remove_event ~edge ~at
            ~down_for:(Prng.int prng (cfg.max_downtime + 1))
            ())
   end
@@ -276,18 +275,18 @@ let trials cfg ~graph =
 
 (* The T-interval contract, when configured, is installed for accounting
    only ([with_contract], not [constrain]): fates are untouched, so replays
-   stay byte-identical, while [churn_stats.window_violations] reports how
+   stay byte-identical, while [fault_stats.window_violations] reports how
    badly the witness breaches the contract. *)
-let compiled_churn cfg ~graph churn =
+let compiled cfg ~graph fs =
+  let faults, vfaults = compile fs in
   match cfg.churn_t with
-  | None -> churn
-  | Some t -> Churn.with_contract ~t_interval:t graph churn
+  | None -> (faults, vfaults)
+  | Some t -> (Faults.with_contract ~t_interval:t graph faults, vfaults)
 
 let eval_trial cfg r ~graph fs =
-  let faults, vfaults, churn = compile fs in
-  let churn = compiled_churn cfg ~graph churn in
+  let faults, vfaults = compiled cfg ~graph fs in
   let s =
-    r.run ~scheduler:Scheduler.Fifo ~record:false ~faults ~vfaults ~churn
+    r.run ~scheduler:Scheduler.Fifo ~record:false ~faults ~vfaults
       ~supervisor:cfg.supervisor ~step_limit:cfg.step_limit graph
   in
   let req = required graph fs in
@@ -371,20 +370,20 @@ let shrink cfg r ~graph kind fs =
             in
             let ev =
               match ev with
-              | Churn.Remove { edge; at; down_for } when down_for > 0 -> (
-                  match try_with (Churn.Remove { edge; at; down_for = 0 }) with
+              | Faults.Remove { edge; at; down_for } when down_for > 0 -> (
+                  match try_with (Faults.Remove { edge; at; down_for = 0 }) with
                   | Some ev' -> ev'
                   | None -> ev)
               | _ -> ev
             in
             let ev =
               match ev with
-              | Churn.Remove { edge; at; down_for } when at > 1 -> (
-                  match try_with (Churn.Remove { edge; at = 1; down_for }) with
+              | Faults.Remove { edge; at; down_for } when at > 1 -> (
+                  match try_with (Faults.Remove { edge; at = 1; down_for }) with
                   | Some ev' -> ev'
                   | None -> ev)
-              | Churn.Add { edge; at } when at > 1 -> (
-                  match try_with (Churn.Add { edge; at = 1 }) with
+              | Faults.Add { edge; at } when at > 1 -> (
+                  match try_with (Faults.Add { edge; at = 1 }) with
                   | Some ev' -> ev'
                   | None -> ev)
               | _ -> ev
@@ -425,11 +424,10 @@ let run ?(map = fun f a -> Array.map f a) cfg ~runners ~graphs =
                   if Hashtbl.mem seen key then incr duplicates
                   else begin
                     Hashtbl.add seen key ();
-                    let faults, vfaults, churn = compile shrunk in
-                    let churn = compiled_churn cfg ~graph churn in
+                    let faults, vfaults = compiled cfg ~graph shrunk in
                     let s =
                       r.run ~scheduler:Scheduler.Fifo ~record:true ~faults
-                        ~vfaults ~churn ~supervisor:cfg.supervisor
+                        ~vfaults ~supervisor:cfg.supervisor
                         ~step_limit:cfg.step_limit graph
                     in
                     let req = required graph shrunk in
@@ -469,14 +467,13 @@ let run ?(map = fun f a -> Array.map f a) cfg ~runners ~graphs =
       List.length (List.filter (fun w -> w.w_kind = Livelock) witnesses);
   }
 
-let replay cfg r (gc : Campaign.graph_case) w =
+let replay ?obs ?lineage cfg r (gc : Campaign.graph_case) w =
   let graph = gc.Campaign.build ~seed:cfg.seed in
-  let faults, vfaults, churn = compile w.w_faults in
-  let churn = compiled_churn cfg ~graph churn in
+  let faults, vfaults = compiled cfg ~graph w.w_faults in
   r.run
     ~scheduler:(Scheduler.Replay w.w_schedule)
-    ~record:false ~faults ~vfaults ~churn ~supervisor:cfg.supervisor
-    ~step_limit:cfg.step_limit graph
+    ~record:false ~faults ~vfaults ~supervisor:cfg.supervisor
+    ~step_limit:cfg.step_limit ?obs ?lineage graph
 
 let confirms w (s : summary) =
   let missing_of visited =
@@ -502,26 +499,26 @@ let buf_fault b f =
            "{\"kind\":\"crash\",\"vertex\":%d,\"at\":%d,\"downtime\":%d,\"recovery\":\"%s\"}"
            c.Vfaults.cv c.at c.downtime
            (Vfaults.describe_recovery c.c_recovery))
-  | Churn_edge (Churn.Remove { edge; at; down_for }) ->
+  | Churn_edge (Faults.Remove { edge; at; down_for }) ->
       Buffer.add_string b
         (Printf.sprintf
            "{\"kind\":\"churn_remove\",\"edge\":%d,\"at\":%d,\"down_for\":%d}"
            edge at down_for)
-  | Churn_edge (Churn.Add { edge; at }) ->
+  | Churn_edge (Faults.Add { edge; at }) ->
       Buffer.add_string b
         (Printf.sprintf "{\"kind\":\"churn_add\",\"edge\":%d,\"at\":%d}" edge at)
 
 let buf_witness b w =
   Buffer.add_string b "{\"runner\":";
-  Json.buf_string b w.w_runner;
+  Obs.Json.buf_string b w.w_runner;
   Buffer.add_string b ",\"graph\":";
-  Json.buf_string b w.w_graph;
+  Obs.Json.buf_string b w.w_graph;
   Buffer.add_string b
     (Printf.sprintf ",\"kind\":\"%s\",\"trial\":%d,\"original_size\":%d,\"faults\":"
        (describe_kind w.w_kind) w.w_trial w.w_original_size);
-  Json.buf_list b buf_fault w.w_faults;
+  Obs.Json.buf_list b buf_fault w.w_faults;
   Buffer.add_string b ",\"missing\":";
-  Json.buf_int_list b w.w_missing;
+  Obs.Json.buf_int_list b w.w_missing;
   Buffer.add_string b
     (Printf.sprintf ",\"outcome\":\"%s\",\"deliveries\":%d,\"total_bits\":%d,\"schedule\":"
        (match w.w_outcome with
@@ -530,7 +527,7 @@ let buf_witness b w =
        | Engine.Step_limit -> "step_limit"
        | Engine.Cancelled -> "cancelled")
        w.w_deliveries w.w_total_bits);
-  Json.buf_int_list b w.w_schedule;
+  Obs.Json.buf_int_list b w.w_schedule;
   Buffer.add_char b '}'
 
 let to_json res =
@@ -540,6 +537,6 @@ let to_json res =
        "{\"trials\":%d,\"hits\":%d,\"duplicates\":%d,\"unsound\":%d,\"starved\":%d,\"livelocked\":%d,\"witnesses\":"
        res.trials_run res.hits res.duplicates res.unsound res.starved
        res.livelocked);
-  Json.buf_list b buf_witness res.witnesses;
+  Obs.Json.buf_list b buf_witness res.witnesses;
   Buffer.add_char b '}';
   Buffer.contents b

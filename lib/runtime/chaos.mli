@@ -33,7 +33,7 @@
 type fault =
   | Kill_edge of int  (** Permanently kill a dense edge index. *)
   | Crash_vertex of Vfaults.crash_event
-  | Churn_edge of Churn.event
+  | Churn_edge of Faults.event
       (** One churn-script atom: a bounded outage ([Remove]) or an
           initially-absent edge appearing mid-run ([Add]). *)
 
@@ -43,11 +43,11 @@ val describe_fault : fault -> string
 val canonical_key : fault list -> string
 (** Order-insensitive canonical key of a fault set. *)
 
-val compile : fault list -> Faults.t * Vfaults.t * Churn.t
+val compile : fault list -> Faults.t * Vfaults.t
 (** The engine-level fault specifications a fault set denotes: kills become
-    per-edge [kill = 1.0] plans, crashes become a {!Vfaults.script}, churn
-    atoms a {!Churn.script} (extra [Add]s on one edge are dropped, keeping
-    the first). *)
+    per-edge [kill = 1.0] plans and churn atoms the churn script of the one
+    {!Faults.t} (extra [Add]s on one edge are dropped, keeping the first);
+    crashes become a {!Vfaults.script}. *)
 
 val required : Digraph.t -> fault list -> bool array
 (** The degraded coverage obligation described above.  [Churn_edge Add]
@@ -63,7 +63,6 @@ type summary = {
   total_bits : int;
   fault_stats : Engine.fault_stats;
   vfault_stats : Engine.vertex_fault_stats;
-  churn_stats : Engine.churn_stats;
   schedule : int list;
       (** Consumed-copy seq numbers in order, when recorded; [[]] else. *)
 }
@@ -75,9 +74,10 @@ type runner = {
     record:bool ->
     faults:Faults.t ->
     vfaults:Vfaults.t ->
-    churn:Churn.t ->
     supervisor:Supervisor.config option ->
     step_limit:int ->
+    ?obs:Obs.t ->
+    ?lineage:Obs.Lineage.t ->
     Digraph.t ->
     summary;
 }
@@ -105,10 +105,10 @@ type config = {
           pre-churn seeds keep their witnesses byte-for-byte. *)
   churn_t : int option;
       (** When set, every run (trials, shrinks, replays) installs the
-          T-interval contract for {e accounting} ({!Churn.with_contract}):
-          fates are unchanged — replays stay byte-identical — and the
-          witness's [churn_stats.window_violations] reports contract
-          breaches. *)
+          T-interval contract for {e accounting}
+          ({!Faults.with_contract}): fates are unchanged — replays stay
+          byte-identical — and [fault_stats.window_violations] reports
+          contract breaches. *)
 }
 
 val config :
@@ -186,9 +186,16 @@ val run :
     schedule per witness.  Graphs are built with [seed = config.seed]. *)
 
 val replay :
-  config -> runner -> Campaign.graph_case -> witness -> summary
+  ?obs:Obs.t ->
+  ?lineage:Obs.Lineage.t ->
+  config ->
+  runner ->
+  Campaign.graph_case ->
+  witness ->
+  summary
 (** Re-run a witness through {!Scheduler.Replay} on its recorded schedule
-    (with the same compiled faults and supervisor). *)
+    (with the same compiled faults and supervisor), instrumented with [obs]
+    and [lineage] when given. *)
 
 val confirms : witness -> summary -> bool
 (** Whether a replayed summary reproduces the witness: same outcome,

@@ -8,6 +8,11 @@ type fault_stats = {
   garbled_drops : int;
   checksum_rejects : int;
   dead_edges : int list;
+  adds : int;
+  removes : int;
+  heals : int;
+  messages_lost_in_flight : int;
+  window_violations : int;
 }
 
 let no_faults_stats =
@@ -19,6 +24,11 @@ let no_faults_stats =
     garbled_drops = 0;
     checksum_rejects = 0;
     dead_edges = [];
+    adds = 0;
+    removes = 0;
+    heals = 0;
+    messages_lost_in_flight = 0;
+    window_violations = 0;
   }
 
 type vertex_fault_stats = {
@@ -44,23 +54,6 @@ let no_vfaults_stats =
     replayed = 0;
   }
 
-type churn_stats = {
-  adds : int;
-  removes : int;
-  heals : int;
-  messages_lost_in_flight : int;
-  window_violations : int;
-}
-
-let no_churn_stats =
-  {
-    adds = 0;
-    removes = 0;
-    heals = 0;
-    messages_lost_in_flight = 0;
-    window_violations = 0;
-  }
-
 type 'state report = {
   outcome : outcome;
   deliveries : int;
@@ -77,7 +70,6 @@ type 'state report = {
   states : 'state array;
   fault_stats : fault_stats;
   vfault_stats : vertex_fault_stats;
-  churn_stats : churn_stats;
 }
 
 exception Codec_mismatch of string
@@ -101,24 +93,6 @@ type obs_hooks = {
   c_deliveries : Obs.Registry.counter;
   c_bits : Obs.Registry.counter;
   c_sends : Obs.Registry.counter;
-  c_corrupted : Obs.Registry.counter;
-  c_garbled : Obs.Registry.counter;
-  c_dropped : Obs.Registry.counter;
-  c_extra : Obs.Registry.counter;
-  c_delayed : Obs.Registry.counter;
-  c_checksum_rejects : Obs.Registry.counter;
-  c_crashes : Obs.Registry.counter;
-  c_restarts : Obs.Registry.counter;
-  c_lost_state_bits : Obs.Registry.counter;
-  c_down_drops : Obs.Registry.counter;
-  c_stuttered : Obs.Registry.counter;
-  c_checkpoints : Obs.Registry.counter;
-  c_replayed : Obs.Registry.counter;
-  c_churn_adds : Obs.Registry.counter;
-  c_churn_removes : Obs.Registry.counter;
-  c_churn_heals : Obs.Registry.counter;
-  c_churn_lost : Obs.Registry.counter;
-  c_churn_violations : Obs.Registry.counter;
   c_receive_ns : Obs.Registry.counter;
   h_message_bits : Obs.Registry.histogram;
   h_receive_ns : Obs.Registry.histogram;
@@ -135,25 +109,6 @@ let obs_hooks (o : Obs.t) =
     c_deliveries = Obs.Registry.counter reg "engine.deliveries";
     c_bits = Obs.Registry.counter reg "engine.total_bits";
     c_sends = Obs.Registry.counter reg "engine.sends";
-    c_corrupted = Obs.Registry.counter reg "engine.corrupted_deliveries";
-    c_garbled = Obs.Registry.counter reg "engine.garbled_drops";
-    c_dropped = Obs.Registry.counter reg "engine.dropped_copies";
-    c_extra = Obs.Registry.counter reg "engine.extra_copies";
-    c_delayed = Obs.Registry.counter reg "engine.delayed_copies";
-    c_checksum_rejects = Obs.Registry.counter reg "engine.checksum_rejects";
-    c_crashes = Obs.Registry.counter reg "engine.crashes";
-    c_restarts = Obs.Registry.counter reg "engine.restarts";
-    c_lost_state_bits = Obs.Registry.counter reg "engine.lost_state_bits";
-    c_down_drops = Obs.Registry.counter reg "engine.down_drops";
-    c_stuttered = Obs.Registry.counter reg "engine.stuttered";
-    c_checkpoints = Obs.Registry.counter reg "engine.checkpoints";
-    c_replayed = Obs.Registry.counter reg "engine.replayed";
-    c_churn_adds = Obs.Registry.counter reg "engine.churn.adds";
-    c_churn_removes = Obs.Registry.counter reg "engine.churn.removes";
-    c_churn_heals = Obs.Registry.counter reg "engine.churn.heals";
-    c_churn_lost = Obs.Registry.counter reg "engine.churn.lost_in_flight";
-    c_churn_violations =
-      Obs.Registry.counter reg "engine.churn.window_violations";
     c_receive_ns = Obs.Registry.counter reg "engine.receive_ns";
     h_message_bits = Obs.Registry.histogram reg "engine.message_bits";
     h_receive_ns = Obs.Registry.histogram reg "engine.receive_ns_hist";
@@ -161,6 +116,32 @@ let obs_hooks (o : Obs.t) =
     g_wavefront = Obs.Registry.gauge reg "engine.wavefront";
     g_residual = Obs.Registry.gauge reg "engine.cut_residual";
   }
+
+(* The fault counters a run publishes into its [Obs] registry, once, at
+   the end: each is the matching report field, so a registry shared by
+   several runs holds their sums. *)
+let fault_counters r =
+  let f = r.fault_stats and v = r.vfault_stats in
+  [
+    ("engine.dropped_copies", f.dropped_copies);
+    ("engine.extra_copies", f.extra_copies);
+    ("engine.delayed_copies", f.delayed_copies);
+    ("engine.corrupted_deliveries", f.corrupted_deliveries);
+    ("engine.garbled_drops", f.garbled_drops);
+    ("engine.checksum_rejects", f.checksum_rejects);
+    ("engine.churn.adds", f.adds);
+    ("engine.churn.removes", f.removes);
+    ("engine.churn.heals", f.heals);
+    ("engine.churn.lost_in_flight", f.messages_lost_in_flight);
+    ("engine.churn.window_violations", f.window_violations);
+    ("engine.crashes", v.crashes);
+    ("engine.restarts", v.restarts);
+    ("engine.lost_state_bits", v.lost_state_bits);
+    ("engine.down_drops", v.down_drops);
+    ("engine.stuttered", v.stuttered);
+    ("engine.checkpoints", v.checkpoints);
+    ("engine.replayed", v.replayed);
+  ]
 
 (* {1 The executor}
 
@@ -700,14 +681,13 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       states;
       fault_stats = no_faults_stats;
       vfault_stats = no_vfaults_stats;
-      churn_stats = no_churn_stats;
     }
 
   (* {1 The generic path}
 
      Every scheduler, fault layer, supervisor, hook and codec check. *)
   let run_generic g ~scheduler ~payload_bits ~step_limit ~faults ~vfaults
-      ~churn ~supervisor ~verify_codec ~stop ~oh ~lineage ~on_deliver ~on_pop
+      ~supervisor ~verify_codec ~stop ~oh ~lineage ~on_deliver ~on_pop
       ~on_undelivered () =
     let stop_now = match stop with None -> (fun () -> false) | Some f -> f in
     let n = Digraph.n_vertices g in
@@ -766,12 +746,11 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     in
     let slab = slab_create () in
     let push, pop, drain = make_pool slab scheduler in
-    let faulty = not (Faults.is_none faults) in
+    (* Which adversary hooks this run calls is decided once, here. *)
+    let faulty = Faults.sends faults and churny = Faults.offers faults in
     let fi = Faults.Instance.start faults in
     let vfaulty = not (Vfaults.is_none vfaults) in
     let vfi = Vfaults.Instance.start vfaults in
-    let churny = not (Churn.is_none churn) in
-    let ci = Churn.Instance.start churn in
     let supervised = supervisor <> None in
     (* Checkpoints: one state snapshot per vertex (initially pi0), plus the
        visited flag as of the snapshot.  States are immutable values, so
@@ -779,12 +758,6 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     let need_ckpt = vfaulty || supervised in
     let ckpt = if need_ckpt then Array.copy states else [||] in
     let ckpt_visited = if need_ckpt then Array.make n false else [||] in
-    let ckpt_cadence =
-      match supervisor with
-      | Some (c : Supervisor.config) -> c.checkpoint_every
-      | None -> 1
-    in
-    let vdeliv = Array.make (if need_ckpt then n else 0) 0 in
     let lost_state_bits = ref 0 in
     let checkpoints = ref 0 in
     let replayed = ref 0 in
@@ -890,7 +863,6 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                 let extra_delay = Supervisor.backoff cfg sup_prng ~round:!sup_round in
                 send ~extra_delay fv (e - row.(fv)) msg;
                 incr replayed;
-                (match oh with Some h -> Obs.Registry.incr h.c_replayed | None -> ());
                 sent := true
             | _ -> ()
           done;
@@ -964,10 +936,9 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                crossed the channel — no bits are charged to the edge, no
                symbol is recorded, and the vertex fates never fire. *)
             let cfate =
-              if churny then Churn.Instance.on_offer ci ~edge
-              else Churn.Cross
+              if churny then Faults.Instance.on_offer fi ~edge else Faults.Cross
             in
-            if cfate <> Churn.Cross then begin
+            if cfate <> Faults.Cross then begin
               match oh with
               | None -> ()
               | Some h ->
@@ -983,12 +954,12 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                       (Printf.sprintf "churn.%s:%d" kind edge)
                   in
                   (match cfate with
-                  | Churn.Removed left ->
+                  | Faults.Removed left ->
                       mark "remove";
                       if left = 0 then mark "heal"
-                  | Churn.Back `Heal -> mark "heal"
-                  | Churn.Back `Add -> mark "add"
-                  | Churn.Down | Churn.Cross -> ())
+                  | Faults.Back `Heal -> mark "heal"
+                  | Faults.Back `Add -> mark "add"
+                  | Faults.Down | Faults.Cross -> ())
             end
             else begin
               let len_bits = Arena.len_bits arena slot in
@@ -1045,30 +1016,13 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                 else Vfaults.Deliver
               in
               match vfate with
-              | Vfaults.Stutter -> (
-                  match oh with
-                  | Some h -> Obs.Registry.incr h.c_stuttered
-                  | None -> ())
-              | Vfaults.Down_drop -> (
-                  match oh with
-                  | Some h ->
-                      Obs.Registry.incr h.c_down_drops;
-                      let nr = Vfaults.Instance.restarts vfi in
-                      let seen = Obs.Registry.value h.c_restarts in
-                      if nr > seen then Obs.Registry.add h.c_restarts (nr - seen)
-                  | None -> ())
+              | Vfaults.Stutter | Vfaults.Down_drop -> ()
               | Vfaults.Crash (recovery, _downtime) -> (
-                  (match oh with
-                  | Some h -> Obs.Registry.incr h.c_crashes
-                  | None -> ());
                   let old_bits = P.state_bits states.(tv) in
                   match recovery with
                   | Vfaults.Stop -> ()
                   | Vfaults.Amnesia when not supervised ->
                       lost_state_bits := !lost_state_bits + old_bits;
-                      (match oh with
-                      | Some h -> Obs.Registry.add h.c_lost_state_bits old_bits
-                      | None -> ());
                       states.(tv) <- initial_of tv;
                       if visited.(tv) then begin
                         visited.(tv) <- false;
@@ -1083,9 +1037,6 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                       let restored = ckpt.(tv) in
                       let lost = Stdlib.max 0 (old_bits - P.state_bits restored) in
                       lost_state_bits := !lost_state_bits + lost;
-                      (match oh with
-                      | Some h -> Obs.Registry.add h.c_lost_state_bits lost
-                      | None -> ());
                       states.(tv) <- restored;
                       if ckpt_visited.(tv) then mark_visited tv
                       else if visited.(tv) then begin
@@ -1105,24 +1056,14 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                       let r = Bitio.Bit_reader.of_string ~length_bits:len_bits s in
                       match P.decode r with
                       | decoded ->
-                          if not (P.equal_message decoded msg) then begin
+                          if not (P.equal_message decoded msg) then
                             incr corrupted_deliveries;
-                            match oh with
-                            | Some h -> Obs.Registry.incr h.c_corrupted
-                            | None -> ()
-                          end;
                           Some decoded
                       | exception Protocol_intf.Checksum_reject ->
                           incr checksum_rejects;
-                          (match oh with
-                          | Some h -> Obs.Registry.incr h.c_checksum_rejects
-                          | None -> ());
                           None
                       | exception _ ->
                           incr garbled_drops;
-                          (match oh with
-                          | Some h -> Obs.Registry.incr h.c_garbled
-                          | None -> ());
                           None
                     end
                   in
@@ -1170,15 +1111,9 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                       states.(tv) <- state';
                       note_state state';
                       if need_ckpt then begin
-                        vdeliv.(tv) <- vdeliv.(tv) + 1;
-                        if vdeliv.(tv) mod ckpt_cadence = 0 then begin
-                          ckpt.(tv) <- state';
-                          ckpt_visited.(tv) <- true;
-                          incr checkpoints;
-                          match oh with
-                          | Some h -> Obs.Registry.incr h.c_checkpoints
-                          | None -> ()
-                        end
+                        ckpt.(tv) <- state';
+                        ckpt_visited.(tv) <- true;
+                        incr checkpoints
                       end;
                       lin_parent := !deliveries;
                       lin_depth := ld;
@@ -1203,39 +1138,23 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     (match oh with
     | Some h ->
         obs_sample ();
-        if faulty then begin
-          Obs.Registry.add h.c_dropped (Faults.Instance.dropped_copies fi);
-          Obs.Registry.add h.c_extra (Faults.Instance.extra_copies fi);
-          Obs.Registry.add h.c_delayed (Faults.Instance.delayed_copies fi)
-        end;
-        if churny then begin
-          Obs.Registry.add h.c_churn_adds (Churn.Instance.adds ci);
-          Obs.Registry.add h.c_churn_removes (Churn.Instance.removes ci);
-          Obs.Registry.add h.c_churn_heals (Churn.Instance.heals ci);
-          Obs.Registry.add h.c_churn_lost (Churn.Instance.lost ci);
-          Obs.Registry.add h.c_churn_violations
-            (Churn.Instance.window_violations ci)
-        end;
         Obs.Timeline.end_span h.oh_timeline ~track:0 "engine.run"
     | None -> ());
     let fault_stats =
-      if not faulty then
-        {
-          no_faults_stats with
-          corrupted_deliveries = !corrupted_deliveries;
-          garbled_drops = !garbled_drops;
-          checksum_rejects = !checksum_rejects;
-        }
-      else
-        {
-          dropped_copies = Faults.Instance.dropped_copies fi;
-          extra_copies = Faults.Instance.extra_copies fi;
-          delayed_copies = Faults.Instance.delayed_copies fi;
-          corrupted_deliveries = !corrupted_deliveries;
-          garbled_drops = !garbled_drops;
-          checksum_rejects = !checksum_rejects;
-          dead_edges = Faults.Instance.dead_edges fi;
-        }
+      {
+        dropped_copies = Faults.Instance.dropped_copies fi;
+        extra_copies = Faults.Instance.extra_copies fi;
+        delayed_copies = Faults.Instance.delayed_copies fi;
+        corrupted_deliveries = !corrupted_deliveries;
+        garbled_drops = !garbled_drops;
+        checksum_rejects = !checksum_rejects;
+        dead_edges = Faults.Instance.dead_edges fi;
+        adds = Faults.Instance.adds fi;
+        removes = Faults.Instance.removes fi;
+        heals = Faults.Instance.heals fi;
+        messages_lost_in_flight = Faults.Instance.lost fi;
+        window_violations = Faults.Instance.window_violations fi;
+      }
     in
     let vfault_stats =
       {
@@ -1248,17 +1167,6 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
         checkpoints = !checkpoints;
         replayed = !replayed;
       }
-    in
-    let churn_stats =
-      if not churny then no_churn_stats
-      else
-        {
-          adds = Churn.Instance.adds ci;
-          removes = Churn.Instance.removes ci;
-          heals = Churn.Instance.heals ci;
-          messages_lost_in_flight = Churn.Instance.lost ci;
-          window_violations = Churn.Instance.window_violations ci;
-        }
     in
     {
       outcome = !outcome;
@@ -1276,12 +1184,11 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       states;
       fault_stats;
       vfault_stats;
-      churn_stats;
     }
 
   let run ?(scheduler = Scheduler.Fifo) ?(payload_bits = 0)
       ?(step_limit = 10_000_000) ?(faults = Faults.none)
-      ?(vfaults = Vfaults.none) ?(churn = Churn.none) ?supervisor
+      ?(vfaults = Vfaults.none) ?supervisor
       ?(verify_codec = false) ?stop ?obs ?lineage ?on_deliver ?on_pop
       ?on_undelivered g =
     if payload_bits < 0 then invalid_arg "Engine.run: payload_bits must be >= 0";
@@ -1294,7 +1201,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     let plain =
       (match scheduler with Scheduler.Fifo -> true | _ -> false)
       && Faults.is_none faults && Vfaults.is_none vfaults
-      && Churn.is_none churn && supervisor = None && not verify_codec
+      && supervisor = None && not verify_codec
       && on_deliver = None && on_pop = None && on_undelivered = None
     in
     let report =
@@ -1303,13 +1210,15 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
           run_flood g ~payload_bits ~step_limit ~stop ~oh ~lineage m0 emits
       | None ->
           run_generic g ~scheduler ~payload_bits ~step_limit ~faults ~vfaults
-            ~churn ~supervisor ~verify_codec ~stop ~oh ~lineage ~on_deliver
-            ~on_pop ~on_undelivered ()
+            ~supervisor ~verify_codec ~stop ~oh ~lineage ~on_deliver ~on_pop
+            ~on_undelivered ()
     in
     (* GC cost of the run, as gauges: words are deltas (what this run
-       allocated), heap size is the absolute end-of-run footprint.  The
-       timeline ring's overwrite count is mirrored monotonically into the
-       [timeline.dropped] counter (the timeline is the source of truth). *)
+       allocated), heap size is the absolute end-of-run footprint.  Then the
+       fault counters, taken after the GC reading so it measures the run
+       alone.  The timeline ring's overwrite count is mirrored monotonically
+       into the [timeline.dropped] counter (the timeline is the source of
+       truth). *)
     (match (obs, gc0) with
     | Some o, Some (g0, mw0) ->
         let g1 = Gc.quick_stat () in
@@ -1321,6 +1230,10 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
           (int_of_float (g1.Gc.major_words -. g0.Gc.major_words));
         set "engine.gc.heap_words" g1.Gc.heap_words;
         set "engine.gc.compactions" (g1.Gc.compactions - g0.Gc.compactions);
+        List.iter
+          (fun (name, v) ->
+            Obs.Registry.add (Obs.Registry.counter o.Obs.registry name) v)
+          (fault_counters report);
         let c = Obs.Registry.counter o.Obs.registry "timeline.dropped" in
         let d = Obs.Timeline.dropped o.Obs.timeline in
         let seen = Obs.Registry.value c in

@@ -22,19 +22,20 @@
     pushed through the protocol's real [decode] — an unparseable encoding is
     consumed undelivered and counted in [garbled_drops], a parseable-but-
     different one is delivered and counted in [corrupted_deliveries]), or
-    lost to a permanently killed edge.  Faulty runs are reproducible: all
-    draws come from per-edge PRNG streams derived from the fault seed.
+    lost to a permanently killed edge; and every copy popped for delivery
+    meets the edge's churn state, which may have taken the edge away.
+    Faulty runs are reproducible: all draws come from per-edge PRNG streams
+    derived from the fault seeds.
 
     A {!Vfaults} specification makes the {e vertices} unreliable as well:
     deliveries can be stuttered away, swallowed by a down vertex, or trigger
     a crash (crash-stop, restart-with-amnesia, restart-from-checkpoint).
-    A {!Supervisor} config arms the self-healing layer: per-vertex state
-    checkpoints every [checkpoint_every] processed deliveries (cadence 1 by
-    default — see {!Supervisor} for why that cadence is the sound one), and
-    when the pool runs dry with the terminal not accepting, up to
-    [max_retries] exponential-backoff retransmission rounds of each edge's
-    last message.  Both compose with edge faults and are reproducible from
-    their seeds.
+    A {!Supervisor} config arms the self-healing layer: a per-vertex state
+    checkpoint after every completed receive (see {!Supervisor} for why
+    that cadence is the sound one), and when the pool runs dry with the
+    terminal not accepting, up to [max_retries] exponential-backoff
+    retransmission rounds of each edge's last message.  Both compose with
+    edge faults and are reproducible from their seeds.
 
     The executor walks the graph's CSR arrays, encodes each distinct
     message value once into an arena, and — for a fault-free [Fifo] run of
@@ -70,6 +71,15 @@ type fault_stats = {
           undelivered but, unlike [garbled_drops], counted as a success of
           the redundancy layer. *)
   dead_edges : int list;  (** Dense indices of permanently killed edges. *)
+  adds : int;  (** Initially-absent edges that appeared. *)
+  removes : int;  (** Churn removal transitions fired. *)
+  heals : int;  (** Removed edges that came back up. *)
+  messages_lost_in_flight : int;
+      (** Copies swallowed by an absent edge (charged no bits — they never
+          crossed the wire). *)
+  window_violations : int;
+      (** Outages breaching the installed T-interval contract; 0 without a
+          contract, and 0 by construction after {!Faults.constrain}. *)
 }
 
 val no_faults_stats : fault_stats
@@ -91,21 +101,6 @@ type vertex_fault_stats = {
 
 val no_vfaults_stats : vertex_fault_stats
 
-type churn_stats = {
-  adds : int;  (** Initially-absent edges that appeared. *)
-  removes : int;  (** Removal transitions fired. *)
-  heals : int;  (** Removed edges that came back up. *)
-  messages_lost_in_flight : int;
-      (** Copies swallowed by an absent edge (charged no bits — they never
-          crossed the wire). *)
-  window_violations : int;
-      (** Outages breaching the installed {!Churn} T-interval contract;
-          0 without a contract, and 0 by construction after
-          {!Churn.constrain}. *)
-}
-
-val no_churn_stats : churn_stats
-
 type 'state report = {
   outcome : outcome;
   deliveries : int;  (** Total messages delivered. *)
@@ -124,12 +119,9 @@ type 'state report = {
   visited : bool array;
       (** Vertices that processed at least one (parseable) message. *)
   states : 'state array;  (** Final state of every vertex. *)
-  fault_stats : fault_stats;  (** What the fault plan actually did. *)
+  fault_stats : fault_stats;  (** What the edge adversary actually did. *)
   vfault_stats : vertex_fault_stats;
       (** What the vertex-fault plan and the supervisor actually did. *)
-  churn_stats : churn_stats;
-      (** What the churn adversary actually did; reconciles exactly with the
-          [engine.churn.*] Obs counters. *)
 }
 
 type event = {
@@ -159,7 +151,6 @@ module Make (P : Protocol_intf.PROTOCOL) : sig
     ?step_limit:int ->
     ?faults:Faults.t ->
     ?vfaults:Vfaults.t ->
-    ?churn:Churn.t ->
     ?supervisor:Supervisor.config ->
     ?verify_codec:bool ->
     ?stop:(unit -> bool) ->
@@ -171,8 +162,8 @@ module Make (P : Protocol_intf.PROTOCOL) : sig
     Digraph.t ->
     P.state report
   (** Defaults: [scheduler = Fifo], [payload_bits = 0],
-      [step_limit = 10_000_000], no faults, no vertex faults, no churn,
-      no supervisor, [verify_codec = false], no [stop] hook.
+      [step_limit = 10_000_000], no faults, no vertex faults, no
+      supervisor, [verify_codec = false], no [stop] hook.
       Raises [Invalid_argument] if [payload_bits < 0].
 
       [stop], when given, is polled between deliveries; the first [true]
@@ -180,11 +171,11 @@ module Make (P : Protocol_intf.PROTOCOL) : sig
       partial receive, no accounting leak.  The serving layer implements
       both [cancel] requests and per-session deadlines with it.
 
-      [churn] layers the edge add/remove adversary {e under} the fault and
-      vertex-fault filters: a copy popped for delivery on a currently-absent
-      edge is consumed (visible to [on_pop], so replays stay faithful) but
-      charged no bits and never reaches the edge- or vertex-fault coins.
-      Churn clocks are edge-local — see {!Churn}.
+      Churn in [faults] acts {e under} corruption and the vertex faults: a
+      copy popped for delivery on a currently-absent edge is consumed
+      (visible to [on_pop], so replays stay faithful) but charged no bits
+      and never reaches the corrupt-bit or vertex-fault coins.  Churn clocks
+      are edge-local — see {!Faults}.
 
       With [supervisor] armed, per-vertex checkpoints are durable: an
       [Amnesia] crash restores from the last checkpoint exactly like
@@ -200,8 +191,11 @@ module Make (P : Protocol_intf.PROTOCOL) : sig
       contain ([on_deliver] only sees copies that reached [P.receive]).
 
       [obs], when given, turns on telemetry: [engine.*] counters
-      (deliveries, total_bits, sends, corrupted/garbled, per-run fault
-      copy totals), [engine.message_bits] / [engine.receive_ns]
+      (deliveries, total_bits, sends, and the 18 fault counters — every
+      field of [fault_stats] and [vertex_fault_stats] but the lists,
+      [engine.churn.*] for churn — added once at the end of the run, so a
+      registry shared by several runs holds their sums),
+      [engine.message_bits] / [engine.receive_ns]
       histograms, and — every [sample_every] deliveries — gauge +
       timeline samples of in-flight depth, wavefront size (visited
       vertices) and the message-count cut residual

@@ -6,12 +6,11 @@
       the graph's CSR arrays, with an arena of encoded messages and a
       certified fast path for flood-shaped protocols;
     - {!Scheduler} — asynchronous delivery orders, including adversarial ones;
-    - {!Faults} — per-edge channel fault plans (drop / duplicate / delay /
-      corrupt / kill), all seeded;
+    - {!Faults} — the per-edge adversary: channel faults (drop / duplicate /
+      delay / corrupt / kill) and edge churn (remove / heal / add) with a
+      T-interval-connectivity contract, all seeded;
     - {!Vfaults} — per-vertex fault plans (crash-stop, restart with amnesia
       or from checkpoint, stutter), composing with {!Faults};
-    - {!Churn} — edge add/remove adversary with a T-interval-connectivity
-      contract, composing with both fault layers;
     - {!Supervisor} — the self-healing layer: per-vertex checkpoints and
       backoff retransmission;
     - {!Chaos} — joint edge-and-vertex fault-space search with witness
@@ -22,8 +21,7 @@
       partial-order reduction and replayable counterexamples;
     - {!Canonical} — configuration fingerprints and the visited-state table;
     - {!Binheap} — the min-heap behind [Edge_priority] and the delay queue;
-    - {!Trace} — execution recording for tests;
-    - {!Json} — shared JSON emission helpers. *)
+    - {!Trace} — execution recording for tests. *)
 
 module Protocol_intf = Protocol_intf
 module Arena = Arena
@@ -32,7 +30,6 @@ module Sync_engine = Sync_engine
 module Scheduler = Scheduler
 module Faults = Faults
 module Vfaults = Vfaults
-module Churn = Churn
 module Supervisor = Supervisor
 module Chaos = Chaos
 module Campaign = Campaign
@@ -40,4 +37,3 @@ module Explore = Explore
 module Canonical = Canonical
 module Binheap = Binheap
 module Trace = Trace
-module Json = Json

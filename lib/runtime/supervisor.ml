@@ -1,24 +1,15 @@
-type config = {
-  checkpoint_every : int;
-  max_retries : int;
-  base_timeout : int;
-  jitter : bool;
-  seed : int;
-}
+type config = { max_retries : int; base_timeout : int; seed : int }
 
-let config ?(checkpoint_every = 1) ?(max_retries = 4) ?(base_timeout = 8)
-    ?(jitter = true) ?(seed = 0) () =
-  if checkpoint_every < 1 then
-    invalid_arg "Supervisor.config: checkpoint_every must be >= 1";
+let config ?(max_retries = 4) ?(base_timeout = 8) ?(seed = 0) () =
   if max_retries < 0 then
     invalid_arg "Supervisor.config: max_retries must be >= 0";
   if base_timeout < 1 then
     invalid_arg "Supervisor.config: base_timeout must be >= 1";
-  { checkpoint_every; max_retries; base_timeout; jitter; seed }
+  { max_retries; base_timeout; seed }
 
 let default = config ()
 
-(* Exponential backoff with optional jitter: round [r] (0-based) holds the
+(* Exponential backoff with jitter: round [r] (0-based) holds the
    retransmitted copy for [base * 2^r] delivery steps plus a uniform jitter
    of up to [base - 1] more, so simultaneous retransmissions on different
    edges de-synchronize instead of slamming the pool in one step.  The
@@ -27,6 +18,4 @@ let default = config ()
 let backoff cfg prng ~round =
   let round = Stdlib.min round 20 in
   let base = cfg.base_timeout * (1 lsl round) in
-  if cfg.jitter && cfg.base_timeout > 1 then
-    base + Prng.int prng cfg.base_timeout
-  else base
+  if cfg.base_timeout > 1 then base + Prng.int prng cfg.base_timeout else base

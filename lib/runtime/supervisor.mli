@@ -6,15 +6,13 @@
     information the runtime already has (delivery counts, pool emptiness,
     per-vertex state), never on vertex identities the protocols could see:
 
-    - {e checkpointing}: every [checkpoint_every] deliveries processed by a
-      vertex, the engine snapshots that vertex's state; a [Restore] crash
-      resumes from the snapshot instead of [pi0].  With the default cadence
-      of 1 the snapshot is the state after the last {e completed} receive,
-      so a restore loses only the deliveries consumed while down — a pure
-      commodity {e deficit}, never an excess, which is why checkpointed
-      recovery cannot manufacture false termination (an excess could tip
-      the terminal's linear cut past 1).  Coarser cadences roll emissions
-      back and are genuinely dangerous — measurably so under {!Chaos};
+    - {e checkpointing}: after every receive a vertex completes, the
+      engine snapshots that vertex's state; a [Restore] crash resumes from
+      the snapshot instead of [pi0].  The snapshot is the state after the
+      last {e completed} receive, so a restore loses only the deliveries
+      consumed while down — a pure commodity {e deficit}, never an excess,
+      which is why checkpointed recovery cannot manufacture false
+      termination (an excess could tip the terminal's linear cut past 1);
 
     - {e retransmission}: when the pool runs dry but the terminal is not
       accepting, the engine re-sends the last message emitted on each edge
@@ -36,23 +34,16 @@
     receive.  E17 prices this at well under the 10% delivery budget. *)
 
 type config = {
-  checkpoint_every : int;  (** Per-vertex delivery cadence; [>= 1]. *)
   max_retries : int;  (** Retransmission rounds before giving up. *)
   base_timeout : int;
-      (** Base hold, in delivery steps; round [r] waits [base * 2^r]. *)
-  jitter : bool;  (** Add [Uniform{0..base-1}] extra hold per copy. *)
+      (** Base hold, in delivery steps; round [r] waits [base * 2^r], plus a
+          [Uniform{0..base-1}] jitter per copy. *)
   seed : int;  (** Seed of the supervisor's own PRNG stream. *)
 }
 
 val config :
-  ?checkpoint_every:int ->
-  ?max_retries:int ->
-  ?base_timeout:int ->
-  ?jitter:bool ->
-  ?seed:int ->
-  unit ->
-  config
-(** Defaults: cadence 1, 4 retries, base timeout 8, jitter on, seed 0. *)
+  ?max_retries:int -> ?base_timeout:int -> ?seed:int -> unit -> config
+(** Defaults: 4 retries, base timeout 8, seed 0. *)
 
 val default : config
 

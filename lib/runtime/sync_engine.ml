@@ -129,7 +129,6 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
           states;
           fault_stats = Engine.no_faults_stats;
           vfault_stats = Engine.no_vfaults_stats;
-          churn_stats = Engine.no_churn_stats;
         };
       rounds = !rounds;
     }

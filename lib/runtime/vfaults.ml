@@ -53,9 +53,6 @@ let uniform p ~seed =
   if is_immortal p then No_vfaults
   else Spec { plan_of = (fun _ -> p); script = []; seed }
 
-let per_vertex f ~seed =
-  Spec { plan_of = (fun v -> validate (f v)); script = []; seed }
-
 let script events =
   match events with
   | [] -> No_vfaults
@@ -160,8 +157,12 @@ module Instance = struct
             Down_drop
         | Up -> (
             st.up_count <- st.up_count + 1;
+            (* [<=], not [=]: a crash whose [at] slipped past (duplicate
+               [at]s on one vertex, or an [at] consumed while the vertex
+               was down) fires on the next up offer instead of jamming the
+               queue. *)
             match st.pending with
-            | e :: rest when e.at = st.up_count ->
+            | e :: rest when e.at <= st.up_count ->
                 st.pending <- rest;
                 crash inst st ~vertex e.c_recovery e.downtime
             | _ ->

@@ -31,7 +31,7 @@
 
     Two specification styles compose into one {!t}:
 
-    - {e probabilistic plans} ({!uniform} / {!per_vertex}): per-delivery
+    - {e probabilistic plans} ({!uniform}): per-delivery
       crash and stutter coins drawn from per-vertex PRNG streams derived
       from the seed, exactly like {!Faults} edge streams — reproducible and
       independent of the schedule;
@@ -86,11 +86,12 @@ val none : t
 (** No vertex faults; the engines take a fast path. *)
 
 val uniform : plan -> seed:int -> t
-val per_vertex : (int -> plan) -> seed:int -> t
 
 val script : crash_event list -> t
 (** Deterministic crashes only — the {!Chaos} witness representation.
-    Multiple events per vertex fire in [at] order. *)
+    Multiple events per vertex fire in [at] order; one whose [at] passed
+    while the vertex was down fires on its next delivery offered while
+    up. *)
 
 val is_none : t -> bool
 

@@ -39,26 +39,29 @@ let scheduler_of (sub : Proto.submit) =
   | "random" -> Runtime.Scheduler.Random (Prng.create sub.Proto.sub_seed)
   | _ -> Runtime.Scheduler.Fifo
 
-let faults_of (sub : Proto.submit) =
-  match sub.Proto.sub_faults with
-  | None -> Runtime.Faults.none
-  | Some f ->
-      Runtime.Faults.create ~drop:f.Proto.f_drop ~duplicate:f.Proto.f_duplicate
-        ~max_delay:f.Proto.f_max_delay ~corrupt:f.Proto.f_corrupt
-        ~kill:f.Proto.f_kill ~seed:f.Proto.f_seed ()
-
-let churn_of (sub : Proto.submit) g =
+(* The submit's fault and churn members drive one edge adversary: the
+   fault seed derives the send streams, the churn seed the churn streams. *)
+let faults_of (sub : Proto.submit) g =
+  let send, seed =
+    match sub.Proto.sub_faults with
+    | None -> (Runtime.Faults.reliable, 0)
+    | Some f ->
+        ( Runtime.Faults.plan ~drop:f.Proto.f_drop
+            ~duplicate:f.Proto.f_duplicate ~max_delay:f.Proto.f_max_delay
+            ~corrupt:f.Proto.f_corrupt ~kill:f.Proto.f_kill (),
+          f.Proto.f_seed )
+  in
   match sub.Proto.sub_churn with
-  | None -> Runtime.Churn.none
+  | None -> Runtime.Faults.uniform send ~seed
   | Some c -> (
-      let base =
-        Runtime.Churn.uniform
-          (Runtime.Churn.plan ~remove:c.Proto.c_rate ~max_downtime:3 ())
-          ~seed:c.Proto.c_seed
+      let spec =
+        Runtime.Faults.uniform ~churn_seed:c.Proto.c_seed
+          { send with remove = c.Proto.c_rate; max_downtime = 3 }
+          ~seed
       in
       match c.Proto.c_t with
-      | None -> base
-      | Some t -> Runtime.Churn.with_contract ~t_interval:t g base)
+      | None -> spec
+      | Some t -> Runtime.Faults.with_contract ~t_interval:t g spec)
 
 let outcome_name = function
   | E.Terminated -> "terminated"
@@ -100,13 +103,12 @@ let render_result (r : _ E.report) =
   field "checksum_rejects" f.E.checksum_rejects;
   field "dead_edges" (List.length f.E.dead_edges);
   Buffer.add_char b '}';
-  let c = r.E.churn_stats in
   Buffer.add_string b ",\"churn\":{";
-  field ~first:true "adds" c.E.adds;
-  field "removes" c.E.removes;
-  field "heals" c.E.heals;
-  field "lost_in_flight" c.E.messages_lost_in_flight;
-  field "window_violations" c.E.window_violations;
+  field ~first:true "adds" f.E.adds;
+  field "removes" f.E.removes;
+  field "heals" f.E.heals;
+  field "lost_in_flight" f.E.messages_lost_in_flight;
+  field "window_violations" f.E.window_violations;
   Buffer.add_string b "}}";
   Buffer.contents b
 
@@ -128,7 +130,7 @@ let run ~stop ?obs ~step_limit (sub : Proto.submit) g =
       let r =
         En.run ~scheduler:(scheduler_of sub)
           ~payload_bits:sub.Proto.sub_payload ~step_limit
-          ~faults:(faults_of sub) ~churn:(churn_of sub g) ~stop ?obs g
+          ~faults:(faults_of sub g) ~stop ?obs g
       in
       {
         json = render_result r;

@@ -41,21 +41,20 @@ let test_required_excuses_stopped_and_cut () =
   Alcotest.(check bool) "downstream still required" true req.(3)
 
 let test_compile_round_trip () =
-  let faults, vfaults, churn =
+  let remove = Ch.Churn_edge (Fl.remove_event ~edge:2 ~at:1 ()) in
+  let faults, vfaults =
     Ch.compile
-      [
-        Ch.Kill_edge 0;
-        Ch.Crash_vertex (V.event ~vertex:1 ~at:1 ());
-        Ch.Churn_edge (Runtime.Churn.remove_event ~edge:2 ~at:1 ());
-      ]
+      [ Ch.Kill_edge 0; Ch.Crash_vertex (V.event ~vertex:1 ~at:1 ()); remove ]
   in
-  Alcotest.(check bool) "edge plan armed" false (Fl.is_none faults);
+  Alcotest.(check bool) "edge plan armed" true (Fl.sends faults);
   Alcotest.(check bool) "vertex plan armed" false (V.is_none vfaults);
-  Alcotest.(check bool) "churn script armed" false
-    (Runtime.Churn.is_none churn);
-  let nf, nv, nc = Ch.compile [] in
+  Alcotest.(check bool) "churn script armed" true (Fl.offers faults);
+  let churn, _ = Ch.compile [ remove ] in
+  Alcotest.(check bool) "churn alone arms only the offer hook" true
+    (Fl.offers churn && not (Fl.sends churn));
+  let nf, nv = Ch.compile [] in
   Alcotest.(check bool) "empty set compiles to none" true
-    (Fl.is_none nf && V.is_none nv && Runtime.Churn.is_none nc)
+    (Fl.is_none nf && V.is_none nv)
 
 (* {1 Replay determinism under faults} *)
 
@@ -68,15 +67,14 @@ let check_replay_reproduces ~supervisor g =
     V.uniform (V.plan ~crash:0.1 ~max_downtime:2 ~stutter:0.05 ()) ~seed:6
   in
   let orig =
-    runner.Ch.run ~scheduler:S.Fifo ~record:true ~faults ~vfaults
-      ~churn:Runtime.Churn.none ~supervisor ~step_limit:200_000 g
+    runner.Ch.run ~scheduler:S.Fifo ~record:true ~faults ~vfaults ~supervisor
+      ~step_limit:200_000 g
   in
   Alcotest.(check bool) "schedule recorded" true (orig.Ch.schedule <> []);
   let replayed =
     runner.Ch.run
       ~scheduler:(S.Replay orig.Ch.schedule)
-      ~record:false ~faults ~vfaults ~churn:Runtime.Churn.none ~supervisor
-      ~step_limit:200_000 g
+      ~record:false ~faults ~vfaults ~supervisor ~step_limit:200_000 g
   in
   Alcotest.check outcome "same outcome" orig.Ch.outcome replayed.Ch.outcome;
   Alcotest.(check int) "same deliveries" orig.Ch.deliveries

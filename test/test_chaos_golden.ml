@@ -13,28 +13,17 @@
 module Ch = Runtime.Chaos
 module V = Runtime.Vfaults
 
-(* The dynamic-network family the [churn] CLI search adds to the default
-   suite. *)
-let dynamic_case ~n =
-  {
-    Runtime.Campaign.g_name = Printf.sprintf "random-dynamic-%d" n;
-    build =
-      (fun ~seed ->
-        fst
-          (Digraph.Families.random_dynamic (Prng.create seed) ~n ~extra_edges:6
-             ~back_edges:2 ~t_edge_prob:0.3 ()));
-  }
+let general ~k =
+  Anonet.Resilient.chaos_runner ~k (module Anonet.General_broadcast)
 
-let general ~k = Anonet.Resilient.chaos_runner ~k (module Anonet.General_broadcast)
-
-(* [Chaos.to_json] with every recorded schedule replaced by its length and
-   an MD5 prefix: livelock schedules run to the step limit, and the
-   fixture stays readable everywhere else. *)
 let rec find key s i =
   if i + String.length key > String.length s then None
   else if String.sub s i (String.length key) = key then Some i
   else find key s (i + 1)
 
+(* [Chaos.to_json] with every recorded schedule replaced by its length and
+   an MD5 prefix: livelock schedules run to the step limit, and the
+   fixture stays readable everywhere else. *)
 let render res =
   let json = Ch.to_json res in
   let key = "\"schedule\":[" in
@@ -46,7 +35,10 @@ let render res =
         let start = j + String.length key in
         let stop = String.index_from json start ']' in
         let body = String.sub json start (stop - start) in
-        let count = if body = "" then 0 else List.length (String.split_on_char ',' body) in
+        let count =
+          if body = "" then 0
+          else List.length (String.split_on_char ',' body)
+        in
         Buffer.add_substring b json i (j - i);
         Printf.bprintf b "\"schedule\":\"%d:%s\"" count
           (String.sub (Digest.to_hex (Digest.string body)) 0 12);
@@ -55,7 +47,8 @@ let render res =
   go 0;
   Buffer.contents b
 
-let search cfg runner graphs () = render (Ch.run cfg ~runners:[ runner ] ~graphs)
+let search cfg runner graphs () =
+  render (Ch.run cfg ~runners:[ runner ] ~graphs)
 
 let searches () =
   let graphs = Anonet.Resilient.chaos_graphs () in
@@ -65,7 +58,8 @@ let searches () =
         (Ch.config ~budget:40 ~seed:11 ~recoveries:[ V.Amnesia ] ~p_edge:0.0 ())
         (Anonet.Resilient.chaos_runner ~k:1 (module Anonet.Flood))
         graphs );
-    ("general-k1", search (Ch.config ~budget:300 ~seed:5 ()) (general ~k:1) graphs);
+    ( "general-k1",
+      search (Ch.config ~budget:300 ~seed:5 ()) (general ~k:1) graphs );
     ( "general-k1-churn",
       search
         (Ch.config ~budget:200 ~seed:5 ~p_churn:0.3 ~churn_t:3 ())
@@ -81,7 +75,7 @@ let searches () =
         (Ch.config ~budget:25 ~seed:11 ~p_churn:0.5 ~churn_t:4
            ~supervisor:Runtime.Supervisor.default ())
         (general ~k:3)
-        (graphs @ [ dynamic_case ~n:12 ]) );
+        (graphs @ [ Anonet.Check_suite.dynamic_case ~n:12 ]) );
   ]
 
 let fixture =
@@ -105,7 +99,10 @@ let first_difference want got =
   let n = min (String.length want) (String.length got) in
   let rec go i = if i < n && want.[i] = got.[i] then go (i + 1) else i in
   let i = go 0 in
-  let around s = String.sub s (max 0 (i - 40)) (min 80 (String.length s - max 0 (i - 40))) in
+  let around s =
+    let from = max 0 (i - 40) in
+    String.sub s from (min 80 (String.length s - from))
+  in
   Printf.sprintf "at byte %d:\n  want ...%s\n  got  ...%s" i (around want)
     (around got)
 

@@ -9,13 +9,13 @@ open Helpers
 module G = Digraph
 module F = Digraph.Families
 module E = Runtime.Engine
-module C = Runtime.Churn
+module C = Runtime.Faults
 module V = Runtime.Vfaults
 module S = Runtime.Scheduler
 module Ch = Runtime.Chaos
 
 let fate =
-  let pp fmt (f : C.fate) =
+  let pp fmt (f : C.offer_fate) =
     Format.pp_print_string fmt
       (match f with
       | C.Cross -> "cross"
@@ -173,17 +173,20 @@ let test_supervisor_heals_scripted_outage_on_path () =
   let churn =
     C.script [ C.remove_event ~edge:(G.edge_index g 1 0) ~at:1 ~down_for:1 () ]
   in
-  let bare = Anonet.Tree_engine.run ~churn g in
+  let bare = Anonet.Tree_engine.run ~faults:churn g in
   Alcotest.(check bool) "bare run does not terminate" true
     (bare.E.outcome <> E.Terminated);
   Alcotest.(check int) "the only copy was lost" 1
-    bare.E.churn_stats.E.messages_lost_in_flight;
-  let r = Anonet.Tree_engine.run ~churn ~supervisor:Runtime.Supervisor.default g in
+    bare.E.fault_stats.E.messages_lost_in_flight;
+  let r =
+    Anonet.Tree_engine.run ~faults:churn
+      ~supervisor:Runtime.Supervisor.default g
+  in
   if r.E.outcome <> E.Terminated then
     Alcotest.fail ("supervised run should terminate: " ^ report_summary r);
   Alcotest.(check bool) "all visited" true (Array.for_all Fun.id r.E.visited);
-  Alcotest.(check int) "one removal" 1 r.E.churn_stats.E.removes;
-  Alcotest.(check int) "healed under retransmission" 1 r.E.churn_stats.E.heals;
+  Alcotest.(check int) "one removal" 1 r.E.fault_stats.E.removes;
+  Alcotest.(check int) "healed under retransmission" 1 r.E.fault_stats.E.heals;
   Alcotest.(check bool) "retransmissions happened" true
     (r.E.vfault_stats.E.replayed > 0)
 
@@ -194,7 +197,7 @@ let test_churn_free_runs_have_zero_overhead () =
         ~t_edge_prob:0.25
     in
     let bare = Anonet.General_engine.run g in
-    let churned = Anonet.General_engine.run ~churn:C.none g in
+    let churned = Anonet.General_engine.run ~faults:C.none g in
     Alcotest.check outcome "same outcome" bare.E.outcome churned.E.outcome;
     Alcotest.(check int) "identical deliveries" bare.E.deliveries
       churned.E.deliveries;
@@ -203,10 +206,10 @@ let test_churn_free_runs_have_zero_overhead () =
     Alcotest.(check bool) "same coverage" true
       (bare.E.visited = churned.E.visited);
     Alcotest.(check bool) "all-zero churn stats" true
-      (churned.E.churn_stats = E.no_churn_stats);
+      (churned.E.fault_stats = E.no_faults_stats);
     (* The all-stable plan collapses to [none] before the engine sees it. *)
     Alcotest.(check bool) "stable plan is none" true
-      (C.is_none (C.uniform C.stable ~seed))
+      (C.is_none (C.uniform C.reliable ~seed))
   done
 
 let test_obs_counters_reconcile_exactly () =
@@ -221,11 +224,12 @@ let test_obs_counters_reconcile_exactly () =
     in
     let obs = Obs.create () in
     let r =
-      Anonet.General_engine.run ~churn ~supervisor:Runtime.Supervisor.default
+      Anonet.General_engine.run ~faults:churn
+        ~supervisor:Runtime.Supervisor.default
         ~obs g
     in
     let c name = Obs.Registry.(value (counter obs.Obs.registry name)) in
-    let cs = r.E.churn_stats in
+    let cs = r.E.fault_stats in
     Alcotest.(check int) "adds" cs.E.adds (c "engine.churn.adds");
     Alcotest.(check int) "removes" cs.E.removes (c "engine.churn.removes");
     Alcotest.(check int) "heals" cs.E.heals (c "engine.churn.heals");
@@ -256,24 +260,24 @@ let test_churn_ledger_schedule_independent () =
       C.with_contract ~t_interval:3 g
         (C.uniform (C.plan ~remove:0.25 ~max_downtime:2 ()) ~seed)
     in
-    let s = Anonet.Flood_engine.run ~churn g in
-    fired := !fired + s.E.churn_stats.E.removes;
+    let s = Anonet.Flood_engine.run ~faults:churn g in
+    fired := !fired + s.E.fault_stats.E.removes;
     List.iter
       (fun (name, scheduler) ->
-        let p = Anonet.Flood_engine.run ~scheduler ~churn g in
+        let p = Anonet.Flood_engine.run ~scheduler ~faults:churn g in
         let tag what = Printf.sprintf "seed %d, %s: %s" seed name what in
-        Alcotest.(check int) (tag "same adds") s.E.churn_stats.E.adds
-          p.E.churn_stats.E.adds;
-        Alcotest.(check int) (tag "same removes") s.E.churn_stats.E.removes
-          p.E.churn_stats.E.removes;
-        Alcotest.(check int) (tag "same heals") s.E.churn_stats.E.heals
-          p.E.churn_stats.E.heals;
+        Alcotest.(check int) (tag "same adds") s.E.fault_stats.E.adds
+          p.E.fault_stats.E.adds;
+        Alcotest.(check int) (tag "same removes") s.E.fault_stats.E.removes
+          p.E.fault_stats.E.removes;
+        Alcotest.(check int) (tag "same heals") s.E.fault_stats.E.heals
+          p.E.fault_stats.E.heals;
         Alcotest.(check int) (tag "same lost")
-          s.E.churn_stats.E.messages_lost_in_flight
-          p.E.churn_stats.E.messages_lost_in_flight;
+          s.E.fault_stats.E.messages_lost_in_flight
+          p.E.fault_stats.E.messages_lost_in_flight;
         Alcotest.(check int) (tag "same violations")
-          s.E.churn_stats.E.window_violations
-          p.E.churn_stats.E.window_violations;
+          s.E.fault_stats.E.window_violations
+          p.E.fault_stats.E.window_violations;
         Alcotest.(check bool) (tag "same coverage") true
           (s.E.visited = p.E.visited);
         Alcotest.(check int) (tag "same deliveries") s.E.deliveries
@@ -292,16 +296,15 @@ let check_replay_reproduces ~supervisor g =
   let vfaults =
     V.uniform (V.plan ~crash:0.08 ~max_downtime:2 ~stutter:0.05 ()) ~seed:6
   in
-  let faults = Runtime.Faults.none in
   let orig =
-    runner.Ch.run ~scheduler:S.Fifo ~record:true ~faults ~vfaults ~churn
+    runner.Ch.run ~scheduler:S.Fifo ~record:true ~faults:churn ~vfaults
       ~supervisor ~step_limit:200_000 g
   in
   Alcotest.(check bool) "schedule recorded" true (orig.Ch.schedule <> []);
   let replayed =
     runner.Ch.run
       ~scheduler:(S.Replay orig.Ch.schedule)
-      ~record:false ~faults ~vfaults ~churn ~supervisor ~step_limit:200_000 g
+      ~record:false ~faults:churn ~vfaults ~supervisor ~step_limit:200_000 g
   in
   Alcotest.check outcome "same outcome" orig.Ch.outcome replayed.Ch.outcome;
   Alcotest.(check int) "same deliveries" orig.Ch.deliveries
@@ -310,7 +313,7 @@ let check_replay_reproduces ~supervisor g =
   Alcotest.(check bool) "same coverage" true
     (orig.Ch.visited = replayed.Ch.visited);
   Alcotest.(check bool) "same churn stats" true
-    (orig.Ch.churn_stats = replayed.Ch.churn_stats);
+    (orig.Ch.fault_stats = replayed.Ch.fault_stats);
   Alcotest.(check bool) "same vfault stats" true
     (orig.Ch.vfault_stats = replayed.Ch.vfault_stats)
 
@@ -344,13 +347,14 @@ let test_random_dynamic_round_trips_through_of_dynamic () =
     (* The compiled script drives the engine without incident, and the
        engine's ledger can only report what the script contains. *)
     let r =
-      Anonet.Flood_engine.run ~churn ~supervisor:Runtime.Supervisor.default g
+      Anonet.Flood_engine.run ~faults:churn
+        ~supervisor:Runtime.Supervisor.default g
     in
     let n_adds =
       List.length (List.filter (fun d -> d.F.de_down_for = None) events)
     in
     Alcotest.(check bool) "adds bounded by script" true
-      (r.E.churn_stats.E.adds <= n_adds)
+      (r.E.fault_stats.E.adds <= n_adds)
   done
 
 (* Amnesiac flooding is stateless: it quiesces on DAGs but a single cycle
@@ -376,13 +380,13 @@ let test_amnesiac_livelock_needs_the_churned_in_edge () =
   let back = G.edge_index g 2 1 in
   let live =
     Anonet.Amnesiac_engine.run ~step_limit:5_000
-      ~churn:(C.script [ C.add_event ~edge:back ~at:1 ]) g
+      ~faults:(C.script [ C.add_event ~edge:back ~at:1 ]) g
   in
   Alcotest.check outcome "churned-in edge closes the cycle" E.Step_limit
     live.E.outcome;
   let quiet =
     Anonet.Amnesiac_engine.run ~step_limit:5_000
-      ~churn:(C.script [ C.add_event ~edge:back ~at:50 ]) g
+      ~faults:(C.script [ C.add_event ~edge:back ~at:50 ]) g
   in
   Alcotest.(check bool) "edge that never appears stays harmless" true
     (quiet.E.outcome <> E.Step_limit)
@@ -417,13 +421,14 @@ let test_counting_survives_supervised_outage () =
     C.script [ C.remove_event ~edge:(G.edge_index g 2 0) ~at:1 ~down_for:2 () ]
   in
   let r =
-    Anonet.Counting_engine.run ~churn ~supervisor:Runtime.Supervisor.default g
+    Anonet.Counting_engine.run ~faults:churn
+      ~supervisor:Runtime.Supervisor.default g
   in
   Alcotest.check outcome "terminates through the outage" E.Terminated
     r.E.outcome;
   Alcotest.(check int) "census still exact" (G.n_vertices g)
     (Anonet.Counting.census r.E.states.(G.terminal g));
-  Alcotest.(check int) "outage healed" 1 r.E.churn_stats.E.heals
+  Alcotest.(check int) "outage healed" 1 r.E.fault_stats.E.heals
 
 (* {1 Chaos controls} *)
 

@@ -41,7 +41,7 @@ let outcome_name = function
 
 let render_report (type s) (digest : s -> string) (r : s E.report) =
   let arr f a = md5 (String.concat "," (Array.to_list (Array.map f a))) in
-  let f = r.E.fault_stats and v = r.E.vfault_stats and c = r.E.churn_stats in
+  let f = r.E.fault_stats and v = r.E.vfault_stats in
   Printf.sprintf
     "%s d=%d bits=%d edge_max=%d msg_max=%d state_max=%d in_flight=%d/%d \
      distinct=%d edge_msgs=%s edge_bits=%s visited=%s states=%s \
@@ -57,8 +57,8 @@ let render_report (type s) (digest : s -> string) (r : s E.report) =
     f.E.delayed_copies f.E.corrupted_deliveries f.E.garbled_drops
     f.E.checksum_rejects (ints f.E.dead_edges) v.E.crashes v.E.restarts
     v.E.lost_state_bits v.E.down_drops v.E.stuttered
-    (ints v.E.stopped_vertices) v.E.checkpoints v.E.replayed c.E.adds
-    c.E.removes c.E.heals c.E.messages_lost_in_flight c.E.window_violations
+    (ints v.E.stopped_vertices) v.E.checkpoints v.E.replayed f.E.adds
+    f.E.removes f.E.heals f.E.messages_lost_in_flight f.E.window_violations
 
 (* Everything in the registry except the wall-clock receive timings (only
    their sample count is deterministic) and the [engine.gc.*] gauges
@@ -172,10 +172,13 @@ let chaos_lines (type s m)
             F.random_digraph (Prng.create (40 + seed)) ~n:16 ~extra_edges:12
               ~back_edges:4 ~t_edge_prob:0.25
       in
-      let faults =
-        Runtime.Faults.create ~drop:0.1 ~duplicate:0.05 ~max_delay:3
-          ~corrupt:0.1 ~kill:0.04 ~seed ()
+      (* Channel faults and churn draw from separate per-edge streams, so
+         "everything" is the union of the two plans under one seed. *)
+      let send =
+        Runtime.Faults.plan ~drop:0.1 ~duplicate:0.05 ~max_delay:3
+          ~corrupt:0.1 ~kill:0.04 ()
       in
+      let faults = Runtime.Faults.uniform send ~seed in
       let vfaults =
         Runtime.Vfaults.uniform
           (Runtime.Vfaults.plan ~crash:0.05 ~max_downtime:3
@@ -183,26 +186,29 @@ let chaos_lines (type s m)
           ~seed
       in
       let churn =
-        Runtime.Churn.uniform
-          (Runtime.Churn.plan ~remove:0.08 ~max_downtime:4 ())
+        Runtime.Faults.create ~remove:0.08 ~max_downtime:4 ~seed ()
+      in
+      let everything =
+        Runtime.Faults.uniform
+          { send with remove = 0.08; max_downtime = 4 }
           ~seed
       in
       let supervisor =
         { Runtime.Supervisor.default with max_retries = 3; seed = seed * 7 }
       in
       List.map
-        (fun (vname, faults, vfaults, churn, supervisor) ->
+        (fun (vname, faults, vfaults, supervisor) ->
           let o = Obs.create ~sample_every:5 () in
-          let r = En.run ?faults ?vfaults ?churn ?supervisor ~obs:o g in
+          let r = En.run ?faults ?vfaults ?supervisor ~obs:o g in
           ( Printf.sprintf "chaos/%s/%s/seed-%d" name vname seed,
             String.concat " "
               [ "g=" ^ graph_print g; render_report P.digest r; render_obs o ] ))
         [
-          ("faults", Some faults, None, None, None);
-          ("vfaults", None, Some vfaults, None, None);
-          ("vfaults+supervisor", None, Some vfaults, None, Some supervisor);
-          ("churn", None, None, Some churn, None);
-          ("everything", Some faults, Some vfaults, Some churn, Some supervisor);
+          ("faults", Some faults, None, None);
+          ("vfaults", None, Some vfaults, None);
+          ("vfaults+supervisor", None, Some vfaults, Some supervisor);
+          ("churn", Some churn, None, None);
+          ("everything", Some everything, Some vfaults, Some supervisor);
         ])
     [ 1; 2; 3; 4; 5; 6 ]
 

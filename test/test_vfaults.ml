@@ -56,6 +56,33 @@ let test_crash_stop_is_permanent () =
   Alcotest.(check (list int)) "listed as stopped" [ 3 ] (V.Instance.stopped i);
   Alcotest.(check int) "no restart" 0 (V.Instance.restarts i)
 
+let test_stale_crash_head_fires_on_next_offer () =
+  (* Two crashes with the same [at]: the second's clock position passes
+     while the vertex is down after the first, so it must fire on the next
+     up offer rather than jam the queue and hide the crash behind it. *)
+  let vf =
+    V.script
+      [
+        V.event ~vertex:1 ~at:2 (); V.event ~vertex:1 ~at:2 ();
+        V.event ~vertex:1 ~at:4 ();
+      ]
+  in
+  let i = V.Instance.start vf in
+  let offer () = V.Instance.on_deliver i ~vertex:1 in
+  Alcotest.check fate "1st delivers" V.Deliver (offer ());
+  Alcotest.check fate "2nd crashes" (V.Crash (V.Amnesia, 1)) (offer ());
+  Alcotest.check fate "3rd swallowed, restart" V.Down_drop (offer ());
+  Alcotest.check fate "stale second fires next" (V.Crash (V.Amnesia, 1))
+    (offer ());
+  Alcotest.check fate "5th swallowed, restart" V.Down_drop (offer ());
+  Alcotest.check fate "third at its own position" (V.Crash (V.Amnesia, 1))
+    (offer ());
+  for _ = 7 to 20 do
+    ignore (offer ())
+  done;
+  Alcotest.(check int) "all three crashes fired" 3 (V.Instance.crashes i);
+  Alcotest.(check int) "all three restarted" 3 (V.Instance.restarts i)
+
 let test_uniform_stutter_swallows () =
   let vf = V.uniform (V.plan ~stutter:1.0 ()) ~seed:4 in
   let i = V.Instance.start vf in
@@ -203,6 +230,38 @@ let test_obs_counters_reconcile_exactly () =
     (c "engine.checksum_rejects");
   Alcotest.(check bool) "something actually happened" true
     (r.E.vfault_stats.E.crashes > 0 || r.E.vfault_stats.E.stuttered > 0)
+
+(* Runs that share one [Obs] add up: each vertex-fault counter must end at
+   the sum of the reports, not at the last run's total. *)
+let test_obs_counters_add_up_across_runs () =
+  let g =
+    F.random_digraph (Prng.create 7) ~n:30 ~extra_edges:20 ~back_edges:6
+      ~t_edge_prob:0.25
+  in
+  let obs = Obs.create () in
+  let stats =
+    List.map
+      (fun seed ->
+        let vfaults =
+          V.uniform
+            (V.plan ~crash:0.1 ~max_downtime:3 ~recovery:V.Amnesia ())
+            ~seed
+        in
+        (Anonet.General_engine.run ~vfaults ~obs g).E.vfault_stats)
+      [ 1; 2; 3; 4 ]
+  in
+  let sum f = List.fold_left (fun acc v -> acc + f v) 0 stats in
+  let c name = Obs.Registry.(value (counter obs.Obs.registry name)) in
+  let check name f = Alcotest.(check int) name (sum f) (c ("engine." ^ name)) in
+  check "crashes" (fun v -> v.E.crashes);
+  check "restarts" (fun v -> v.E.restarts);
+  check "lost_state_bits" (fun v -> v.E.lost_state_bits);
+  check "down_drops" (fun v -> v.E.down_drops);
+  check "stuttered" (fun v -> v.E.stuttered);
+  check "checkpoints" (fun v -> v.E.checkpoints);
+  check "replayed" (fun v -> v.E.replayed);
+  Alcotest.(check bool) "several restarts" true
+    (sum (fun v -> v.E.restarts) > 4)
 
 let test_vfaulty_runs_reproducible () =
   let g =
@@ -367,6 +426,8 @@ let () =
             test_crash_stop_is_permanent;
           Alcotest.test_case "uniform stutter" `Quick
             test_uniform_stutter_swallows;
+          Alcotest.test_case "stale crash head fires next" `Quick
+            test_stale_crash_head_fires_on_next_offer;
         ] );
       ( "engine",
         [
@@ -396,6 +457,8 @@ let () =
         [
           Alcotest.test_case "counters reconcile exactly" `Quick
             test_obs_counters_reconcile_exactly;
+          Alcotest.test_case "counters add up across runs" `Quick
+            test_obs_counters_add_up_across_runs;
         ] );
       ( "redundant",
         [
