@@ -1139,10 +1139,13 @@ let churn_bench ~small () =
    the generic path (CSR adjacency + arena-backed messages + encode memo).
    Flood delivers one copy per edge under any schedule, so every run must
    report exactly [|E|] deliveries, quiescence and full coverage, which is
-   what [pass] gates on.  The JSON gives each path's rate and the generic
-   path's per-pair time change against the fast one, reported rather than
-   gated: on the small graph a run lasts about a millisecond, too short
-   for a stable ratio. *)
+   what [pass] gates on.  A second pair prices each path's fixed cost: a
+   [~step_limit:0] run does the per-run set-up (state array, certificate,
+   report) and no delivery, so it must end [Step_limit] with 0
+   deliveries.  The JSON gives each path's rate and fixed cost and the
+   generic path's per-pair time change against the fast one, reported
+   rather than gated: on the small graph a run lasts about a millisecond,
+   too short for a stable ratio. *)
 let engine_bench ~small () =
   let target_edges = if small then 30_000 else 120_000 in
   let repeats = if small then 3 else 5 in
@@ -1150,20 +1153,25 @@ let engine_bench ~small () =
   let module En = Runtime.Engine.Make (Anonet.Flood) in
   let deliveries = G.n_edges g in
   let pass = ref true in
-  let row sched () =
+  let row ?step_limit ok sched () =
     let last = ref None in
-    let t = timed last (fun () -> En.run ~scheduler:sched g) () in
-    let r = Option.get !last in
-    pass :=
-      !pass && r.E.outcome = E.Quiescent
-      && r.E.deliveries = deliveries
-      && r.E.final_in_flight = 0
-      && Array.for_all Fun.id r.E.visited;
+    let t = timed last (fun () -> En.run ~scheduler:sched ?step_limit g) () in
+    pass := !pass && ok (Option.get !last);
     t
   in
-  let p =
-    Timer.pair ~repeats (row Runtime.Scheduler.Fifo) (row Runtime.Scheduler.Lifo)
+  let full (r : _ E.report) =
+    r.outcome = E.Quiescent && r.deliveries = deliveries
+    && r.final_in_flight = 0
+    && Array.for_all Fun.id r.visited
   in
+  let empty (r : _ E.report) = r.outcome = E.Step_limit && r.deliveries = 0 in
+  let pair ?step_limit ok =
+    Timer.pair ~repeats
+      (row ?step_limit ok Runtime.Scheduler.Fifo)
+      (row ?step_limit ok Runtime.Scheduler.Lifo)
+  in
+  let p = pair full in
+  let fixed = pair ~step_limit:0 empty in
   pf "{\n";
   pf "  \"experiment\": \"E20-engine-throughput\",\n";
   pf "  \"env\": %s,\n" (Timer.env_json ());
@@ -1174,15 +1182,16 @@ let engine_bench ~small () =
   pf "  \"deliveries\": %d,\n" deliveries;
   pf "  \"series\": [";
   List.iteri
-    (fun i (path, sched, (s : Timer.summary)) ->
+    (fun i (path, sched, (s : Timer.summary), (f : Timer.summary)) ->
       if i > 0 then pf ",";
       pf
         "\n\
         \    {\"path\": %S, \"scheduler\": %S, \"seconds\": %s, \
-         \"deliveries_per_s\": %.0f}"
+         \"deliveries_per_s\": %.0f, \"fixed_seconds\": %s}"
         path sched (Timer.json s)
-        (float_of_int deliveries /. s.median))
-    [ ("fast", "fifo", p.a); ("generic", "lifo", p.b) ];
+        (float_of_int deliveries /. s.median)
+        (Timer.json f))
+    [ ("fast", "fifo", p.a, fixed.a); ("generic", "lifo", p.b, fixed.b) ];
   pf "\n  ],\n";
   pf "  \"generic_time_change\": %s,\n" (Timer.json p.delta);
   pf "  \"pass\": %b\n" !pass;

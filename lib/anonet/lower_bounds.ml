@@ -71,7 +71,7 @@ module Skeleton_sweep (C : Commodity.S) = struct
       subsets;
       distinct_quantities = List.length sorted;
       min_quantity_bits = List.fold_left min max_int bit_sizes;
-      max_quantity_bits = List.fold_left max 0 bit_sizes;
+      max_quantity_bits = List.fold_left Int.max 0 bit_sizes;
     }
 end
 

@@ -103,7 +103,7 @@ let edge_target_ports g = g.tgt_port
 let max_out_degree g =
   let best = ref 1 in
   for v = 0 to g.n - 1 do
-    best := max !best (out_degree g v)
+    best := Int.max !best (out_degree g v)
   done;
   !best
 
@@ -302,7 +302,7 @@ let distances_from g start =
   dist
 
 let diameter_from_s g =
-  Array.fold_left Stdlib.max 0 (distances_from g g.s)
+  Array.fold_left Int.max 0 (distances_from g g.s)
 
 let longest_path_dag g =
   match topological_order g with
@@ -314,7 +314,7 @@ let longest_path_dag g =
           iter_out g v (fun _ w ->
               if best.(v) + 1 > best.(w) then best.(w) <- best.(v) + 1))
         order;
-      Array.fold_left Stdlib.max 0 best
+      Array.fold_left Int.max 0 best
 
 let canonical_signature g =
   let id = Array.make g.n (-1) in

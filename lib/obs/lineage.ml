@@ -235,7 +235,7 @@ let dropped t =
 
 let width t =
   realize t;
-  Array.fold_left max 0 t.depth_counts
+  Array.fold_left Int.max 0 t.depth_counts
 
 (* Nodes per depth, depths 1..max_depth. *)
 let depth_histogram t =

@@ -143,6 +143,53 @@ let fault_counters r =
     ("engine.replayed", v.replayed);
   ]
 
+(* The largest entry of an int array, 0 if none is positive: a
+   monomorphic loop, where [Array.fold_left max] pays a polymorphic
+   compare call per entry. *)
+let max_entry a =
+  let best = ref 0 in
+  for i = 0 to Array.length a - 1 do
+    let x = Array.unsafe_get a i in
+    if x > !best then best := x
+  done;
+  !best
+
+(* A set of non-negative ints by open addressing: linear probing in a
+   power-of-two array of keys, [-1] marking a free slot, kept at most half
+   full.  [add] says whether the key was new and allocates only when the
+   table doubles, so a membership test is a multiply, a shift and a few
+   int loads — about a quarter of what a [Hashtbl.Make (Int)] lookup costs
+   through its functor closures and boxed buckets. *)
+module Int_set = struct
+  type t = { mutable keys : int array; mutable size : int }
+
+  let create () = { keys = Array.make 64 (-1); size = 0 }
+
+  let slot keys key =
+    let mask = Array.length keys - 1 in
+    let i = ref (((key * 0x2545F4914F6CDD1D) lsr 17) land mask) in
+    while keys.(!i) <> -1 && keys.(!i) <> key do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let rec add t key =
+    let i = slot t.keys key in
+    if t.keys.(i) = key then false
+    else if 2 * (t.size + 1) > Array.length t.keys then begin
+      let old = t.keys in
+      t.keys <- Array.make (2 * Array.length old) (-1);
+      t.size <- 0;
+      Array.iter (fun k -> if k >= 0 then ignore (add t k)) old;
+      add t key
+    end
+    else begin
+      t.keys.(i) <- key;
+      t.size <- t.size + 1;
+      true
+    end
+end
+
 (* {1 The executor}
 
    The graph is read through its CSR arrays ({!Digraph.out_offsets} and
@@ -402,12 +449,15 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
        [m0] on any in-port returns that very state (pointer-equal) and no
        sends — the vertex is {e absorbing}.
 
-     Absorption is probed per distinct (out_degree, in_degree) pair over
+     Absorption is probed per distinct (out_degree, in_degree) class over
      every in-port, assuming only that [receive] is a pure function of its
      arguments — the same purity the checkpoint snapshots already rely on
-     to share state values.  Probing is O(sum in_degree^2) over the
-     distinct degree pairs; a budget keeps pathological degree profiles on
-     the generic path instead. *)
+     to share state values.  The classes are found by one scan per run
+     that packs each vertex's degrees into one int, [out_degree * (m + 1)
+     + in_degree] (in-degrees are at most [m], so no two classes collide),
+     and allocates only when a new class appears.  Probing is O(sum
+     in_degree^2) over the classes; a budget keeps pathological degree
+     profiles on the generic path instead. *)
   let certify_flood g =
     let od_s = Digraph.out_degree g (Digraph.source g) in
     match P.root_emit ~out_degree:od_s with
@@ -416,18 +466,25 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
         if not (List.for_all (fun (_, m) -> m == m0) emits) then None
         else begin
           let n = Digraph.n_vertices g and m = Digraph.n_edges g in
-          let pairs = Hashtbl.create 16 in
+          let stride = m + 1 in
+          let seen = Int_set.create () in
+          let classes = ref [] in
+          let budget = ref 0 in
           for v = 0 to n - 1 do
             let idg = Digraph.in_degree g v in
-            if idg > 0 then Hashtbl.replace pairs (Digraph.out_degree g v, idg) ()
+            if idg > 0 then begin
+              let key = (Digraph.out_degree g v * stride) + idg in
+              if Int_set.add seen key then begin
+                classes := key :: !classes;
+                budget := !budget + (idg * (idg + 1))
+              end
+            end
           done;
-          let budget =
-            Hashtbl.fold (fun (_, idg) () acc -> acc + (idg * (idg + 1))) pairs 0
-          in
-          if budget > (4 * m) + 4096 then None
+          if !budget > (4 * m) + 4096 then None
           else begin
             let ok = ref true in
-            let check_pair (od, idg) () =
+            let check_class key =
+              let od = key / stride and idg = key mod stride in
               if !ok then begin
                 let st0 = P.initial_state ~out_degree:od ~in_degree:idg in
                 for i = 0 to idg - 1 do
@@ -451,7 +508,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                 done
               end
             in
-            Hashtbl.iter check_pair pairs;
+            List.iter check_class !classes;
             if !ok then Some (m0, emits) else None
           end
         end
@@ -664,12 +721,15 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
         obs_sample ~bits_total:(!deliveries * bpm);
         Obs.Timeline.end_span h.oh_timeline ~track:0 "engine.run"
     | None -> ());
-    let edge_bits = Array.map (fun c -> c * bpm) edge_messages in
+    let edge_bits = Array.make (Array.length edge_messages) 0 in
+    for e = 0 to Array.length edge_messages - 1 do
+      Array.unsafe_set edge_bits e (Array.unsafe_get edge_messages e * bpm)
+    done;
     {
       outcome = !outcome;
       deliveries = !deliveries;
       total_bits = !deliveries * bpm;
-      max_edge_bits = Array.fold_left Stdlib.max 0 edge_bits;
+      max_edge_bits = max_entry edge_bits;
       max_message_bits = (if !deliveries > 0 then bpm else 0);
       max_state_bits = !max_state_bits;
       max_in_flight = !max_in_flight;
@@ -1172,7 +1232,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       outcome = !outcome;
       deliveries = !deliveries;
       total_bits = !total_bits;
-      max_edge_bits = Array.fold_left Stdlib.max 0 edge_bits;
+      max_edge_bits = max_entry edge_bits;
       max_message_bits = !max_message_bits;
       max_state_bits = !max_state_bits;
       max_in_flight = !max_in_flight;

@@ -117,7 +117,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
           Engine.outcome = !outcome;
           deliveries = !deliveries;
           total_bits = !total_bits;
-          max_edge_bits = Array.fold_left Stdlib.max 0 edge_bits;
+          max_edge_bits = Array.fold_left Int.max 0 edge_bits;
           max_message_bits = !max_message_bits;
           max_state_bits = !max_state_bits;
           max_in_flight = !max_in_flight;

@@ -336,6 +336,79 @@ let test_stop_never_true_is_free () =
   Alcotest.(check int) "same deliveries" plain.deliveries r.deliveries;
   Alcotest.(check int) "same bits" plain.total_bits r.total_bits
 
+(* Flood, except at the (out_degree, in_degree) = (2, 2) class, where every
+   further receive bumps the state: that class is not absorbing, so the
+   flood certificate must refuse any graph that has it.  [calls] counts
+   receives, since the fast path skips them on absorbed vertices. *)
+module Picky = struct
+  let calls = ref 0
+
+  type state = int
+  type message = unit
+
+  let name = "picky"
+  let initial_state ~out_degree:_ ~in_degree:_ = 0
+  let root_emit ~out_degree = List.init out_degree (fun j -> (j, ()))
+
+  let receive ~out_degree ~in_degree st () ~in_port:_ =
+    incr calls;
+    if st = 0 then (1, List.init out_degree (fun j -> (j, ())))
+    else if out_degree = 2 && in_degree = 2 then (st + 1, [])
+    else (st, [])
+
+  let accepting _ = false
+  let encode w () = Bitio.Bit_writer.bit w true
+  let decode r = ignore (Bitio.Bit_reader.bit r : bool)
+  let equal_message () () = true
+  let state_bits _ = 1
+  let pp_message fmt () = Format.pp_print_string fmt "token"
+  let pp_state = Format.pp_print_int
+end
+
+module Picky_engine = E.Make (Picky)
+
+(* s -> h, then h -> v with [in_degree] parallel edges and v -> t with
+   [out_degree] parallel edges, one v per class in list order. *)
+let class_graph classes =
+  let k = List.length classes in
+  let t = k + 2 in
+  let edges =
+    List.concat
+      (List.mapi
+         (fun i (od, idg) ->
+           List.init idg (fun _ -> (1, i + 2)) @ List.init od (fun _ -> (i + 2, t)))
+         classes)
+  in
+  G.make ~n:(k + 3) ~s:0 ~t ((0, 1) :: edges)
+
+(* The receives a plain Fifo run executes, net of the certificate's probe:
+   a [~step_limit:0] run does the same probe and delivers nothing. *)
+let executed_receives g =
+  Picky.calls := 0;
+  ignore (Picky_engine.run ~step_limit:0 g);
+  let probe = !Picky.calls in
+  Picky.calls := 0;
+  let r = Picky_engine.run g in
+  (r, !Picky.calls - probe)
+
+(* The bad class sits between classes that share its in-degree or its
+   out-degree, or whose degrees sum to the same value, so a class key that
+   drops or collides either degree probes one of those instead. *)
+let test_certificate_granularity () =
+  let near = [ (1, 2); (2, 1); (1, 3); (3, 1); (3, 2) ] in
+  let bad = class_graph (near @ [ (2, 2) ] @ List.rev near) in
+  let r, executed = executed_receives bad in
+  Alcotest.(check int) "bad class: one delivery per edge" (G.n_edges bad)
+    r.deliveries;
+  Alcotest.(check int) "bad class: generic path, a receive per delivery"
+    r.deliveries executed;
+  let good = class_graph (near @ List.rev near) in
+  let r, executed = executed_receives good in
+  Alcotest.(check int) "good classes: one delivery per edge" (G.n_edges good)
+    r.deliveries;
+  Alcotest.(check int) "good classes: fast path, a receive per vertex"
+    (G.n_vertices good - 1) executed
+
 let prop_flood_visits_all_digraphs =
   qcheck_to_alcotest ~count:80 "flood visits every vertex of any network"
     arb_digraph (fun g ->
@@ -374,6 +447,8 @@ let () =
           Alcotest.test_case "trace render limit" `Quick test_trace_render_limit;
           Alcotest.test_case "cancelled outcome" `Quick test_cancelled_outcome;
           Alcotest.test_case "inert stop hook" `Quick test_stop_never_true_is_free;
+          Alcotest.test_case "certificate granularity" `Quick
+            test_certificate_granularity;
         ] );
       ( "schedulers",
         [
