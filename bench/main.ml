@@ -728,7 +728,8 @@ let throughput ~small () =
    deterministic, so the [repeats + 1] instrumented runs, warm-up included,
    accumulate exactly [(repeats + 1) * per-run] in each counter).  The
    emitted Chrome trace is round-tripped through the validating JSON
-   parser. *)
+   parser.  The gate: median overhead <= 10%, both reconciliations and a
+   valid trace. *)
 let obs_bench ~small () =
   let target_edges = if small then 30_000 else 120_000 in
   let repeats = if small then 5 else 7 in
@@ -750,6 +751,10 @@ let obs_bench ~small () =
   in
   let reconcile_bits = find "engine.total_bits" = runs * inst_r.E.total_bits in
   let trace_valid = Obs.Json.valid (Obs.Export.chrome_trace o.Obs.timeline) in
+  let pass =
+    p.delta.median <= 0.10 && reconcile_deliveries && reconcile_bits
+    && trace_valid
+  in
   pf "{\n";
   pf "  \"experiment\": \"E16-obs-overhead\",\n";
   pf "  \"env\": %s,\n" (Timer.env_json ());
@@ -766,7 +771,8 @@ let obs_bench ~small () =
   pf "  \"reconcile\": {\"deliveries\": %b, \"total_bits\": %b},\n"
     reconcile_deliveries reconcile_bits;
   pf "  \"trace_json_valid\": %b,\n" trace_valid;
-  pf "  \"metrics\": %s\n" (Obs.Registry.to_json snap);
+  pf "  \"metrics\": %s,\n" (Obs.Registry.to_json snap);
+  pf "  \"pass\": %b\n" pass;
   pf "}\n"
 
 (* {1 E21 — causal-lineage overhead (JSON)} *)
@@ -1044,36 +1050,25 @@ let churn_bench ~small () =
   (* (4) amnesiac flooding: quiesce vs churned-in livelock, then the chaos
      search that must rediscover it. *)
   let module Am = Runtime.Engine.Make (Anonet.Amnesiac_flood) in
-  let gd, events =
+  let gd =
     F.random_dynamic (Prng.create 11) ~n:12 ~extra_edges:6 ~back_edges:2
-      ~t_edge_prob:0.3 ()
+      ~t_edge_prob:0.3
   in
+  (* The footprint's back edges, the ones running from a higher vertex to a
+     lower, start absent and appear at their [at]-th offer. *)
+  let back_added ~at =
+    C.script
+      (List.concat
+         (List.mapi
+            (fun e (u, v) -> if u > v then [ C.add_event ~edge:e ~at ] else [])
+            (G.edges gd)))
+  in
+  (* Quiescence: every back edge stays absent, its add point pushed beyond
+     any traffic the finite single pass can produce. *)
   let quiesce =
-    (* Every initially-absent edge stays absent: its add point is pushed
-       beyond any traffic the finite single pass can produce. *)
-    Am.run ~step_limit:10_000
-      ~faults:
-        (C.script
-           (List.filter_map
-              (fun (d : F.dyn_event) ->
-                match d.F.de_down_for with
-                | None -> Some (C.add_event ~edge:d.F.de_edge ~at:1_000_000)
-                | Some _ -> None)
-              events))
-      gd
+    Am.run ~step_limit:10_000 ~faults:(back_added ~at:1_000_000) gd
   in
-  let livelock =
-    Am.run ~step_limit:10_000
-      ~faults:
-        (C.script
-           (List.filter_map
-              (fun (d : F.dyn_event) ->
-                match d.F.de_down_for with
-                | None -> Some (C.add_event ~edge:d.F.de_edge ~at:1)
-                | Some _ -> None)
-              events))
-      gd
-  in
+  let livelock = Am.run ~step_limit:10_000 ~faults:(back_added ~at:1) gd in
   let amnesiac_split =
     quiesce.E.outcome <> E.Step_limit && livelock.E.outcome = E.Step_limit
   in
@@ -1084,9 +1079,8 @@ let churn_bench ~small () =
         Runtime.Campaign.g_name = Printf.sprintf "random-dynamic-%d" n;
         build =
           (fun ~seed ->
-            fst
-              (F.random_dynamic (Prng.create seed) ~n ~extra_edges:6
-                 ~back_edges:2 ~t_edge_prob:0.3 ()));
+            F.random_dynamic (Prng.create seed) ~n ~extra_edges:6
+              ~back_edges:2 ~t_edge_prob:0.3);
       }
     in
     let cfg =

@@ -100,17 +100,7 @@ let describe_stats (st : Anonet.stats) =
   pf "distinct symbols : %d\n" st.distinct_messages;
   pf "all visited      : %b\n" st.all_visited
 
-let protocol_of_name : string -> (module Runtime.Protocol_intf.PROTOCOL) option
-    = function
-  | "flood" -> Some (module Anonet.Flood)
-  | "tree" -> Some (module Anonet.Tree_broadcast)
-  | "tree-naive" -> Some (module Anonet.Tree_broadcast_naive)
-  | "dag" -> Some (module Anonet.Dag_broadcast_pow2)
-  | "general" -> Some (module Anonet.General_broadcast)
-  | "labeling" -> Some (module Anonet.Labeling)
-  | "mapping" -> Some (module Anonet.Mapping)
-  | "undirected" -> Some (module Anonet.Undirected_labeling)
-  | _ -> None
+let protocol_doc = String.concat " | " Anonet.protocol_names
 
 let domains_t =
   Arg.(
@@ -204,7 +194,8 @@ let sample_t =
     & info [ "sample" ] ~docv:"K"
         ~doc:
           "Emit timeline samples every $(docv) deliveries (or explorer \
-           transitions); counters stay exact regardless.")
+           transitions); counters are exact at every sample point and at \
+           run end.")
 
 let lineage_out_t =
   Arg.(
@@ -303,12 +294,12 @@ let run_cmd =
       value & opt string "general"
       & info [ "p"; "protocol" ] ~docv:"PROTO"
           ~doc:
-            "flood | tree | tree-naive | dag | general | labeling | mapping | \
-             undirected (the last expects a ring:N / bidirected:N:SEED family)")
+            (protocol_doc
+           ^ " (undirected expects a ring:N / bidirected:N:SEED family)"))
   in
   let run g protocol scheduler payload churn_rate churn_t churn_seed sample
       trace_out metrics_out csv_out lineage_out lineage_sample =
-    match protocol_of_name protocol with
+    match Anonet.protocol_of_name protocol with
     | None -> `Error (false, Printf.sprintf "unknown protocol %S" protocol)
     | Some (module P : Runtime.Protocol_intf.PROTOCOL) -> (
         try
@@ -362,32 +353,23 @@ let sync_cmd =
   let protocol_t =
     Arg.(
       value & opt string "general"
-      & info [ "p"; "protocol" ] ~docv:"PROTO" ~doc:"tree | dag | general | labeling | mapping")
+      & info [ "p"; "protocol" ] ~docv:"PROTO" ~doc:protocol_doc)
   in
   let run g protocol payload =
-    let show (r : _ Runtime.Sync_engine.report) =
-      pf "rounds           : %d\n" r.rounds;
-      describe_stats (Anonet.stats_of_report r.base);
-      `Ok 0
-    in
-    let module ST = Runtime.Sync_engine.Make (Anonet.Tree_broadcast) in
-    let module SD = Runtime.Sync_engine.Make (Anonet.Dag_broadcast_pow2) in
-    let module SG = Runtime.Sync_engine.Make (Anonet.General_broadcast) in
-    let module SL = Runtime.Sync_engine.Make (Anonet.Labeling) in
-    let module SM = Runtime.Sync_engine.Make (Anonet.Mapping) in
-    try
-      check_payload payload;
-      describe_graph g;
-      pf "protocol: %s (synchronous rounds), payload: %d bits\n\n" protocol
-        payload;
-      match protocol with
-      | "tree" -> show (ST.run ~payload_bits:payload g)
-      | "dag" -> show (SD.run ~payload_bits:payload g)
-      | "general" -> show (SG.run ~payload_bits:payload g)
-      | "labeling" -> show (SL.run ~payload_bits:payload g)
-      | "mapping" -> show (SM.run ~payload_bits:payload g)
-      | p -> `Error (false, Printf.sprintf "unknown protocol %S" p)
-    with Invalid_argument msg -> `Error (false, msg)
+    match Anonet.protocol_of_name protocol with
+    | None -> `Error (false, Printf.sprintf "unknown protocol %S" protocol)
+    | Some (module P : Runtime.Protocol_intf.PROTOCOL) -> (
+        let module S = Runtime.Sync_engine.Make (P) in
+        try
+          check_payload payload;
+          describe_graph g;
+          pf "protocol: %s (synchronous rounds), payload: %d bits\n\n"
+            protocol payload;
+          let r = S.run ~payload_bits:payload g in
+          pf "rounds           : %d\n" r.rounds;
+          describe_stats (Anonet.stats_of_report r.base);
+          `Ok 0
+        with Invalid_argument msg -> `Error (false, msg))
   in
   Cmd.v
     (Cmd.info "sync"
@@ -552,8 +534,7 @@ let faults_cmd =
   let protocol_t =
     Arg.(
       value & opt string "general"
-      & info [ "p"; "protocol" ] ~docv:"PROTO"
-          ~doc:"flood | tree | tree-naive | dag | general | labeling | mapping")
+      & info [ "p"; "protocol" ] ~docv:"PROTO" ~doc:protocol_doc)
   in
   let fprob name doc =
     Arg.(value & opt float 0.0 & info [ name ] ~docv:"P" ~doc)
@@ -585,7 +566,7 @@ let faults_cmd =
   in
   let run g protocol scheduler drop duplicate delay corrupt kill seeds k
       sample trace_out metrics_out csv_out lineage_out lineage_sample =
-    match protocol_of_name protocol with
+    match Anonet.protocol_of_name protocol with
     | None -> `Error (false, Printf.sprintf "unknown protocol %S" protocol)
     | Some (module P : Runtime.Protocol_intf.PROTOCOL) -> (
         try
@@ -806,12 +787,10 @@ let obs_cmd =
     Arg.(
       value & opt string "general"
       & info [ "p"; "protocol" ] ~docv:"PROTO"
-          ~doc:
-            "flood | tree | tree-naive | dag | general | labeling | mapping | \
-             undirected")
+          ~doc:protocol_doc)
   in
   let run g protocol scheduler payload sample trace_out metrics_out csv_out =
-    match protocol_of_name protocol with
+    match Anonet.protocol_of_name protocol with
     | None -> `Error (false, Printf.sprintf "unknown protocol %S" protocol)
     | Some (module P : Runtime.Protocol_intf.PROTOCOL) -> (
         try
@@ -956,9 +935,7 @@ let chaos_cmd =
     Arg.(
       value & opt string "general"
       & info [ "p"; "protocol" ] ~docv:"PROTO"
-          ~doc:
-            "flood | tree | tree-naive | dag | general | labeling | mapping | \
-             undirected")
+          ~doc:protocol_doc)
   in
   let redundancy_t =
     Arg.(
@@ -1022,7 +999,7 @@ let chaos_cmd =
   in
   let run protocol k supervise budget max_faults seed p_edge recoveries
       domains churn_rate churn_t json_out sample trace_out metrics_out csv_out =
-    match protocol_of_name protocol with
+    match Anonet.protocol_of_name protocol with
     | None -> `Error (false, Printf.sprintf "unknown protocol %S" protocol)
     | Some (module P : Runtime.Protocol_intf.PROTOCOL) -> (
         try

@@ -43,6 +43,25 @@ module Dag_broadcast_pow2 = Dag_broadcast.Make (Commodity.Pow2_dyadic)
 module Dag_broadcast_naive = Dag_broadcast.Make (Commodity.Even_rational)
 (** Section 3.3's DAG protocol under the naive rule. *)
 
+(** {1 Protocols by name} *)
+
+let protocols : (string * (module Runtime.Protocol_intf.PROTOCOL)) list =
+  [
+    ("flood", (module Flood));
+    ("amnesiac", (module Amnesiac_flood));
+    ("counting", (module Counting));
+    ("tree", (module Tree_broadcast));
+    ("tree-naive", (module Tree_broadcast_naive));
+    ("dag", (module Dag_broadcast_pow2));
+    ("general", (module General_broadcast));
+    ("labeling", (module Labeling));
+    ("mapping", (module Mapping));
+    ("undirected", (module Undirected_labeling));
+  ]
+
+let protocol_names = List.map fst protocols
+let protocol_of_name name = List.assoc_opt name protocols
+
 (** {1 Engines} *)
 
 module Flood_engine = Runtime.Engine.Make (Flood)

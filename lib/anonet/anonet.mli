@@ -70,6 +70,17 @@ module Dag_broadcast_naive :
   module type of Dag_broadcast.Make (Commodity.Even_rational)
 (** Section 3.3's DAG protocol under the naive rule. *)
 
+(** {1 Protocols by name}
+
+    The one name table of the CLI's [--protocol] and the session server's
+    [submit]. *)
+
+val protocol_names : string list
+(** flood, amnesiac, counting, tree, tree-naive, dag, general, labeling,
+    mapping, undirected — in this order. *)
+
+val protocol_of_name : string -> (module Runtime.Protocol_intf.PROTOCOL) option
+
 (** {1 Engines}
 
     Pre-instantiated asynchronous engines, one per protocol; their [run]

@@ -159,11 +159,8 @@ let dynamic_case ~n =
     Runtime.Campaign.g_name = Printf.sprintf "random-dynamic-%d" n;
     build =
       (fun ~seed ->
-        let g, _events =
-          F.random_dynamic (Prng.create seed) ~n ~extra_edges:6 ~back_edges:2
-            ~t_edge_prob:0.3 ()
-        in
-        g);
+        F.random_dynamic (Prng.create seed) ~n ~extra_edges:6 ~back_edges:2
+          ~t_edge_prob:0.3);
   }
 
 let chaos_amnesiac ?(budget = 12) ?(seed = 11) () =

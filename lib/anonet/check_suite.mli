@@ -76,7 +76,7 @@ val chaos_churn : ?budget:int -> ?seed:int -> unit -> Runtime.Chaos.result
 
 val dynamic_case : n:int -> Runtime.Campaign.graph_case
 (** [random-dynamic-n]: the {!Digraph.Families.random_dynamic} footprint
-    (its script dropped) that the churn searches add to their suite. *)
+    that the churn searches add to their suite. *)
 
 val chaos_amnesiac : ?budget:int -> ?seed:int -> unit -> Runtime.Chaos.result
 (** The dynamic-network negative control (Austin et al.): amnesiac flooding

@@ -327,16 +327,12 @@ let add_trap_cycle g ~from_vertex =
 
 (* {1 Dynamic scenarios} *)
 
-type dyn_event = { de_edge : int; de_at : int; de_down_for : int option }
-
-(* A random digraph plus a churn script over it.  The cycle-closing back
-   edges are the *added* ones: absent when the run starts, appearing at a
-   scripted offer — the Austin et al. edge-insertion scenario (a DAG-quiet
-   amnesiac flood goes non-terminating the moment a cycle edge appears).
-   Removal events land on uniformly random edges.  [Runtime.Faults.of_dynamic]
-   turns the script into an engine-ready spec. *)
-let random_dynamic prng ~n ~extra_edges ~back_edges ~t_edge_prob
-    ?(removals = 4) ?(max_at = 4) ?(max_down = 3) () =
+(* The footprint of the Austin et al. edge-insertion scenario: a random
+   digraph whose vertices are numbered so that every edge but the
+   [back_edges] cycle-closing ones runs from a lower vertex to a higher.
+   Scripts add the back edges mid-run (a DAG-quiet amnesiac flood goes
+   non-terminating the moment a cycle edge appears). *)
+let random_dynamic prng ~n ~extra_edges ~back_edges ~t_edge_prob =
   if n < 2 then invalid_arg "Families.random_dynamic: n must be >= 2";
   let s = 0 and t = n + 1 in
   let edges = ref [ (s, 1) ] in
@@ -352,55 +348,17 @@ let random_dynamic prng ~n ~extra_edges ~back_edges ~t_edge_prob
     out_count.(j) <- out_count.(j) + 1;
     edges := (j, i) :: !edges
   done;
-  let back = ref [] in
   for _ = 1 to back_edges do
     let i = Prng.int_in prng 2 n in
     let j = Prng.int_in prng 1 (i - 1) in
     out_count.(i) <- out_count.(i) + 1;
-    edges := (i, j) :: !edges;
-    back := (i, j) :: !back
+    edges := (i, j) :: !edges
   done;
   for v = 1 to n do
     if out_count.(v) = 0 || Prng.chance prng t_edge_prob then
       edges := (v, t) :: !edges
   done;
-  let g = Graph.make ~n:(n + 2) ~s ~t (List.rev !edges) in
-  (* Dense index of a (u, v) pair, skipping indices already claimed so
-     parallel back edges each get their own event. *)
-  let used = Hashtbl.create 8 in
-  let dense (u, v) =
-    let found = ref None in
-    for j = 0 to Graph.out_degree g u - 1 do
-      if !found = None then begin
-        let w, _ = Graph.out_port_target_port g u j in
-        let e = Graph.edge_index g u j in
-        if w = v && not (Hashtbl.mem used e) then begin
-          Hashtbl.add used e ();
-          found := Some e
-        end
-      end
-    done;
-    !found
-  in
-  let adds =
-    List.filter_map
-      (fun uv ->
-        match dense uv with
-        | None -> None
-        | Some e ->
-            Some { de_edge = e; de_at = 1 + Prng.int prng max_at; de_down_for = None })
-      (List.rev !back)
-  in
-  let ne = Graph.n_edges g in
-  let removes =
-    List.init removals (fun _ ->
-        {
-          de_edge = Prng.int prng ne;
-          de_at = 1 + Prng.int prng max_at;
-          de_down_for = Some (Prng.int prng (max_down + 1));
-        })
-  in
-  (g, adds @ removes)
+  Graph.make ~n:(n + 2) ~s ~t (List.rev !edges)
 
 (* {1 Family specifications}
 

@@ -109,31 +109,18 @@ val add_trap_cycle : Graph.t -> from_vertex:Graph.vertex -> Graph.t
 
 (** {1 Dynamic scenarios} *)
 
-type dyn_event = {
-  de_edge : int;  (** Dense edge index in the base graph. *)
-  de_at : int;  (** Offer position on the edge's local clock, 1-based. *)
-  de_down_for : int option;
-      (** [Some k]: a removal swallowing [1 + k] offers; [None]: the edge is
-          absent at the start and appears at its [de_at]-th offer. *)
-}
-
 val random_dynamic :
   Prng.t ->
   n:int ->
   extra_edges:int ->
   back_edges:int ->
   t_edge_prob:float ->
-  ?removals:int ->
-  ?max_at:int ->
-  ?max_down:int ->
-  unit ->
-  Graph.t * dyn_event list
-(** A random digraph together with a churn script over it: the [back_edges]
-    cycle-closing edges start {e absent} and are inserted at a random offer
-    (the amnesiac-flooding breakage scenario), plus [removals] random
-    bounded outages.  Defaults: [removals = 4], [max_at = 4], [max_down = 3].
-    Deterministic from the PRNG state; feed the script to
-    [Runtime.Faults.of_dynamic]. *)
+  Graph.t
+(** The footprint of a dynamic scenario: a random digraph whose vertices
+    are numbered so that every edge but the [back_edges] cycle-closing ones
+    runs from a lower vertex to a higher.  Churn scripts insert the back
+    edges mid-run (the amnesiac-flooding breakage scenario).
+    Deterministic from the PRNG state. *)
 
 (** {1 Family specifications} *)
 

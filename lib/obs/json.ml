@@ -49,151 +49,18 @@ let buf_float b x =
   else if Float.is_integer x && Float.abs x < 1e15 then Printf.bprintf b "%.0f" x
   else Printf.bprintf b "%.6g" x
 
-(* {1 A minimal validating parser}
-
-   Used by the test-suite and the CLI to confirm that every exporter emits
-   well-formed RFC 8259 JSON (the acceptance check that a Chrome trace
-   "round-trips through a parser"); it validates structure only and does not
-   build a document tree. *)
-
-exception Bad of int
-
-let validate s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let bump () = incr pos in
-  let fail () = raise (Bad !pos) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        bump ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c = match peek () with Some d when d = c -> bump () | _ -> fail () in
-  let literal l = String.iter expect l in
-  let digits () =
-    let saw = ref false in
-    let continue = ref true in
-    while !continue do
-      match peek () with
-      | Some ('0' .. '9') ->
-          saw := true;
-          bump ()
-      | _ -> continue := false
-    done;
-    if not !saw then fail ()
-  in
-  let number () =
-    (match peek () with Some '-' -> bump () | _ -> ());
-    (* JSON forbids leading zeros: the integer part is 0, or 1-9 digits. *)
-    (match peek () with
-    | Some '0' -> (
-        bump ();
-        match peek () with Some ('0' .. '9') -> fail () | _ -> ())
-    | _ -> digits ());
-    (match peek () with
-    | Some '.' ->
-        bump ();
-        digits ()
-    | _ -> ());
-    match peek () with
-    | Some ('e' | 'E') ->
-        bump ();
-        (match peek () with Some ('+' | '-') -> bump () | _ -> ());
-        digits ()
-    | _ -> ()
-  in
-  let string_body () =
-    expect '"';
-    let continue = ref true in
-    while !continue do
-      match peek () with
-      | None -> fail ()
-      | Some '"' ->
-          bump ();
-          continue := false
-      | Some '\\' -> (
-          bump ();
-          match peek () with
-          | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> bump ()
-          | Some 'u' ->
-              bump ();
-              for _ = 1 to 4 do
-                match peek () with
-                | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> bump ()
-                | _ -> fail ()
-              done
-          | _ -> fail ())
-      | Some c when Char.code c < 32 -> fail ()
-      | Some _ -> bump ()
-    done
-  in
-  let rec value () =
-    skip_ws ();
-    (match peek () with
-    | Some '{' ->
-        bump ();
-        skip_ws ();
-        (match peek () with
-        | Some '}' -> bump ()
-        | _ ->
-            let continue = ref true in
-            while !continue do
-              skip_ws ();
-              string_body ();
-              skip_ws ();
-              expect ':';
-              value ();
-              skip_ws ();
-              match peek () with
-              | Some ',' -> bump ()
-              | Some '}' ->
-                  bump ();
-                  continue := false
-              | _ -> fail ()
-            done)
-    | Some '[' ->
-        bump ();
-        skip_ws ();
-        (match peek () with
-        | Some ']' -> bump ()
-        | _ ->
-            let continue = ref true in
-            while !continue do
-              value ();
-              skip_ws ();
-              match peek () with
-              | Some ',' -> bump ()
-              | Some ']' ->
-                  bump ();
-                  continue := false
-              | _ -> fail ()
-            done)
-    | Some '"' -> string_body ()
-    | Some 't' -> literal "true"
-    | Some 'f' -> literal "false"
-    | Some 'n' -> literal "null"
-    | Some ('-' | '0' .. '9') -> number ()
-    | _ -> fail ());
-    skip_ws ()
-  in
-  try
-    value ();
-    if !pos <> n then Error !pos else Ok ()
-  with Bad p -> Error p
-
-let valid s = Result.is_ok (validate s)
-
-(* {1 A document-building parser}
+(* {1 The parser}
 
    The serving layer needs to {e read} JSON, not just emit it: every request
-   on the wire is one NDJSON line.  Same grammar as {!validate} (leading
-   zeros rejected, one complete document, trailing whitespace only), but
-   builds a {!value} tree.  Numbers keep their source lexeme so that
-   re-serializing a parsed document is byte-faithful — [to_string (parse s)]
-   never invents a different number spelling than the producer used. *)
+   on the wire is one NDJSON line.  RFC 8259 (leading zeros rejected, one
+   complete document, trailing whitespace only), building a {!value} tree.
+   Numbers keep their source lexeme so that re-serializing a parsed
+   document is byte-faithful — [to_string (parse s)] never invents a
+   different number spelling than the producer used.  The same parser is
+   the validity check the test-suite and the benches run on every
+   exporter's output. *)
+
+exception Bad of int
 
 type value =
   | Null
@@ -383,6 +250,8 @@ let parse s =
     let v = value () in
     if !pos <> n then Error !pos else Ok v
   with Bad p -> Error p
+
+let valid s = Result.is_ok (parse s)
 
 let rec buf_value b = function
   | Null -> Buffer.add_string b "null"

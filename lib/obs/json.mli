@@ -1,4 +1,4 @@
-(** Minimal JSON emission and validation helpers.
+(** Minimal JSON emission helpers and the one parser.
 
     This is the single home of the RFC 8259 string-escaping rules for every
     JSON producer in the tree ({!Export}, {!Registry.to_json},
@@ -29,18 +29,11 @@ val to_channel : out_channel -> (Buffer.t -> unit) -> unit
     framing discipline of [anonet serve].  Rendering before writing keeps a
     raising emitter from leaving a torn frame on the wire. *)
 
-val validate : string -> (unit, int) result
-(** Structural well-formedness check of one complete JSON document
-    (trailing whitespace allowed, trailing garbage not).  [Error pos] gives
-    the byte offset of the first offence.  Builds no document tree. *)
-
-val valid : string -> bool
-
 (** {1 Documents}
 
-    A full parser for the serving layer's request side.  Same grammar as
-    {!validate}; numbers keep their source lexeme, so {!to_string} of a
-    parsed document never respells a number. *)
+    A full parser for the serving layer's request side; numbers keep their
+    source lexeme, so {!to_string} of a parsed document never respells a
+    number. *)
 
 type value =
   | Null
@@ -51,7 +44,11 @@ type value =
   | Object of (string * value) list  (** Members in source order. *)
 
 val parse : string -> (value, int) result
-(** One complete document; [Error pos] as in {!validate}. *)
+(** One complete document (trailing whitespace allowed, trailing garbage
+    not); [Error pos] gives the byte offset of the first offence. *)
+
+val valid : string -> bool
+(** [valid s] is [Result.is_ok (parse s)]. *)
 
 val to_string : value -> string
 (** Compact serialization: member order preserved, strings re-escaped with

@@ -336,7 +336,7 @@ let critical_path t =
      "vertex_depths": [d0, d1, ...],           // -1 = never received
      "nodes_stored": [[id, parent, edge, vertex, depth, track, ts], ...] }
 
-   Validated by [Obs.Json.validate] in tests and CI. *)
+   Checked by [Obs.Json.valid] in tests and CI. *)
 let to_json t =
   realize t;
   let b = Buffer.create 4096 in

@@ -8,7 +8,7 @@
     - {!Lineage} — causal-provenance forest over deliveries (parent
       delivery ids, critical-path depth, per-edge/per-vertex
       attribution), threaded through the engines via [?lineage];
-    - {!Json} — the tree's shared JSON emission/validation helpers.
+    - {!Json} — the tree's shared JSON emission helpers and parser.
 
     An {!t} bundles one registry and one timeline with a sampling period;
     pass it as the [?obs] argument of [Runtime.Engine.Make.run] or
@@ -28,7 +28,10 @@ type t = {
   timeline : Timeline.t;
   sample_every : int;
       (** Instrumented backends emit timeline samples every [sample_every]
-          deliveries (or transitions); counters are exact regardless. *)
+          deliveries (or transitions).  The engine publishes its counters
+          there too: they are exact at every sample point and at run end,
+          and lag the run in between.  The explorer's are published at
+          run end. *)
 }
 
 let create ?(sample_every = 256) ?clock ?(capacity = 1 lsl 16) () =

@@ -92,6 +92,12 @@ let observe h v =
   let b = h.h_buckets.(bucket_of v) in
   h.h_buckets.(bucket_of v) <- b + 1
 
+let observe_n h v n =
+  h.h_count <- h.h_count + n;
+  h.h_sum <- h.h_sum + (v * n);
+  let i = bucket_of v in
+  h.h_buckets.(i) <- h.h_buckets.(i) + n
+
 let bucket_lo i = if i = 0 then 0 else 1 lsl (i - 1)
 let bucket_hi i = if i = 0 then 0 else (1 lsl i) - 1
 

@@ -45,6 +45,9 @@ val observe : histogram -> int -> unit
 (** O(1): bucket [b] counts observations with exactly [b] significand bits
     ([v <= 0] lands in bucket 0, [2^(b-1) .. 2^b - 1] in bucket [b]). *)
 
+val observe_n : histogram -> int -> int -> unit
+(** [observe_n h v n] is [n] observations of [v] at once ([n >= 0]). *)
+
 val bucket_of : int -> int
 val bucket_lo : int -> int
 (** Smallest value of bucket [i]. *)

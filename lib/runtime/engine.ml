@@ -85,8 +85,14 @@ type event = {
 }
 
 (* Telemetry cells resolved once per run (registration is the only locked
-   operation); per-delivery updates are plain stores.  The engine records
-   on timeline lane 0. *)
+   operation).  The engine records on timeline lane 0.
+
+   The run's own tallies are the one source of [engine.deliveries],
+   [engine.total_bits] and [engine.sends]: {!publish} adds what they gained
+   since its previous call ([pub_*] remember what it already added), so the
+   registry is exact at every sample point and at the end of the run and
+   lags the run in between, and a registry shared by several runs holds
+   their sums. *)
 type obs_hooks = {
   oh_timeline : Obs.Timeline.t;
   oh_sample_every : int;
@@ -99,6 +105,9 @@ type obs_hooks = {
   g_in_flight : Obs.Registry.gauge;
   g_wavefront : Obs.Registry.gauge;
   g_residual : Obs.Registry.gauge;
+  mutable pub_deliveries : int;
+  mutable pub_bits : int;
+  mutable pub_sends : int;
 }
 
 let obs_hooks (o : Obs.t) =
@@ -115,7 +124,61 @@ let obs_hooks (o : Obs.t) =
     g_in_flight = Obs.Registry.gauge reg "engine.in_flight";
     g_wavefront = Obs.Registry.gauge reg "engine.wavefront";
     g_residual = Obs.Registry.gauge reg "engine.cut_residual";
+    pub_deliveries = 0;
+    pub_bits = 0;
+    pub_sends = 0;
   }
+
+(* The delivery count of a run's first sample point: none without [obs]. *)
+let sample_every = function Some h -> h.oh_sample_every | None -> max_int
+
+(* The one sampler of both paths, called at every sample point and once at
+   the end of the run.  A sample point is taken as its delivery is popped:
+   [deliveries] counts it, [bits] and [sends] do not yet.  The gauges and
+   the five timeline series take the readings; the counters take their
+   gains since the previous call.  The fast path passes its one message
+   size [bpm], and [engine.message_bits] takes one observation of it per
+   delivery here; the generic path observes each delivery itself. *)
+let publish oh ?bpm ~in_flight ~wavefront ~residual ~deliveries ~bits ~sends ()
+    =
+  match oh with
+  | None -> ()
+  | Some h ->
+      let tl = h.oh_timeline in
+      Obs.Registry.set h.g_in_flight in_flight;
+      Obs.Registry.set h.g_wavefront wavefront;
+      Obs.Registry.set h.g_residual residual;
+      Obs.Timeline.sample tl ~track:0 "engine.in_flight" (float_of_int in_flight);
+      Obs.Timeline.sample tl ~track:0 "engine.wavefront" (float_of_int wavefront);
+      Obs.Timeline.sample tl ~track:0 "engine.cut_residual" (float_of_int residual);
+      Obs.Timeline.sample tl ~track:0 "engine.deliveries" (float_of_int deliveries);
+      Obs.Timeline.sample tl ~track:0 "engine.total_bits" (float_of_int bits);
+      let d = deliveries - h.pub_deliveries in
+      Obs.Registry.add h.c_deliveries d;
+      Obs.Registry.add h.c_bits (bits - h.pub_bits);
+      Obs.Registry.add h.c_sends (sends - h.pub_sends);
+      (match bpm with
+      | Some b -> Obs.Registry.observe_n h.h_message_bits b d
+      | None -> ());
+      h.pub_deliveries <- deliveries;
+      h.pub_bits <- bits;
+      h.pub_sends <- sends
+
+(* Opens or closes the run's span: [mark] is [Obs.Timeline.begin_span] or
+   [Obs.Timeline.end_span]. *)
+let engine_span mark = function
+  | Some h -> mark h.oh_timeline ~track:0 "engine.run"
+  | None -> ()
+
+(* A sample point also times the next receive the run executes. *)
+let clock = function Some h -> Obs.Timeline.now h.oh_timeline | None -> 0.0
+
+let note_receive oh ns =
+  match oh with
+  | Some h ->
+      Obs.Registry.add h.c_receive_ns ns;
+      Obs.Registry.observe h.h_receive_ns ns
+  | None -> ()
 
 (* The fault counters a run publishes into its [Obs] registry, once, at
    the end: each is the matching report field, so a registry shared by
@@ -563,34 +626,10 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     | None -> ());
     let lin_parent = ref 0 in
     let stop_now = match stop with None -> (fun () -> false) | Some f -> f in
-    let until_sample =
-      ref (match oh with Some h -> h.oh_sample_every | None -> max_int)
-    in
+    let every = sample_every oh in
+    let next_sample = ref every in
     let time_receive = ref false in
-    (* [bits_total] is passed in because the generic path samples
-       [engine.total_bits] {e before} charging the current delivery. *)
-    let obs_sample ~bits_total =
-      match oh with
-      | None -> ()
-      | Some h ->
-          let tl = h.oh_timeline in
-          let in_flight = !tail - !head in
-          Obs.Registry.set h.g_in_flight in_flight;
-          Obs.Registry.set h.g_wavefront !n_visited;
-          (* entered - delivered - in_flight: every pop is a delivery here,
-             so the residual is identically 0 — sampled anyway to keep the
-             reconciliation series present. *)
-          Obs.Registry.set h.g_residual 0;
-          Obs.Timeline.sample tl ~track:0 "engine.in_flight" (float_of_int in_flight);
-          Obs.Timeline.sample tl ~track:0 "engine.wavefront" (float_of_int !n_visited);
-          Obs.Timeline.sample tl ~track:0 "engine.cut_residual" 0.0;
-          Obs.Timeline.sample tl ~track:0 "engine.deliveries" (float_of_int !deliveries);
-          Obs.Timeline.sample tl ~track:0 "engine.total_bits"
-            (float_of_int bits_total)
-    in
-    (match oh with
-    | Some h -> Obs.Timeline.begin_span h.oh_timeline ~track:0 "engine.run"
-    | None -> ());
+    engine_span Obs.Timeline.begin_span oh;
     let push_edge e =
       let r = !ring in
       let r =
@@ -607,11 +646,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       let fl = !tail - !head in
       if fl > !max_in_flight then max_in_flight := fl
     in
-    List.iter
-      (fun (j, _) ->
-        (match oh with Some h -> Obs.Registry.incr h.c_sends | None -> ());
-        push_edge (row.(s) + j))
-      emits;
+    List.iter (fun (j, _) -> push_edge (row.(s) + j)) emits;
     visited.(s) <- true;
     incr n_visited;
     let outcome = ref Quiescent in
@@ -636,55 +671,44 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
         in
         incr head;
         incr deliveries;
-        (match oh with
-        | Some h ->
-            Obs.Registry.incr h.c_deliveries;
-            Obs.Registry.add h.c_bits bpm;
-            Obs.Registry.observe h.h_message_bits bpm;
-            decr until_sample;
-            if !until_sample <= 0 then begin
-              until_sample := h.oh_sample_every;
-              time_receive := true;
-              obs_sample ~bits_total:((!deliveries - 1) * bpm)
-            end
-        | None -> ());
+        if !deliveries = !next_sample then begin
+          next_sample := !next_sample + every;
+          time_receive := true;
+          (* Every push is a send.  Every pop is a delivery, so the cut
+             residual [entered - delivered - in_flight] is identically 0:
+             it is sampled anyway to keep the reconciliation series
+             present. *)
+          publish oh ~bpm ~in_flight:(!tail - !head) ~wavefront:!n_visited
+            ~residual:0 ~deliveries:!deliveries
+            ~bits:((!deliveries - 1) * bpm) ~sends:!tail ()
+        end;
         Array.unsafe_set edge_messages e (Array.unsafe_get edge_messages e + 1);
         let tv = Array.unsafe_get head_arr e in
         if Bytes.unsafe_get absorbed tv = '\001' then begin
           (* The generic path would run a receive returning the same
              state and no sends; the sampled-receive histogram still gets
              its observation so counts reconcile. *)
-          match oh with
-          | Some h when !time_receive ->
-              time_receive := false;
-              Obs.Registry.observe h.h_receive_ns 0
-          | _ -> ()
+          if !time_receive then begin
+            time_receive := false;
+            note_receive oh 0
+          end
         end
         else begin
           if not visited.(tv) then begin
             visited.(tv) <- true;
             incr n_visited
           end;
-          let t0 =
-            match oh with
-            | Some h when !time_receive -> Obs.Timeline.now h.oh_timeline
-            | _ -> 0.0
-          in
+          let t0 = if !time_receive then clock oh else 0.0 in
           let st', sends =
             P.receive
               ~out_degree:(Digraph.out_degree g tv)
               ~in_degree:(Digraph.in_degree g tv)
               states.(tv) m0 ~in_port:(Array.unsafe_get tgt_port e)
           in
-          (match oh with
-          | Some h when !time_receive ->
-              time_receive := false;
-              let ns =
-                int_of_float ((Obs.Timeline.now h.oh_timeline -. t0) *. 1e9)
-              in
-              Obs.Registry.add h.c_receive_ns ns;
-              Obs.Registry.observe h.h_receive_ns ns
-          | _ -> ());
+          if !time_receive then begin
+            time_receive := false;
+            note_receive oh (int_of_float ((clock oh -. t0) *. 1e9))
+          end;
           states.(tv) <- st';
           let b = P.state_bits st' in
           if b > !max_state_bits then max_state_bits := b;
@@ -695,7 +719,6 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
             (fun (j, m) ->
               if m != m0 then
                 failwith "Engine: protocol violated its flood certificate";
-              (match oh with Some h -> Obs.Registry.incr h.c_sends | None -> ());
               push_edge (base + j))
             sends;
           if tv = t && P.accepting st' then begin
@@ -716,11 +739,9 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
         Obs.Lineage.note_journal l ~packed:!ring ~heads:head_arr
           ~count:!head ~track:0
     | None -> ());
-    (match oh with
-    | Some h ->
-        obs_sample ~bits_total:(!deliveries * bpm);
-        Obs.Timeline.end_span h.oh_timeline ~track:0 "engine.run"
-    | None -> ());
+    publish oh ~bpm ~in_flight:(!tail - !head) ~wavefront:!n_visited ~residual:0
+      ~deliveries:!deliveries ~bits:(!deliveries * bpm) ~sends:!tail ();
+    engine_span Obs.Timeline.end_span oh;
     let edge_bits = Array.make (Array.length edge_messages) 0 in
     for e = 0 to Array.length edge_messages - 1 do
       Array.unsafe_set edge_bits e (Array.unsafe_get edge_messages e * bpm)
@@ -854,25 +875,10 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       if delay = 0 then push id
       else Binheap.push delayed (!deliveries + delay, seq) id
     in
-    let until_sample =
-      ref (match oh with Some h -> h.oh_sample_every | None -> max_int)
-    in
+    let every = sample_every oh in
+    let next_sample = ref every in
     let time_receive = ref false in
-    let obs_sample () =
-      match oh with
-      | None -> ()
-      | Some h ->
-          let tl = h.oh_timeline in
-          Obs.Registry.set h.g_in_flight !in_flight;
-          Obs.Registry.set h.g_wavefront !n_visited;
-          let residual = !entered - !deliveries - !in_flight in
-          Obs.Registry.set h.g_residual residual;
-          Obs.Timeline.sample tl ~track:0 "engine.in_flight" (float_of_int !in_flight);
-          Obs.Timeline.sample tl ~track:0 "engine.wavefront" (float_of_int !n_visited);
-          Obs.Timeline.sample tl ~track:0 "engine.cut_residual" (float_of_int residual);
-          Obs.Timeline.sample tl ~track:0 "engine.deliveries" (float_of_int !deliveries);
-          Obs.Timeline.sample tl ~track:0 "engine.total_bits" (float_of_int !total_bits)
-    in
+    let n_sends = ref 0 in
     let last_msg : P.message option array =
       Array.make (if supervised then Stdlib.max ne 1 else 1) None
     in
@@ -889,7 +895,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     let sup_round = ref 0 in
     let send ?(extra_delay = 0) fv fp msg =
       let edge = row.(fv) + fp in
-      (match oh with Some h -> Obs.Registry.incr h.c_sends | None -> ());
+      incr n_sends;
       if supervised then last_msg.(edge) <- Some msg;
       let slot = slot_of msg in
       let lp = !lin_parent and ld = !lin_depth + 1 in
@@ -939,9 +945,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
         Binheap.remove_top delayed
       done
     in
-    (match oh with
-    | Some h -> Obs.Timeline.begin_span h.oh_timeline ~track:0 "engine.run"
-    | None -> ());
+    engine_span Obs.Timeline.begin_span oh;
     let se = Digraph.source g in
     List.iter
       (fun (j, msg) -> send se j msg)
@@ -984,6 +988,13 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
             slab_free slab id;
             incr deliveries;
             decr in_flight;
+            let sampled = !deliveries = !next_sample in
+            if sampled then begin
+              next_sample := !next_sample + every;
+              publish oh ~in_flight:!in_flight ~wavefront:!n_visited
+                ~residual:(!entered - !deliveries - !in_flight)
+                ~deliveries:!deliveries ~bits:!total_bits ~sends:!n_sends ()
+            end;
             (match lineage with
             | Some l ->
                 Obs.Lineage.note l ~id:!deliveries ~parent:lp ~depth:ld
@@ -1002,12 +1013,6 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
               match oh with
               | None -> ()
               | Some h ->
-                  Obs.Registry.incr h.c_deliveries;
-                  decr until_sample;
-                  if !until_sample <= 0 then begin
-                    until_sample := h.oh_sample_every;
-                    obs_sample ()
-                  end;
                   let tl = h.oh_timeline in
                   let mark kind =
                     Obs.Timeline.instant tl ~track:0
@@ -1025,17 +1030,9 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
               let len_bits = Arena.len_bits arena slot in
               let bits = len_bits + payload_bits in
               (match oh with
-              | Some h ->
-                  Obs.Registry.incr h.c_deliveries;
-                  Obs.Registry.add h.c_bits bits;
-                  Obs.Registry.observe h.h_message_bits bits;
-                  decr until_sample;
-                  if !until_sample <= 0 then begin
-                    until_sample := h.oh_sample_every;
-                    time_receive := true;
-                    obs_sample ()
-                  end
+              | Some h -> Obs.Registry.observe h.h_message_bits bits
               | None -> ());
+              if sampled then time_receive := true;
               if verify_codec then begin
                 let r =
                   Bitio.Bit_reader.of_string ~length_bits:len_bits
@@ -1147,27 +1144,18 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                             msg
                       | None -> ());
                       mark_visited tv;
-                      let t0 =
-                        match oh with
-                        | Some h when !time_receive -> Obs.Timeline.now h.oh_timeline
-                        | _ -> 0.0
-                      in
+                      let t0 = if !time_receive then clock oh else 0.0 in
                       let state', sends =
                         P.receive
                           ~out_degree:(Digraph.out_degree g tv)
                           ~in_degree:(Digraph.in_degree g tv)
                           states.(tv) msg ~in_port:tp
                       in
-                      (match oh with
-                      | Some h when !time_receive ->
-                          time_receive := false;
-                          let ns =
-                            int_of_float
-                              ((Obs.Timeline.now h.oh_timeline -. t0) *. 1e9)
-                          in
-                          Obs.Registry.add h.c_receive_ns ns;
-                          Obs.Registry.observe h.h_receive_ns ns
-                      | _ -> ());
+                      if !time_receive then begin
+                        time_receive := false;
+                        note_receive oh
+                          (int_of_float ((clock oh -. t0) *. 1e9))
+                      end;
                       states.(tv) <- state';
                       note_state state';
                       if need_ckpt then begin
@@ -1195,11 +1183,10 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
           hook slab.msgs.(snd (Binheap.top delayed));
           Binheap.remove_top delayed
         done);
-    (match oh with
-    | Some h ->
-        obs_sample ();
-        Obs.Timeline.end_span h.oh_timeline ~track:0 "engine.run"
-    | None -> ());
+    publish oh ~in_flight:!in_flight ~wavefront:!n_visited
+      ~residual:(!entered - !deliveries - !in_flight)
+      ~deliveries:!deliveries ~bits:!total_bits ~sends:!n_sends ();
+    engine_span Obs.Timeline.end_span oh;
     let fault_stats =
       {
         dropped_copies = Faults.Instance.dropped_copies fi;

@@ -191,17 +191,22 @@ module Make (P : Protocol_intf.PROTOCOL) : sig
       contain ([on_deliver] only sees copies that reached [P.receive]).
 
       [obs], when given, turns on telemetry: [engine.*] counters
-      (deliveries, total_bits, sends, and the 18 fault counters — every
-      field of [fault_stats] and [vertex_fault_stats] but the lists,
-      [engine.churn.*] for churn — added once at the end of the run, so a
-      registry shared by several runs holds their sums),
-      [engine.message_bits] / [engine.receive_ns]
+      (deliveries, total_bits and sends, published from the run's own
+      tallies every [sample_every] deliveries and at the end of the run,
+      so the registry lags the run between sample points; and the 18
+      fault counters — every field of [fault_stats] and
+      [vertex_fault_stats] but the lists, [engine.churn.*] for churn —
+      added once at the end of the run; a registry shared by several runs
+      holds their sums), [engine.message_bits] / [engine.receive_ns]
       histograms, and — every [sample_every] deliveries — gauge +
       timeline samples of in-flight depth, wavefront size (visited
       vertices) and the message-count cut residual
       [entered - delivered - in_flight], which is 0 whenever the
       engine's accounting is conserving messages.  Counter totals
-      reconcile exactly with the returned {!type:report}.  The run also
+      reconcile exactly with the returned {!type:report}; at a sample
+      point, [engine.deliveries] counts every delivery so far and
+      [engine.total_bits] / [engine.sends] stop just before the sampled
+      one.  The run also
       records [engine.gc.*] gauges ({!Gc.quick_stat} allocation deltas
       and end-of-run heap size) and mirrors the timeline ring's
       overwrite count as the [timeline.dropped] counter.

@@ -270,16 +270,6 @@ let constrain ~t_interval g spec =
   else if spec.sends then { spec with plan_of; script = []; offers = false }
   else none
 
-let of_dynamic events =
-  script
-    (List.map
-       (fun (d : Digraph.Families.dyn_event) ->
-         match d.Digraph.Families.de_down_for with
-         | Some down_for ->
-             remove_event ~edge:d.de_edge ~at:d.de_at ~down_for ()
-         | None -> add_event ~edge:d.de_edge ~at:d.de_at)
-       events)
-
 (* {1 Per-run instances} *)
 
 type copy_fate = { delay : int; flip_bit : bool }

@@ -193,8 +193,6 @@ val with_contract : t_interval:int -> Digraph.t -> t -> t
     instances count [window_violations] — how {!Chaos} measures how badly a
     raw script breaches T-interval connectivity. *)
 
-val of_dynamic : Digraph.Families.dyn_event list -> t
-(** The churn script of a {!Digraph.Families.random_dynamic} scenario. *)
 
 type copy_fate = { delay : int; flip_bit : bool }
 (** One materialized copy: hold it [delay] delivery steps, and flip one

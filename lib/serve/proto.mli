@@ -66,7 +66,9 @@ type request =
           [{"state":...,"metrics":...}] where [metrics] is the
           registry {e diff} since this session's previous [watch] —
           polling it periodically streams incremental snapshots of a
-          long run. *)
+          long run.  The engine publishes its counters every
+          [sample_every] deliveries and at run end, so a running
+          session's counters move in those steps. *)
   | Metrics
   | Shutdown
 

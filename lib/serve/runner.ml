@@ -11,28 +11,6 @@
 
 module E = Runtime.Engine
 
-let protocol_of_name :
-    string -> (module Runtime.Protocol_intf.PROTOCOL) option = function
-  | "flood" -> Some (module Anonet.Flood)
-  | "amnesiac" -> Some (module Anonet.Amnesiac_flood)
-  | "counting" -> Some (module Anonet.Counting)
-  | "tree" -> Some (module Anonet.Tree_broadcast)
-  | "tree-naive" -> Some (module Anonet.Tree_broadcast_naive)
-  | "dag" -> Some (module Anonet.Dag_broadcast_pow2)
-  | "general" -> Some (module Anonet.General_broadcast)
-  | "labeling" -> Some (module Anonet.Labeling)
-  | "mapping" -> Some (module Anonet.Mapping)
-  | "undirected" -> Some (module Anonet.Undirected_labeling)
-  | _ -> None
-
-let protocol_known name = protocol_of_name name <> None
-
-let protocol_names =
-  [
-    "flood"; "amnesiac"; "counting"; "tree"; "tree-naive"; "dag"; "general";
-    "labeling"; "mapping"; "undirected";
-  ]
-
 let scheduler_of (sub : Proto.submit) =
   match sub.Proto.sub_scheduler with
   | "lifo" -> Runtime.Scheduler.Lifo
@@ -120,7 +98,7 @@ type done_run = {
 }
 
 let run ~stop ?obs ~step_limit (sub : Proto.submit) g =
-  match protocol_of_name sub.Proto.sub_protocol with
+  match Anonet.protocol_of_name sub.Proto.sub_protocol with
   | None -> invalid_arg "Runner.run: unknown protocol (validated upstream)"
   | Some (module P : Runtime.Protocol_intf.PROTOCOL) ->
       let step_limit =

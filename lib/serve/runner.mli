@@ -7,12 +7,6 @@
     no wall clock, no session id — so equal submissions render
     byte-identical JSON regardless of concurrent server load. *)
 
-val protocol_known : string -> bool
-
-val protocol_names : string list
-(** The wire names: flood, amnesiac, counting, tree, tree-naive, dag,
-    general, labeling, mapping, undirected. *)
-
 type done_run = {
   json : string;  (** The deterministic result payload. *)
   r_outcome : Runtime.Engine.outcome;

@@ -220,7 +220,7 @@ let replay_journal t ~(scan : Journal.scan) =
                   if not (Hashtbl.mem t.keys_tbl k) then
                     Hashtbl.add t.keys_tbl k id
               | None -> ());
-              if not (Runner.protocol_known sub.Proto.sub_protocol) then begin
+              if Option.is_none (Anonet.protocol_of_name sub.Proto.sub_protocol) then begin
                 incr unreplayable;
                 restore s
                   (Session.Failed
@@ -646,11 +646,11 @@ let handle_submit t ~conn ~raw (sub : Proto.submit) =
   let id = sub.Proto.sub_id in
   if Atomic.get t.shutdown_flag then
     Proto.error ~id Proto.Shutting_down "server is shutting down"
-  else if not (Runner.protocol_known sub.Proto.sub_protocol) then
+  else if Option.is_none (Anonet.protocol_of_name sub.Proto.sub_protocol) then
     Proto.error ~id Proto.Unknown_protocol
       (Printf.sprintf "unknown protocol %S (one of: %s)"
          sub.Proto.sub_protocol
-         (String.concat ", " Runner.protocol_names))
+         (String.concat ", " Anonet.protocol_names))
   else if not (List.mem_assoc sub.Proto.sub_graph t.graphs) then
     Proto.error ~id Proto.Unknown_graph
       (Printf.sprintf "unknown graph %S (one of: %s)" sub.Proto.sub_graph

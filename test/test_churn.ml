@@ -329,32 +329,30 @@ let test_replay_reproduces_churny_run () =
 
 (* {1 Dynamic scenarios} *)
 
-let test_random_dynamic_round_trips_through_of_dynamic () =
+let test_random_dynamic_footprint () =
   for seed = 1 to 6 do
-    let g, events =
+    let g =
       F.random_dynamic (Prng.create seed) ~n:14 ~extra_edges:6 ~back_edges:2
-        ~t_edge_prob:0.3 ()
+        ~t_edge_prob:0.3
     in
     Alcotest.(check bool) "valid graph" true
       (Result.is_ok (G.validate ~allow_multi_root:true g));
-    Alcotest.(check bool) "events in range" true
-      (List.for_all
-         (fun (d : F.dyn_event) ->
-           d.F.de_edge >= 0 && d.F.de_edge < G.n_edges g && d.F.de_at >= 1)
-         events);
-    let churn = C.of_dynamic events in
-    Alcotest.(check bool) "script armed" (events <> []) (not (C.is_none churn));
-    (* The compiled script drives the engine without incident, and the
-       engine's ledger can only report what the script contains. *)
+    let back =
+      List.concat
+        (List.mapi (fun e (u, v) -> if u > v then [ e ] else []) (G.edges g))
+    in
+    Alcotest.(check int) "the back edges are the downward ones" 2
+      (List.length back);
+    (* Churned in mid-run, the back edges drive the engine without
+       incident, and the engine's ledger can only report what the script
+       contains. *)
+    let churn = C.script (List.map (fun e -> C.add_event ~edge:e ~at:2) back) in
     let r =
       Anonet.Flood_engine.run ~faults:churn
         ~supervisor:Runtime.Supervisor.default g
     in
-    let n_adds =
-      List.length (List.filter (fun d -> d.F.de_down_for = None) events)
-    in
     Alcotest.(check bool) "adds bounded by script" true
-      (r.E.fault_stats.E.adds <= n_adds)
+      (r.E.fault_stats.E.adds <= 2)
   done
 
 (* Amnesiac flooding is stateless: it quiesces on DAGs but a single cycle
@@ -457,9 +455,8 @@ let test_chaos_amnesiac_finds_replayable_livelock () =
         { Runtime.Campaign.g_name = w.Ch.w_graph;
           build =
             (fun ~seed ->
-              fst
-                (F.random_dynamic (Prng.create seed) ~n:12 ~extra_edges:6
-                   ~back_edges:2 ~t_edge_prob:0.3 ()));
+              F.random_dynamic (Prng.create seed) ~n:12 ~extra_edges:6
+                ~back_edges:2 ~t_edge_prob:0.3);
         }
       in
       let s = Ch.replay cfg runner gc w in
@@ -512,8 +509,8 @@ let () =
         ] );
       ( "dynamic",
         [
-          Alcotest.test_case "random_dynamic round-trips" `Quick
-            test_random_dynamic_round_trips_through_of_dynamic;
+          Alcotest.test_case "random_dynamic footprint" `Quick
+            test_random_dynamic_footprint;
           Alcotest.test_case "amnesiac: DAG quiesces, cycle livelocks" `Quick
             test_amnesiac_quiesces_on_dag_livelocks_on_cycle;
           Alcotest.test_case "amnesiac: livelock needs the churned-in edge"

@@ -471,6 +471,55 @@ let test_obs_accumulates_across_runs () =
     (r1.E.deliveries + r2.E.deliveries)
     (counter_of snap "engine.deliveries")
 
+(* Both engine paths publish [engine.*] from the run's own tallies: a
+   plain Flood run (certified onto the fast path) and the same run with
+   [~verify_codec] (the generic path) agree with each other and with the
+   report.  A fault-free FIFO run pops a copy on every loop turn, so the
+   [i]-th call of [stop] comes after [i] deliveries; the registry must
+   read exactly that at every sample point and hold the last sample
+   point's count in between. *)
+let test_engine_publishes_at_sample_points () =
+  let module En = Runtime.Engine.Make (Anonet.Flood) in
+  let g =
+    F.random_digraph (Prng.create 5) ~n:40 ~extra_edges:60 ~back_edges:12
+      ~t_edge_prob:0.1
+  in
+  let every = 7 in
+  let run ~verify_codec =
+    let o = Obs.create ~sample_every:every () in
+    let c = R.counter o.Obs.registry "engine.deliveries" in
+    let seen = ref [] in
+    let stop () =
+      seen := R.value c :: !seen;
+      false
+    in
+    let r = En.run ~verify_codec ~stop ~obs:o g in
+    let seen = List.rev !seen in
+    Alcotest.(check (list int)) "deliveries published at each stop call"
+      (List.mapi (fun i _ -> i - (i mod every)) seen)
+      seen;
+    Alcotest.(check bool) "several sample points" true
+      (List.length seen > 3 * every);
+    let snap = R.snapshot o.Obs.registry in
+    let counters =
+      List.map (counter_of snap)
+        [ "engine.deliveries"; "engine.total_bits"; "engine.sends" ]
+    in
+    Alcotest.(check (list int)) "counters = report"
+      [ r.E.deliveries; r.E.total_bits; r.E.deliveries + r.E.final_in_flight ]
+      counters;
+    let hist = R.find_histogram snap "engine.message_bits" in
+    (match hist with
+    | Some (count, sum, _) ->
+        Alcotest.(check (pair int int)) "message_bits = report"
+          (r.E.deliveries, r.E.total_bits) (count, sum)
+    | None -> Alcotest.fail "message_bits histogram missing");
+    (counters, hist)
+  in
+  let fast = run ~verify_codec:false and generic = run ~verify_codec:true in
+  Alcotest.(check bool) "fast and generic paths publish the same" true
+    (fast = generic)
+
 let test_explore_reconciles () =
   let cases = Anonet.Check_suite.cases ~max_edges:6 () in
   let c = List.hd cases in
@@ -537,6 +586,8 @@ let () =
           prop_engine_reconciles_under_faults;
           Alcotest.test_case "accumulates across runs" `Quick
             test_obs_accumulates_across_runs;
+          Alcotest.test_case "engine publishes at sample points" `Quick
+            test_engine_publishes_at_sample_points;
           Alcotest.test_case "explore" `Quick test_explore_reconciles;
           Alcotest.test_case "create validates" `Quick test_obs_create_validates;
         ] );
