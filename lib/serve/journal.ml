@@ -8,14 +8,20 @@
    or the checksum — [scan] keeps the longest intact prefix and reports
    the damage instead of crashing on it.
 
-   Durability: [append] is a {e group commit}.  Every record is stamped
-   with a sequence number under the lock; one caller becomes the syncer,
-   writes the whole pending batch and fsyncs once, and every caller whose
-   record made that batch returns together — so N worker domains finishing
-   simultaneously cost one fsync, not N.  When [append] returns (in sync
-   mode), the record is on disk: the server calls it {e before} any
-   acknowledgement leaves [handle_line], which is the whole recovery
-   story — an acknowledged submit is a durable submit. *)
+   Durability rule: [Submitted], [Cancelled] and [Failed] records are
+   fsynced before [append] returns; [Result] records are only written
+   through, because a lost [Result] is recomputed: replay reruns the
+   session deterministically and checks the digest of any [Result] that
+   survived.  [must_sync] is that rule and [append] applies it.
+
+   The fsynced kinds are group-committed: every record is stamped with a
+   sequence number under the lock, one caller becomes the syncer, writes
+   the whole pending batch and fsyncs once, and every caller whose record
+   made that batch returns together — so N worker domains finishing
+   simultaneously cost one fsync, not N.  The fsync also covers every
+   [Result] written before it.  The server appends a [Submitted] record
+   {e before} its acknowledgement leaves [handle_line], which is the whole
+   recovery story: an acknowledged submit is a durable submit. *)
 
 module J = Obs.Json
 
@@ -37,20 +43,21 @@ let digest payload = Digest.to_hex (Digest.string payload)
 
 (* {1 CRC32 (IEEE)} *)
 
+(* Built eagerly: a [lazy] table raises [CamlinternalLazy.Undefined] when
+   two domains force it at once, which two first appends can do. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 s =
-  let t = Lazy.force crc_table in
   let c = ref 0xffffffff in
   String.iter
-    (fun ch -> c := t.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
+    (fun ch ->
+      c := crc_table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
     s;
   !c lxor 0xffffffff
 
@@ -205,7 +212,7 @@ type t = {
   synced : Condition.t;
   pending : Buffer.t;  (* encoded records not yet written to the fd *)
   mutable next_seq : int;
-  mutable synced_seq : int;  (* records <= this are durable (or written) *)
+  mutable synced_seq : int;  (* records <= this are durable *)
   mutable syncing : bool;  (* a caller is inside write+fsync *)
   mutable appends : int;
   mutable fsyncs : int;
@@ -249,6 +256,11 @@ let open_append ?(sync = true) path =
               },
               scan ))
 
+(* The durability rule (see the header). *)
+let must_sync = function
+  | Submitted _ | Cancelled _ | Failed _ -> true
+  | Result _ -> false
+
 let append t r =
   let line = encode r in
   Mutex.lock t.lock;
@@ -262,14 +274,19 @@ let append t r =
     Buffer.add_string t.pending line;
     t.appends <- t.appends + 1;
     t.bytes <- t.bytes + String.length line;
-    if not t.sync then begin
-      (* write-through without fsync: ordering preserved, OS decides
-         when it hits the platter *)
-      let data = Buffer.contents t.pending in
-      Buffer.clear t.pending;
-      t.synced_seq <- seq;
-      write_all t.fd data;
-      Mutex.unlock t.lock
+    if not (t.sync && must_sync r) then begin
+      (* write-through without fsync, in sequence order: behind a syncer
+         in flight the record waits in [pending] for the next batch (or
+         [close]); otherwise it goes to the fd now, and the next fsync
+         covers it *)
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock t.lock)
+        (fun () ->
+          if not t.syncing then begin
+            let data = Buffer.contents t.pending in
+            Buffer.clear t.pending;
+            write_all t.fd data
+          end)
     end
     else begin
       (* group commit: whoever finds no syncer in flight becomes one and
@@ -313,6 +330,11 @@ let close t =
   Mutex.lock t.lock;
   if not t.closed then begin
     t.closed <- true;
+    (* a syncer in flight writes outside the lock: let it finish, so the
+       records buffered behind it follow its batch onto the fd *)
+    while t.syncing do
+      Condition.wait t.synced t.lock
+    done;
     let data = Buffer.contents t.pending in
     Buffer.clear t.pending;
     if data <> "" then write_all t.fd data;

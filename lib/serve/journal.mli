@@ -8,11 +8,15 @@
     instead of failing on it.  {!open_append} amputates that tail so the
     continuing log is clean.
 
-    {!append} is a group commit: records are sequenced under a lock, one
-    caller writes and fsyncs the whole pending batch, and every batched
-    caller returns together — when it returns (sync mode), the record is
-    durable.  The server appends {e before} acknowledging, which is the
-    entire recovery contract: acknowledged ⇒ journaled ⇒ replayable. *)
+    Durability rule: [Submitted], [Cancelled] and [Failed] records are
+    fsynced before {!append} returns; [Result] records are only written
+    through, because a lost [Result] is recomputed: replay reruns the
+    session deterministically and checks the digest of any [Result] that
+    survived.  The fsynced kinds are group-committed: one caller writes
+    and fsyncs the whole pending batch, and every batched caller returns
+    together.  The server appends a submit {e before} acknowledging it,
+    which is the entire recovery contract: acknowledged ⇒ journaled ⇒
+    replayable. *)
 
 type record =
   | Submitted of { id : string; line : string }
@@ -55,15 +59,18 @@ type t
 
 val open_append : ?sync:bool -> string -> (t * scan, string) result
 (** Scan the existing log (if any), truncate the torn tail, open for
-    append.  [sync=false] writes through without fsync (bench baseline /
-    throwaway servers). *)
+    append.  [sync=false] writes every record through without fsync, for
+    throwaway servers and tests. *)
 
 val append : t -> record -> unit
-(** Durable on return in sync mode (group-committed).
+(** Append one record in sequence order.  In sync mode a [Submitted],
+    [Cancelled] or [Failed] record is durable on return (group-committed);
+    a [Result] never waits for an fsync: it is written through, or, behind
+    a syncer in flight, rides with the next batch or {!close}.
     @raise Invalid_argument after {!close}. *)
 
 type stats = { s_appends : int; s_fsyncs : int; s_bytes : int }
 
 val stats : t -> stats
 val close : t -> unit
-(** Flush, fsync, close.  Idempotent. *)
+(** Wait for a syncer in flight, flush, fsync, close.  Idempotent. *)

@@ -21,14 +21,15 @@
 
    Durability contract (with [journal] configured): a submit is journaled
    {e before} its acknowledgement leaves [handle_line], and a session's
-   terminal record is journaled before the state becomes pollable — so
-   "acknowledged" implies "replayable".  On restart, [create] replays the
+   terminal record is appended before the state becomes pollable — so
+   "acknowledged" implies "replayable", and a cancel or failure a client
+   saw is on disk.  The journal's durability rule: [Submitted],
+   [Cancelled] and [Failed] records are fsynced before [append] returns;
+   [Result] records are only written through, because a lost [Result] is
+   recomputed: replay reruns the session deterministically and checks the
+   digest of any [Result] that survived.  On restart, [create] replays the
    log: terminal-record sessions are restored (Done results re-executed
-   and digest-verified — the serve layer's byte-determinism makes replay
-   {e be} recovery), incomplete ones are re-executed to completion.  The
-   crash window between a worker publishing Done and its Result record
-   landing is closed by the same determinism: recovery re-executes the
-   submit and produces the identical bytes the client saw. *)
+   and digest-verified), incomplete ones are re-executed to completion. *)
 
 module R = Obs.Registry
 
@@ -121,6 +122,32 @@ let session_obs t = Obs.create ~sample_every:t.cfg.sample_every ~capacity:1024 (
 (* The [Cancelled] reason [handle_submit] journals when admission refuses
    a submit it already journaled. *)
 let rollback_reason = "rollback"
+
+(* {1 Journal appends} *)
+
+let journal_append t r = Option.iter (fun j -> Journal.append j r) t.journal
+
+(* The terminal record for a finished session.  [Shutting_down] failures
+   are deliberately NOT journaled: those sessions were accepted but
+   drained at shutdown, and skipping their record is what makes the next
+   boot re-execute them — zero acknowledged-submit loss. *)
+let journal_record_of id (state : Session.state) ~deliveries ~total_bits =
+  match state with
+  | Session.Done json ->
+      Some
+        (Journal.Result
+           {
+             id;
+             digest = Journal.digest json;
+             outcome = "done";
+             deliveries;
+             total_bits;
+           })
+  | Session.Cancelled reason -> Some (Journal.Cancelled { id; reason })
+  | Session.Failed (Proto.Shutting_down, _) -> None
+  | Session.Failed (code, msg) ->
+      Some (Journal.Failed { id; code = Proto.code_string code; msg })
+  | Session.Queued | Session.Running -> None
 
 type replay_entry = {
   e_id : string;
@@ -239,24 +266,30 @@ let replay_journal t ~(scan : Journal.scan) =
                   ~deliveries:0 ~total_bits:0
               end
               else
+                (* Rerun, then restore the fresh bytes as Done after
+                   [check] has looked at them. *)
+                let rerun_restore check =
+                  match rerun sub with
+                  | exception ex ->
+                      incr unreplayable;
+                      restore s
+                        (Session.Failed
+                           ( Proto.Bad_request,
+                             "replay raised: " ^ Printexc.to_string ex ))
+                        ~deliveries:0 ~total_bits:0
+                  | res ->
+                      incr replayed;
+                      check res;
+                      restore s (Session.Done res.Runner.json)
+                        ~deliveries:res.Runner.r_deliveries
+                        ~total_bits:res.Runner.r_total_bits
+                in
                 match (e.e_result, e.e_cancel, e.e_fail) with
-                | Some (digest, _, _), _, _ -> (
-                    match rerun sub with
-                    | exception ex ->
-                        incr unreplayable;
-                        restore s
-                          (Session.Failed
-                             ( Proto.Bad_request,
-                               "replay raised: " ^ Printexc.to_string ex ))
-                          ~deliveries:0 ~total_bits:0
-                    | res ->
-                        incr replayed;
+                | Some (digest, _, _), _, _ ->
+                    rerun_restore (fun res ->
                         if Journal.digest res.Runner.json = digest then
                           incr verified
-                        else incr mismatched;
-                        restore s (Session.Done res.Runner.json)
-                          ~deliveries:res.Runner.r_deliveries
-                          ~total_bits:res.Runner.r_total_bits)
+                        else incr mismatched)
                 | None, Some reason, _ ->
                     incr cancelled;
                     restore s (Session.Cancelled reason) ~deliveries:0
@@ -266,35 +299,17 @@ let replay_journal t ~(scan : Journal.scan) =
                     restore s
                       (Session.Failed (Proto.code_of_string code, msg))
                       ~deliveries:0 ~total_bits:0
-                | None, None, None -> (
-                    (* Acknowledged, never finished: finish it now and
-                       journal the result this process just produced. *)
-                    match rerun sub with
-                    | exception ex ->
-                        incr unreplayable;
-                        restore s
-                          (Session.Failed
-                             ( Proto.Bad_request,
-                               "replay raised: " ^ Printexc.to_string ex ))
-                          ~deliveries:0 ~total_bits:0
-                    | res ->
-                        incr replayed;
+                | None, None, None ->
+                    (* Acknowledged, never finished (or its [Result] was
+                       lost): finish it now and journal the result this
+                       process just produced. *)
+                    rerun_restore (fun res ->
                         incr completed;
-                        restore s (Session.Done res.Runner.json)
-                          ~deliveries:res.Runner.r_deliveries
-                          ~total_bits:res.Runner.r_total_bits;
-                        Option.iter
-                          (fun j ->
-                            Journal.append j
-                              (Journal.Result
-                                 {
-                                   id;
-                                   digest = Journal.digest res.Runner.json;
-                                   outcome = "done";
-                                   deliveries = res.Runner.r_deliveries;
-                                   total_bits = res.Runner.r_total_bits;
-                                 }))
-                          t.journal))
+                        Option.iter (journal_append t)
+                          (journal_record_of id
+                             (Session.Done res.Runner.json)
+                             ~deliveries:res.Runner.r_deliveries
+                             ~total_bits:res.Runner.r_total_bits)))
       | Ok _ | Error _ -> incr unreplayable)
     (List.rev (List.filter (fun e -> not e.e_rolled_back) !order));
   let rec_summary =
@@ -439,56 +454,35 @@ let key_unclaim t k id =
   | _ -> ());
   Mutex.unlock t.keys_lock
 
-(* {1 Journal appends} *)
-
-let journal_append t r = Option.iter (fun j -> Journal.append j r) t.journal
-
-(* The terminal record for a finished session.  [Shutting_down] failures
-   are deliberately NOT journaled: those sessions were accepted but
-   drained at shutdown, and skipping their record is what makes the next
-   boot re-execute them — zero acknowledged-submit loss. *)
-let journal_record_of id (state : Session.state) ~deliveries ~total_bits =
-  match state with
-  | Session.Done json ->
-      Some
-        (Journal.Result
-           {
-             id;
-             digest = Journal.digest json;
-             outcome = "done";
-             deliveries;
-             total_bits;
-           })
-  | Session.Cancelled reason -> Some (Journal.Cancelled { id; reason })
-  | Session.Failed (Proto.Shutting_down, _) -> None
-  | Session.Failed (code, msg) ->
-      Some (Journal.Failed { id; code = Proto.code_string code; msg })
-  | Session.Queued | Session.Running -> None
-
 (* {1 Session completion}
 
-   The single door through which a live session becomes finished:
-   transition under the table lock, then — for the winner only — journal
-   the terminal record, release the connection credit exactly once (the
-   [credit_released] flag is flipped under the lock, so a cancel racing a
-   worker cannot double-release) and bump the outcome counter. *)
+   The single door through which a live session becomes finished, in two
+   steps.  First the win is claimed under the table lock without
+   publishing anything: [credit_released] is flipped there, so a cancel
+   racing a worker cannot double-release.  Then the winner appends the
+   terminal record and only after that publishes the state, so whatever a
+   poller sees is already in the journal (durable, for every kind replay
+   cannot recompute).  Last, the connection credit is released and the
+   outcome counter bumped. *)
 
 let finish t (s : Session.t) (state : Session.state) =
-  let released =
+  let won =
     Session.transition t.sessions s (fun s ->
-        match s.Session.state with
-        | Queued | Running ->
-            s.Session.state <- state;
-            s.Session.t_finished <- Unix.gettimeofday ();
-            let fresh = not s.Session.credit_released in
-            s.Session.credit_released <- true;
-            fresh
-        | _ -> false)
+        let won =
+          (not s.Session.credit_released)
+          && not (Session.finished s.Session.state)
+        in
+        if won then begin
+          s.Session.credit_released <- true;
+          s.Session.t_finished <- Unix.gettimeofday ()
+        end;
+        won)
   in
-  if released then begin
+  if won then begin
     Option.iter (journal_append t)
       (journal_record_of s.Session.id state ~deliveries:s.Session.deliveries
          ~total_bits:s.Session.total_bits);
+    Session.transition t.sessions s (fun s -> s.Session.state <- state);
     credit_release t s.Session.conn;
     R.aincr
       (match state with
@@ -496,7 +490,7 @@ let finish t (s : Session.t) (state : Session.state) =
       | Cancelled _ -> t.c_cancelled
       | _ -> t.c_failed)
   end;
-  released
+  won
 
 (* {1 Executing one session (worker side)} *)
 
@@ -504,7 +498,7 @@ let execute t (s : Session.t) =
   let claim =
     Session.transition t.sessions s (fun s ->
         match s.Session.state with
-        | Queued ->
+        | Queued when not s.Session.credit_released ->
             s.Session.state <- Running;
             true
         | _ -> false  (* cancelled while queued; nothing to do *))
@@ -733,9 +727,11 @@ let handle_cancel t id =
          finished one is left alone — cancel is idempotent. *)
       if Session.state t.sessions s = Session.Queued then
         ignore (finish t s (Session.Cancelled "cancel"));
+      (* Still live here means another caller has claimed the finish and
+         is journaling it, or the worker is yet to see the flag. *)
       let answer =
         match Session.state t.sessions s with
-        | Session.Running -> "cancelling"
+        | Session.Queued | Session.Running -> "cancelling"
         | st -> Session.state_name st
       in
       Proto.ok ~id (Proto.state_result answer))

@@ -19,7 +19,11 @@
     Durability contract (with [journal] set): every submit is journaled
     before its acknowledgement leaves {!handle_line}, and a session's
     terminal record is journaled before its state becomes pollable.
-    {!create} replays the log on boot — acknowledged ⇒ replayable, and
+    The journal's durability rule: [Submitted], [Cancelled] and [Failed]
+    records are fsynced before [append] returns; [Result] records are only
+    written through, because a lost [Result] is recomputed: replay reruns
+    the session deterministically and checks the digest of any [Result]
+    that survived.  {!create} replays the log on boot — acknowledged ⇒ replayable, and
     the serve layer's byte-determinism makes replay {e be} recovery. *)
 
 type config = {
@@ -35,8 +39,9 @@ type config = {
   journal : string option;
       (** Write-ahead log path; [None] disables durability. *)
   journal_sync : bool;
-      (** fsync on append (group-committed).  [false] = write-through
-          without fsync, for bench baselines and throwaway servers. *)
+      (** Apply the journal's durability rule (group-committed fsyncs).
+          [false] = every record written through without fsync, for
+          throwaway servers and tests. *)
 }
 
 val default_config : config

@@ -30,15 +30,15 @@ let sample_records =
 let sample_log () =
   String.concat "" (List.map Jn.encode sample_records)
 
-let check_records msg expected (scan : Jn.scan) =
+let check_records msg expected records =
   Alcotest.(check int) (msg ^ ": record count") (List.length expected)
-    (List.length scan.Jn.records);
+    (List.length records);
   List.iteri
     (fun i (e, g) ->
       if e <> g then
         Alcotest.failf "%s: record %d differs:\n  %s\nvs\n  %s" msg i
           (Jn.encode e) (Jn.encode g))
-    (List.combine expected scan.Jn.records)
+    (List.combine expected records)
 
 let test_crc32 () =
   (* The IEEE CRC32 check value: crc32("123456789") = 0xcbf43926. *)
@@ -47,7 +47,7 @@ let test_crc32 () =
 
 let test_roundtrip () =
   let scan = Jn.scan_string (sample_log ()) in
-  check_records "roundtrip" sample_records scan;
+  check_records "roundtrip" sample_records scan.Jn.records;
   Alcotest.(check bool) "not torn" false scan.Jn.torn;
   Alcotest.(check int) "all bytes valid"
     (String.length (sample_log ()))
@@ -85,7 +85,7 @@ let test_truncation_sweep () =
     let expected =
       List.filteri (fun i _ -> i < intact_at cut) sample_records
     in
-    check_records (Printf.sprintf "cut at %d" cut) expected scan;
+    check_records (Printf.sprintf "cut at %d" cut) expected scan.Jn.records;
     let at_boundary = List.mem cut boundaries in
     Alcotest.(check bool)
       (Printf.sprintf "torn flag at %d" cut)
@@ -106,7 +106,7 @@ let test_corruption_sweep () =
     let b = Bytes.of_string log in
     Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xff));
     let scan = Jn.scan_string (Bytes.to_string b) in
-    check_records (Printf.sprintf "corrupt byte %d" pos) prefix scan;
+    check_records (Printf.sprintf "corrupt byte %d" pos) prefix scan.Jn.records;
     Alcotest.(check bool)
       (Printf.sprintf "torn at %d" pos)
       true scan.Jn.torn;
@@ -121,7 +121,7 @@ let test_alien_records () =
   let frame body = Printf.sprintf "%08x %s\n" (Jn.crc32 body) body in
   let log = Jn.encode (List.hd sample_records) ^ frame "{\"k\":\"martian\"}" in
   let scan = Jn.scan_string log in
-  check_records "alien kind" [ List.hd sample_records ] scan;
+  check_records "alien kind" [ List.hd sample_records ] scan.Jn.records;
   Alcotest.(check bool) "alien kind is torn" true scan.Jn.torn;
   let log2 = frame "[1,2,3]" in
   let scan2 = Jn.scan_string log2 in
@@ -154,7 +154,7 @@ let test_open_append_truncates () =
       | Error e -> Alcotest.failf "open_append: %s" e
       | Ok (j, scan) ->
           Alcotest.(check bool) "tail reported torn" true scan.Jn.torn;
-          check_records "prefix kept" sample_records scan;
+          check_records "prefix kept" sample_records scan.Jn.records;
           (* ...is amputated, so appends continue a clean log. *)
           Jn.append j (Jn.Cancelled { id = "late"; reason = "cancel" });
           Jn.close j);
@@ -163,7 +163,7 @@ let test_open_append_truncates () =
       | Ok scan ->
           check_records "clean continuation"
             (sample_records @ [ Jn.Cancelled { id = "late"; reason = "cancel" } ])
-            scan;
+            scan.Jn.records;
           Alcotest.(check bool) "no longer torn" false scan.Jn.torn)
 
 let test_writer_stats_and_idempotent_close () =
@@ -193,6 +193,118 @@ let test_writer_stats_and_idempotent_close () =
             (Invalid_argument "Journal.append: closed") (fun () ->
               Jn.append j (Jn.Cancelled { id = "x"; reason = "r" })))
 
+(* {1 The durability rule}
+
+   [Submitted], [Cancelled] and [Failed] are fsynced before [append]
+   returns; a [Result] never waits for an fsync. *)
+
+let with_sync_journal f =
+  with_temp (fun path ->
+      Sys.remove path;
+      match Jn.open_append ~sync:true path with
+      | Error e -> Alcotest.failf "open_append: %s" e
+      | Ok (j, _) -> f path j)
+
+let submitted i =
+  Jn.Submitted { id = Printf.sprintf "s%d" i; line = string_of_int i }
+
+let result i =
+  Jn.Result
+    {
+      id = Printf.sprintf "s%d" i;
+      digest = Jn.digest (string_of_int i);
+      outcome = "done";
+      deliveries = i;
+      total_bits = i;
+    }
+
+let rescan path =
+  match Jn.scan_file path with
+  | Error e -> Alcotest.failf "rescan: %s" e
+  | Ok scan ->
+      Alcotest.(check bool) "scan not torn" false scan.Jn.torn;
+      scan.Jn.records
+
+(* A session's two records cost one fsync: the [Submitted]. *)
+let test_one_fsync_per_session () =
+  let n = 20 in
+  with_sync_journal (fun path j ->
+      for i = 1 to n do
+        Jn.append j (submitted i);
+        Jn.append j (result i)
+      done;
+      let st = Jn.stats j in
+      Alcotest.(check int) "appends" (2 * n) st.Jn.s_appends;
+      Alcotest.(check int) "fsyncs" n st.Jn.s_fsyncs;
+      Jn.close j;
+      check_records "all on disk"
+        (List.concat_map (fun i -> [ submitted i; result i ]) (List.init n succ))
+        (rescan path))
+
+(* One domain appends the fsynced kinds while another appends [Result]s:
+   the log interleaves them, but holds every record once and keeps each
+   domain's own order. *)
+let test_concurrent_kinds () =
+  let n = 200 in
+  let durable i =
+    match i mod 3 with
+    | 0 -> submitted i
+    | 1 -> Jn.Cancelled { id = Printf.sprintf "s%d" i; reason = "cancel" }
+    | _ -> Jn.Failed { id = Printf.sprintf "s%d" i; code = "bad_request"; msg = "m" }
+  in
+  let durables = List.init n durable and results = List.init n result in
+  with_sync_journal (fun path j ->
+      let d = Domain.spawn (fun () -> List.iter (Jn.append j) durables) in
+      List.iter (Jn.append j) results;
+      Domain.join d;
+      let st = Jn.stats j in
+      Alcotest.(check int) "appends" (2 * n) st.Jn.s_appends;
+      Alcotest.(check bool) "at most one fsync per fsynced record" true
+        (st.Jn.s_fsyncs <= n);
+      Jn.close j;
+      let records = rescan path in
+      Alcotest.(check int) "every record once" (2 * n) (List.length records);
+      let is_result = function Jn.Result _ -> true | _ -> false in
+      check_records "fsynced kinds in order" durables
+        (List.filter (fun r -> not (is_result r)) records);
+      check_records "results in order" results (List.filter is_result records))
+
+(* A [Result] appended while another domain's syncer is in write+fsync
+   stays in the writer's buffer — the log on disk lacks it — until the
+   next batch or [close].  Race a [Submitted] against a [Result] until
+   that happens, and check [close] puts it on disk. *)
+let test_buffered_result_survives_close () =
+  let rec round k =
+    if k = 0 then
+      Alcotest.fail "no Result was ever buffered behind a syncer"
+    else begin
+      let buffered =
+        with_sync_journal (fun path j ->
+            let started = Atomic.make false in
+            let d =
+              Domain.spawn (fun () ->
+                  Atomic.set started true;
+                  Jn.append j (submitted 1))
+            in
+            while not (Atomic.get started) do
+              Domain.cpu_relax ()
+            done;
+            Jn.append j (result 1);
+            Domain.join d;
+            let before = List.length (rescan path) in
+            Jn.close j;
+            let after = rescan path in
+            Alcotest.(check int) "both records after close" 2
+              (List.length after);
+            Alcotest.(check bool) "the Result is among them" true
+              (List.mem (result 1) after);
+            before < 2)
+      in
+      if not buffered then round (k - 1)
+    end
+  in
+  round 1000
+
 let () =
   Alcotest.run "journal"
     [
@@ -216,5 +328,14 @@ let () =
         [
           Alcotest.test_case "stats + idempotent close" `Quick
             test_writer_stats_and_idempotent_close;
+        ] );
+      ( "durability-rule",
+        [
+          Alcotest.test_case "one fsync per session" `Quick
+            test_one_fsync_per_session;
+          Alcotest.test_case "concurrent kinds keep their order" `Quick
+            test_concurrent_kinds;
+          Alcotest.test_case "buffered Result is on disk after close" `Quick
+            test_buffered_result_survives_close;
         ] );
     ]

@@ -296,6 +296,57 @@ let test_cancel_running_race () =
   done;
   S.stop t
 
+(* A terminal state is journaled before anyone can see it.  One domain
+   cancels queued sessions while this one polls their status and, the
+   moment one reads "cancelled", scans the journal: the [Cancelled]
+   record must already be there, or a crash right then would rerun the
+   session to "done" after a client saw "cancelled". *)
+let test_cancel_journaled_before_visible () =
+  let path = Filename.temp_file "anonet-serve" ".journal" in
+  Sys.remove path;
+  let config =
+    {
+      S.default_config with
+      graphs = [ ("small", "comb:4") ];
+      workers = 0;
+      journal = Some path;
+      journal_sync = true;
+    }
+  in
+  let t =
+    match S.create ~config () with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "server create: %s" e
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      S.stop t;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let ids = List.init 32 (Printf.sprintf "v%d") in
+      List.iter (fun id -> ignore (req t (submit_line id))) ids;
+      let canceller =
+        Domain.spawn (fun () -> List.iter (fun id -> ignore (cancel t id)) ids)
+      in
+      let unjournaled =
+        List.filter
+          (fun id ->
+            while state_of (status t id) <> "cancelled" do
+              Domain.cpu_relax ()
+            done;
+            match Serve.Journal.scan_file path with
+            | Error e -> Alcotest.failf "scan: %s" e
+            | Ok scan ->
+                not
+                  (List.mem
+                     (Serve.Journal.Cancelled { id; reason = "cancel" })
+                     scan.Serve.Journal.records))
+          ids
+      in
+      Domain.join canceller;
+      Alcotest.(check (list string)) "seen cancelled before journaled" []
+        unjournaled)
+
 (* {1 Determinism and reconciliation under concurrency} *)
 
 let test_concurrent_determinism () =
@@ -854,7 +905,9 @@ let test_recovery_rollback () =
    [stop] followed by [create] on the same journal: with no workers,
    [stop] appends nothing (it drains queued sessions as [shutting_down],
    which is never journaled), so the file is exactly what a [kill -9]
-   would leave.  Result bytes are checked to be equal for equal
+   would leave.  Between the two, [power_cut] also drops the trailing
+   [Result] records an fsync had not yet covered, the most a power cut
+   can lose under the journal's durability rule.  Result bytes are checked to be equal for equal
    (protocol, graph, seed), across ids and reboots. *)
 
 type mcmd =
@@ -1054,6 +1107,23 @@ let submit_of_mcmd ~id ~key ~protocol ~graph ~seed =
     | None -> ""
     | Some k -> Printf.sprintf ",\"key\":%s" (J.escape (m_key k)))
 
+(* What a power cut can take from the journal: every [Result] after the
+   last fsynced record, since an fsync covers everything written before
+   it and a [Result] is never fsynced on its own. *)
+let power_cut path =
+  match Serve.Journal.scan_file path with
+  | Error e -> QCheck.Test.fail_reportf "power cut: %s" e
+  | Ok scan ->
+      let rec drop_results = function
+        | Serve.Journal.Result _ :: older -> drop_results older
+        | kept -> kept
+      in
+      let kept = List.rev (drop_results (List.rev scan.Serve.Journal.records)) in
+      Out_channel.with_open_bin path (fun oc ->
+          List.iter
+            (fun r -> Out_channel.output_string oc (Serve.Journal.encode r))
+            kept)
+
 let run_model_case cmds =
   let path = Filename.temp_file "anonet-model" ".journal" in
   Sys.remove path;
@@ -1120,6 +1190,7 @@ let run_model_case cmds =
     match cmd with
     | M_crash ->
         S.stop t;
+        power_cut path;
         server := boot ();
         (match S.recovery !server with
         | Some r when r.S.rec_mismatched = 0 -> ()
@@ -1218,6 +1289,8 @@ let () =
           Alcotest.test_case "running races" `Quick test_cancel_running_race;
           Alcotest.test_case "wedged session cancelled, healthy complete"
             `Quick test_cancel_running;
+          Alcotest.test_case "journaled before visible" `Quick
+            test_cancel_journaled_before_visible;
         ] );
       ( "contracts",
         [
