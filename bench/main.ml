@@ -1553,27 +1553,30 @@ let recover_bench ~small () =
           incr lost;
           if !lost_sample = "" then lost_sample := id ^ ": " ^ code)
     (List.rev !acked);
-  let recovered_counter name =
-    match C.request !client "{\"op\":\"metrics\"}" with
-    | Ok resp -> (
-        match J.parse resp with
-        | Ok v -> (
-            match
-              Option.bind (J.member "result" v) (fun r ->
-                  Option.bind (J.member "counters" r) (fun c ->
-                      Option.bind
-                        (J.member ("server.recovered." ^ name) c)
-                        J.to_int_opt))
-            with
-            | Some i -> i
-            | None -> -1)
-        | Error _ -> -1)
-    | Error _ -> -1
+  (* The rebooted server's whole recovery summary, from one metrics
+     snapshot of its "server.recovered.*" counters (-1 = unreadable). *)
+  let recovered_counters =
+    match Result.map J.parse (C.request !client "{\"op\":\"metrics\"}") with
+    | Ok (Ok v) ->
+        Option.bind (J.member "result" v) (J.member "counters")
+    | _ -> None
   in
-  let rec_replayed = recovered_counter "replayed" in
-  let rec_verified = recovered_counter "verified" in
-  let rec_mismatched = recovered_counter "mismatched" in
-  let rec_completed = recovered_counter "completed" in
+  let recovered =
+    List.map
+      (fun name ->
+        ( name,
+          Option.value ~default:(-1)
+            (Option.bind recovered_counters (fun c ->
+                 Option.bind
+                   (J.member ("server.recovered." ^ name) c)
+                   J.to_int_opt)) ))
+      [
+        "replayed"; "verified"; "mismatched"; "completed"; "cancelled";
+        "failed"; "orphans"; "unreplayable"; "torn";
+      ]
+  in
+  let rec_replayed = List.assoc "replayed" recovered in
+  let rec_mismatched = List.assoc "mismatched" recovered in
   C.close !client;
   ignore (C.shutdown ~socket:sock);
   ignore (Unix.waitpid [] !pid);
@@ -1693,9 +1696,11 @@ let recover_bench ~small () =
   pf "  \"lost\": %d,\n" !lost;
   if !lost > 0 then pf "  \"lost_sample\": %s,\n" (J.escape !lost_sample);
   pf "  \"byte_mismatches\": %d,\n" !mismatches;
-  pf "  \"recovered\": {\"replayed\": %d, \"verified\": %d, \"mismatched\": \
-      %d, \"completed\": %d},\n"
-    rec_replayed rec_verified rec_mismatched rec_completed;
+  pf "  \"recovered\": {%s},\n"
+    (String.concat ", "
+       (List.map
+          (fun (name, v) -> Printf.sprintf "%s: %d" (J.escape name) v)
+          recovered));
   pf "  \"overhead\": {\"sessions\": %d, \"rounds\": %d, \"p50_off_ms\": %s, \
       \"p50_on_ms\": %s, \"overhead_fraction\": %s, \"appends\": %d, \
       \"fsyncs\": %d, \"bytes\": %d},\n"

@@ -19,9 +19,11 @@
    the whole pending batch and fsyncs once, and every caller whose record
    made that batch returns together — so N worker domains finishing
    simultaneously cost one fsync, not N.  The fsync also covers every
-   [Result] written before it.  The server appends a [Submitted] record
-   {e before} its acknowledgement leaves [handle_line], which is the whole
-   recovery story: an acknowledged submit is a durable submit. *)
+   [Result] written before it, and a [Result] appended while the syncer
+   was out of the lock is written out by that syncer before it returns.
+   The server appends a [Submitted] record {e before} its acknowledgement
+   leaves [handle_line], which is the whole recovery story: an
+   acknowledged submit is a durable submit. *)
 
 module J = Obs.Json
 
@@ -256,6 +258,13 @@ let open_append ?(sync = true) path =
               },
               scan ))
 
+(* Everything appended but not yet handed to the fd; caller holds
+   [t.lock]. *)
+let take_pending t =
+  let data = Buffer.contents t.pending in
+  Buffer.clear t.pending;
+  data
+
 (* The durability rule (see the header). *)
 let must_sync = function
   | Submitted _ | Cancelled _ | Failed _ -> true
@@ -276,17 +285,13 @@ let append t r =
     t.bytes <- t.bytes + String.length line;
     if not (t.sync && must_sync r) then begin
       (* write-through without fsync, in sequence order: behind a syncer
-         in flight the record waits in [pending] for the next batch (or
-         [close]); otherwise it goes to the fd now, and the next fsync
-         covers it *)
+         in flight the record waits in [pending] until that syncer writes
+         it out after its fsync; otherwise it goes to the fd now, and the
+         next fsync covers it *)
       Fun.protect
         ~finally:(fun () -> Mutex.unlock t.lock)
         (fun () ->
-          if not t.syncing then begin
-            let data = Buffer.contents t.pending in
-            Buffer.clear t.pending;
-            write_all t.fd data
-          end)
+          if not t.syncing then write_all t.fd (take_pending t))
     end
     else begin
       (* group commit: whoever finds no syncer in flight becomes one and
@@ -299,8 +304,7 @@ let append t r =
         end
         else begin
           t.syncing <- true;
-          let data = Buffer.contents t.pending in
-          Buffer.clear t.pending;
+          let data = take_pending t in
           let target = t.next_seq - 1 in
           Mutex.unlock t.lock;
           if data <> "" then write_all t.fd data;
@@ -308,6 +312,12 @@ let append t r =
           Mutex.lock t.lock;
           t.fsyncs <- t.fsyncs + 1;
           if target > t.synced_seq then t.synced_seq <- target;
+          (* what was appended behind this batch goes to the fd now, with
+             no fsync of its own: a [Result] never outlives its syncer in
+             memory, and a fsynced kind among it is carried by its own
+             caller's next fsync *)
+          let behind = take_pending t in
+          if behind <> "" then write_all t.fd behind;
           t.syncing <- false;
           Condition.broadcast t.synced;
           wait_durable ()
@@ -330,13 +340,12 @@ let close t =
   Mutex.lock t.lock;
   if not t.closed then begin
     t.closed <- true;
-    (* a syncer in flight writes outside the lock: let it finish, so the
-       records buffered behind it follow its batch onto the fd *)
+    (* a syncer in flight writes outside the lock: let it finish (it
+       writes out what was buffered behind its batch) before closing *)
     while t.syncing do
       Condition.wait t.synced t.lock
     done;
-    let data = Buffer.contents t.pending in
-    Buffer.clear t.pending;
+    let data = take_pending t in
     if data <> "" then write_all t.fd data;
     (try Unix.fsync t.fd with Unix.Unix_error _ -> ());
     (try Unix.close t.fd with Unix.Unix_error _ -> ())

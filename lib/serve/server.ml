@@ -28,8 +28,8 @@
    [Result] records are only written through, because a lost [Result] is
    recomputed: replay reruns the session deterministically and checks the
    digest of any [Result] that survived.  On restart, [create] replays the
-   log: terminal-record sessions are restored (Done results re-executed
-   and digest-verified), incomplete ones are re-executed to completion. *)
+   log by taking again the steps the live server took when it wrote each
+   record (see "Journal replay = recovery" below). *)
 
 module R = Obs.Registry
 
@@ -42,7 +42,7 @@ type config = {
   sample_every : int;  (* per-session Obs sampling cadence *)
   max_line : int;
   journal : string option;  (* WAL path; None = no durability *)
-  journal_sync : bool;  (* fsync on append (false: bench baselines) *)
+  journal_sync : bool;  (* durability rule's fsyncs; false = write only *)
 }
 
 let default_config =
@@ -98,19 +98,6 @@ type t = {
   mutable stopped : bool;
 }
 
-(* {1 Journal replay = recovery}
-
-   Fold the log into per-id entries (submit line + first terminal record
-   of each kind), then restore sessions in submit order.  A rollback
-   record erases its id's entry: the live server freed that id and its
-   key when admission refused the submit, so replay must too — the id,
-   the key and any later submit of the same id start fresh.  Precedence:
-   a [Result] record means the client may have seen those exact bytes, so
-   re-execute and digest-verify; [Cancelled]/[Failed] are restored as-is
-   (re-running a cancelled session would resurrect work the client
-   explicitly killed); no terminal record at all means the submit was
-   acknowledged but unfinished — determinism lets us simply run it now. *)
-
 (* A session's telemetry sink.  Serve reads only its registry (watch diffs
    and the rollups); the timeline is there because the engine writes its
    spans and samples into one.  At the serve sampling cadence a run records
@@ -149,66 +136,88 @@ let journal_record_of id (state : Session.state) ~deliveries ~total_bits =
       Some (Journal.Failed { id; code = Proto.code_string code; msg })
   | Session.Queued | Session.Running -> None
 
-type replay_entry = {
-  e_id : string;
-  mutable e_line : string;
-  mutable e_result : (string * int * int) option;  (* digest, deliv, bits *)
-  mutable e_cancel : string option;
-  mutable e_fail : (string * string) option;
-  mutable e_rolled_back : bool;
-}
+(* {1 Credits} *)
+
+let credit_take t conn =
+  Mutex.lock t.credits_lock;
+  let used = Option.value ~default:0 (Hashtbl.find_opt t.credits_tbl conn) in
+  let got = used < t.cfg.credits in
+  if got then Hashtbl.replace t.credits_tbl conn (used + 1);
+  Mutex.unlock t.credits_lock;
+  got
+
+let credit_release t conn =
+  Mutex.lock t.credits_lock;
+  (match Hashtbl.find_opt t.credits_tbl conn with
+  | Some used when used > 0 -> Hashtbl.replace t.credits_tbl conn (used - 1)
+  | _ -> ());
+  Mutex.unlock t.credits_lock
+
+(* {1 Idempotency keys}
+
+   A key is claimed under [keys_lock] {e before} admission, so two
+   racing submits with the same key serialize here: the loser sees the
+   winner's session id (the [Some] of [key_claim]) even while that
+   session is still in flight.  [key_unclaim] removes a key only while
+   the given id holds it, so a failed admission frees exactly its own
+   claim for the next attempt. *)
+
+let key_claim t (sub : Proto.submit) =
+  match sub.Proto.sub_key with
+  | None -> None
+  | Some k ->
+      Mutex.lock t.keys_lock;
+      let orig = Hashtbl.find_opt t.keys_tbl k in
+      if orig = None then Hashtbl.replace t.keys_tbl k sub.Proto.sub_id;
+      Mutex.unlock t.keys_lock;
+      orig
+
+let key_unclaim t k id =
+  Mutex.lock t.keys_lock;
+  (match Hashtbl.find_opt t.keys_tbl k with
+  | Some cur when cur = id -> Hashtbl.remove t.keys_tbl k
+  | _ -> ());
+  Mutex.unlock t.keys_lock
+
+(* Undo an admission: the session, its credit and its key go, so the id
+   and the key are free again.  The overload path and the replay of its
+   rollback record both take this step. *)
+let drop t (s : Session.t) =
+  Session.remove t.sessions s.Session.id;
+  credit_release t s.Session.conn;
+  Option.iter
+    (fun k -> key_unclaim t k s.Session.id)
+    s.Session.submit.Proto.sub_key
+
+(* {1 Journal replay = recovery}
+
+   Replay does again what the live server did when it wrote each record,
+   as one fold over the log into the session table:
+   - [Submitted] adds the session and claims its key, as admission did;
+   - a rollback [Cancelled] [drop]s it, as the overload path did;
+   - any other [Cancelled], and [Failed], restore it as journaled;
+   - [Result] marks it as owing a digest check.
+   The server writes at most one terminal record per admitted session, so
+   the first one wins; a terminal record with no session is an orphan.
+   Then one pass reruns, in submit order, every session the fold left
+   [Queued]: a surviving [Result]'s digest is checked against the fresh
+   bytes, and a session without one (acknowledged but unfinished, or its
+   [Result] lost) journals the [Result] it now produced.  A restored
+   cancel or failure is never rerun — that would resurrect work the
+   client saw end — so it needs neither its graph nor its protocol. *)
 
 let replay_journal t ~(scan : Journal.scan) =
-  let entries : (string, replay_entry) Hashtbl.t = Hashtbl.create 64 in
-  let order = ref [] in
-  let orphans = ref 0 in
-  let terminal id f =
-    match Hashtbl.find_opt entries id with
-    | None -> incr orphans
-    | Some e -> f e
-  in
-  List.iter
-    (fun (r : Journal.record) ->
-      match r with
-      | Journal.Submitted { id; line } ->
-          if not (Hashtbl.mem entries id) then begin
-            let e =
-              {
-                e_id = id;
-                e_line = line;
-                e_result = None;
-                e_cancel = None;
-                e_fail = None;
-                e_rolled_back = false;
-              }
-            in
-            Hashtbl.add entries id e;
-            order := e :: !order
-          end
-      | Journal.Result { id; digest; deliveries; total_bits; _ } ->
-          terminal id (fun e ->
-              if e.e_result = None then
-                e.e_result <- Some (digest, deliveries, total_bits))
-      | Journal.Cancelled { id; reason } when reason = rollback_reason ->
-          terminal id (fun e ->
-              e.e_rolled_back <- true;
-              Hashtbl.remove entries id)
-      | Journal.Cancelled { id; reason } ->
-          terminal id (fun e ->
-              if e.e_cancel = None then e.e_cancel <- Some reason)
-      | Journal.Failed { id; code; msg } ->
-          terminal id (fun e ->
-              if e.e_fail = None then e.e_fail <- Some (code, msg)))
-    scan.Journal.records;
-  let replayed = ref 0
+  let now = Unix.gettimeofday () in
+  let digests = Hashtbl.create 16 (* id -> digest of its surviving Result *)
+  and replayed = ref 0
   and verified = ref 0
   and mismatched = ref 0
   and completed = ref 0
   and cancelled = ref 0
   and failed = ref 0
+  and orphans = ref 0
   and unreplayable = ref 0 in
-  let now = Unix.gettimeofday () in
-  let restore (s : Session.t) state ~deliveries ~total_bits =
+  let restore ?(deliveries = 0) ?(total_bits = 0) (s : Session.t) state =
     Session.transition t.sessions s (fun s ->
         s.Session.state <- state;
         s.Session.credit_released <- true;
@@ -216,102 +225,98 @@ let replay_journal t ~(scan : Journal.scan) =
         s.Session.total_bits <- total_bits;
         s.Session.t_finished <- now)
   in
-  (* Re-execute one journaled submit on the current process's graphs.
-     [stop] never fires: the original run finished (or was owed a
-     finish), and replay telemetry merges under "recovery." so the
-     "sessions." reconciliation contract stays exact. *)
-  let rerun (sub : Proto.submit) =
-    let g = List.assoc sub.Proto.sub_graph t.graphs in
-    let obs = session_obs t in
-    let res =
-      Runner.run ~stop:(fun () -> false) ~obs ~step_limit:t.cfg.step_limit sub
-        g
-    in
-    Mutex.lock t.merge_lock;
-    R.merge ~into:t.registry ~prefix:"recovery." (R.snapshot obs.Obs.registry);
-    Mutex.unlock t.merge_lock;
-    res
+  (* The session a terminal record closes: [None] for an orphan, or once
+     the session's first terminal record has closed it. *)
+  let unclosed id =
+    match Session.find t.sessions id with
+    | None ->
+        incr orphans;
+        None
+    | Some s when Session.state t.sessions s = Session.Queued ->
+        if Hashtbl.mem digests id then None else Some s
+    | Some _ -> None
+  in
+  let restore_as id count state =
+    Option.iter
+      (fun s ->
+        incr count;
+        restore s state)
+      (unclosed id)
   in
   List.iter
-    (fun e ->
-      let id = e.e_id in
-      match Proto.parse_request e.e_line with
-      | Ok (Proto.Submit sub) when sub.Proto.sub_id = id -> (
-          match
-            Session.add t.sessions ~conn:(-1) ~now sub
-          with
-          | Error () -> incr unreplayable  (* duplicate submit id in log *)
-          | Ok s ->
-              (match sub.Proto.sub_key with
-              | Some k ->
-                  if not (Hashtbl.mem t.keys_tbl k) then
-                    Hashtbl.add t.keys_tbl k id
-              | None -> ());
-              if Option.is_none (Anonet.protocol_of_name sub.Proto.sub_protocol) then begin
-                incr unreplayable;
-                restore s
-                  (Session.Failed
-                     ( Proto.Unknown_protocol,
-                       Printf.sprintf "unreplayable: unknown protocol %S"
-                         sub.Proto.sub_protocol ))
-                  ~deliveries:0 ~total_bits:0
-              end
-              else if not (List.mem_assoc sub.Proto.sub_graph t.graphs) then begin
-                incr unreplayable;
-                restore s
-                  (Session.Failed
-                     ( Proto.Unknown_graph,
-                       Printf.sprintf "unreplayable: unknown graph %S"
-                         sub.Proto.sub_graph ))
-                  ~deliveries:0 ~total_bits:0
-              end
-              else
-                (* Rerun, then restore the fresh bytes as Done after
-                   [check] has looked at them. *)
-                let rerun_restore check =
-                  match rerun sub with
-                  | exception ex ->
-                      incr unreplayable;
-                      restore s
-                        (Session.Failed
-                           ( Proto.Bad_request,
-                             "replay raised: " ^ Printexc.to_string ex ))
-                        ~deliveries:0 ~total_bits:0
-                  | res ->
-                      incr replayed;
-                      check res;
-                      restore s (Session.Done res.Runner.json)
-                        ~deliveries:res.Runner.r_deliveries
-                        ~total_bits:res.Runner.r_total_bits
-                in
-                match (e.e_result, e.e_cancel, e.e_fail) with
-                | Some (digest, _, _), _, _ ->
-                    rerun_restore (fun res ->
-                        if Journal.digest res.Runner.json = digest then
-                          incr verified
-                        else incr mismatched)
-                | None, Some reason, _ ->
-                    incr cancelled;
-                    restore s (Session.Cancelled reason) ~deliveries:0
-                      ~total_bits:0
-                | None, None, Some (code, msg) ->
-                    incr failed;
-                    restore s
-                      (Session.Failed (Proto.code_of_string code, msg))
-                      ~deliveries:0 ~total_bits:0
-                | None, None, None ->
-                    (* Acknowledged, never finished (or its [Result] was
-                       lost): finish it now and journal the result this
-                       process just produced. *)
-                    rerun_restore (fun res ->
-                        incr completed;
-                        Option.iter (journal_append t)
-                          (journal_record_of id
-                             (Session.Done res.Runner.json)
-                             ~deliveries:res.Runner.r_deliveries
-                             ~total_bits:res.Runner.r_total_bits)))
-      | Ok _ | Error _ -> incr unreplayable)
-    (List.rev (List.filter (fun e -> not e.e_rolled_back) !order));
+    (fun (r : Journal.record) ->
+      match r with
+      | Journal.Submitted { id; line } -> (
+          match Proto.parse_request line with
+          | Ok (Proto.Submit sub) when sub.Proto.sub_id = id ->
+              if Result.is_ok (Session.add t.sessions ~conn:(-1) ~now sub) then
+                ignore (key_claim t sub)
+          | Ok _ | Error _ -> incr unreplayable)
+      | Journal.Cancelled { id; reason } when reason = rollback_reason ->
+          Option.iter (drop t) (unclosed id)
+      | Journal.Cancelled { id; reason } ->
+          restore_as id cancelled (Session.Cancelled reason)
+      | Journal.Failed { id; code; msg } ->
+          restore_as id failed (Session.Failed (Proto.code_of_string code, msg))
+      | Journal.Result { id; digest; _ } ->
+          Option.iter (fun _ -> Hashtbl.add digests id digest) (unclosed id))
+    scan.Journal.records;
+  let unrunnable s code msg =
+    incr unreplayable;
+    restore s (Session.Failed (code, msg))
+  in
+  (* Re-execute one journaled submit on this process's graphs.  [stop]
+     never fires: the original run finished (or was owed a finish), and
+     replay telemetry merges under "recovery." so the "sessions."
+     reconciliation contract stays exact. *)
+  let rerun (s : Session.t) =
+    let sub = s.Session.submit in
+    match
+      ( Anonet.protocol_of_name sub.Proto.sub_protocol,
+        List.assoc_opt sub.Proto.sub_graph t.graphs )
+    with
+    | None, _ ->
+        unrunnable s Proto.Unknown_protocol
+          (Printf.sprintf "unreplayable: unknown protocol %S"
+             sub.Proto.sub_protocol)
+    | _, None ->
+        unrunnable s Proto.Unknown_graph
+          (Printf.sprintf "unreplayable: unknown graph %S" sub.Proto.sub_graph)
+    | Some _, Some g -> (
+        let obs = session_obs t in
+        match
+          Runner.run ~stop:(fun () -> false) ~obs
+            ~step_limit:t.cfg.step_limit sub g
+        with
+        | exception ex ->
+            unrunnable s Proto.Bad_request
+              ("replay raised: " ^ Printexc.to_string ex)
+        | { Runner.json; r_deliveries; r_total_bits; _ } ->
+            Mutex.lock t.merge_lock;
+            R.merge ~into:t.registry ~prefix:"recovery."
+              (R.snapshot obs.Obs.registry);
+            Mutex.unlock t.merge_lock;
+            incr replayed;
+            (match Hashtbl.find_opt digests s.Session.id with
+            | Some d ->
+                if Journal.digest json = d then incr verified
+                else incr mismatched
+            | None ->
+                incr completed;
+                Option.iter (journal_append t)
+                  (journal_record_of s.Session.id (Session.Done json)
+                     ~deliveries:r_deliveries ~total_bits:r_total_bits));
+            restore s (Session.Done json) ~deliveries:r_deliveries
+              ~total_bits:r_total_bits)
+  in
+  List.iter
+    (function
+      | Journal.Submitted { id; _ } -> (
+          match Session.find t.sessions id with
+          | Some s when Session.state t.sessions s = Session.Queued -> rerun s
+          | _ -> ())
+      | _ -> ())
+    scan.Journal.records;
   let rec_summary =
     {
       rec_replayed = !replayed;
@@ -406,53 +411,6 @@ let create ?(config = default_config) () =
               Option.map (fun (_, scan) -> replay_journal t ~scan) journal_open
             in
             Ok { t with recovery })
-
-(* {1 Credits} *)
-
-let credit_take t conn =
-  Mutex.lock t.credits_lock;
-  let used = Option.value ~default:0 (Hashtbl.find_opt t.credits_tbl conn) in
-  let got = used < t.cfg.credits in
-  if got then Hashtbl.replace t.credits_tbl conn (used + 1);
-  Mutex.unlock t.credits_lock;
-  got
-
-let credit_release t conn =
-  Mutex.lock t.credits_lock;
-  (match Hashtbl.find_opt t.credits_tbl conn with
-  | Some used when used > 0 -> Hashtbl.replace t.credits_tbl conn (used - 1)
-  | _ -> ());
-  Mutex.unlock t.credits_lock
-
-(* {1 Idempotency keys}
-
-   A key is claimed under [keys_lock] {e before} admission, so two
-   racing submits with the same key serialize here: the loser sees the
-   winner's session id even while that session is still in flight.  A
-   claim is rolled back only by the claimant (guarded compare), so a
-   failed admission frees the key for the next attempt. *)
-
-let key_claim t (sub : Proto.submit) =
-  match sub.Proto.sub_key with
-  | None -> `No_key
-  | Some k ->
-      Mutex.lock t.keys_lock;
-      let r =
-        match Hashtbl.find_opt t.keys_tbl k with
-        | Some orig -> `Dup orig
-        | None ->
-            Hashtbl.replace t.keys_tbl k sub.Proto.sub_id;
-            `Claimed
-      in
-      Mutex.unlock t.keys_lock;
-      r
-
-let key_unclaim t k id =
-  Mutex.lock t.keys_lock;
-  (match Hashtbl.find_opt t.keys_tbl k with
-  | Some cur when cur = id -> Hashtbl.remove t.keys_tbl k
-  | _ -> ());
-  Mutex.unlock t.keys_lock
 
 (* {1 Session completion}
 
@@ -651,14 +609,12 @@ let handle_submit t ~conn ~raw (sub : Proto.submit) =
          (String.concat ", " (List.map fst t.graphs)))
   else
     match key_claim t sub with
-    | `Dup orig_id ->
+    | Some orig_id ->
         R.aincr t.c_key_hits;
         reply_for_original t ~id orig_id
-    | (`Claimed | `No_key) as claim -> (
+    | None -> (
         let unclaim () =
-          match (claim, sub.Proto.sub_key) with
-          | `Claimed, Some k -> key_unclaim t k id
-          | _ -> ()
+          Option.iter (fun k -> key_unclaim t k id) sub.Proto.sub_key
         in
         if not (credit_take t conn) then begin
           unclaim ();
@@ -683,14 +639,11 @@ let handle_submit t ~conn ~raw (sub : Proto.submit) =
                 Proto.ok ~id (Proto.state_result "queued")
               end
               else begin
-                (* Close the journaled submit with a rollback record, which
-                   recovery reads as "this submit never happened", then
-                   free the id, the credit and the key. *)
+                (* Close the journaled submit with a rollback record, then
+                   [drop] it; replay takes the same step on that record. *)
                 journal_append t
                   (Journal.Cancelled { id; reason = rollback_reason });
-                Session.remove t.sessions id;
-                credit_release t conn;
-                unclaim ();
+                drop t s;
                 R.aincr t.c_rejected_overloaded;
                 Proto.error ~id Proto.Overloaded
                   (Printf.sprintf "admission queue full (%d)" t.cfg.max_queue)

@@ -23,8 +23,10 @@
     records are fsynced before [append] returns; [Result] records are only
     written through, because a lost [Result] is recomputed: replay reruns
     the session deterministically and checks the digest of any [Result]
-    that survived.  {!create} replays the log on boot — acknowledged ⇒ replayable, and
-    the serve layer's byte-determinism makes replay {e be} recovery. *)
+    that survived.  {!create} replays the log on boot by taking again the
+    steps the live server took when it wrote each record — acknowledged ⇒
+    replayable, and the serve layer's byte-determinism makes replay {e be}
+    recovery. *)
 
 type config = {
   graphs : (string * string) list;
@@ -59,13 +61,17 @@ type recovery = {
       (** Acknowledged-but-unfinished submits finished by recovery. *)
   rec_cancelled : int;
       (** Restored from [Cancelled] records, not re-run.  Rollback records
-          (a submit admission refused) are not counted: they erase their
-          submit, leaving the id and key free. *)
+          (a submit admission refused) are not counted: replay drops
+          that session as admission did, leaving the id and key free. *)
   rec_failed : int;  (** Restored from [Failed] records, not re-run. *)
   rec_orphans : int;  (** Terminal records with no surviving submit. *)
   rec_unreplayable : int;
-      (** Journaled submits this process can no longer run (e.g. a graph
-          dropped from the config) — restored as [Failed]. *)
+      (** Journaled sessions that need a rerun (no terminal record, or a
+          [Result] to verify) but that this process can no longer run —
+          e.g. their graph was dropped from the config — restored as
+          [Failed]; also submit records whose line no longer parses.  A
+          journaled cancel or failure is restored without a rerun, so it
+          never counts here. *)
   rec_torn : bool;  (** The log had a damaged tail (truncated away). *)
 }
 

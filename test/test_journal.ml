@@ -270,40 +270,31 @@ let test_concurrent_kinds () =
       check_records "results in order" results (List.filter is_result records))
 
 (* A [Result] appended while another domain's syncer is in write+fsync
-   stays in the writer's buffer — the log on disk lacks it — until the
-   next batch or [close].  Race a [Submitted] against a [Result] until
-   that happens, and check [close] puts it on disk. *)
-let test_buffered_result_survives_close () =
-  let rec round k =
-    if k = 0 then
-      Alcotest.fail "no Result was ever buffered behind a syncer"
-    else begin
-      let buffered =
-        with_sync_journal (fun path j ->
-            let started = Atomic.make false in
-            let d =
-              Domain.spawn (fun () ->
-                  Atomic.set started true;
-                  Jn.append j (submitted 1))
-            in
-            while not (Atomic.get started) do
-              Domain.cpu_relax ()
-            done;
-            Jn.append j (result 1);
-            Domain.join d;
-            let before = List.length (rescan path) in
-            Jn.close j;
-            let after = rescan path in
-            Alcotest.(check int) "both records after close" 2
-              (List.length after);
-            Alcotest.(check bool) "the Result is among them" true
-              (List.mem (result 1) after);
-            before < 2)
-      in
-      if not buffered then round (k - 1)
-    end
-  in
-  round 1000
+   waits in the writer's buffer only until that syncer is back: the
+   syncer writes it out before it returns.  Race a [Submitted] against a
+   [Result] and check, in every round, that both are on disk once both
+   appends have returned — before [close] could flush anything. *)
+let test_buffered_result_written_by_syncer () =
+  for _ = 1 to 200 do
+    with_sync_journal (fun path j ->
+        let started = Atomic.make false in
+        let d =
+          Domain.spawn (fun () ->
+              Atomic.set started true;
+              Jn.append j (submitted 1))
+        in
+        while not (Atomic.get started) do
+          Domain.cpu_relax ()
+        done;
+        Jn.append j (result 1);
+        Domain.join d;
+        let on_disk = rescan path in
+        Alcotest.(check int) "both records before close" 2
+          (List.length on_disk);
+        Alcotest.(check bool) "the Result is among them" true
+          (List.mem (result 1) on_disk);
+        Jn.close j)
+  done
 
 let () =
   Alcotest.run "journal"
@@ -335,7 +326,7 @@ let () =
             test_one_fsync_per_session;
           Alcotest.test_case "concurrent kinds keep their order" `Quick
             test_concurrent_kinds;
-          Alcotest.test_case "buffered Result is on disk after close" `Quick
-            test_buffered_result_survives_close;
+          Alcotest.test_case "buffered Result is on disk before close" `Quick
+            test_buffered_result_written_by_syncer;
         ] );
     ]

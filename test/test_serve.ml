@@ -790,7 +790,21 @@ let test_recovery_restart () =
                });
           Serve.Journal.append j
             (Serve.Journal.Cancelled { id = "w"; reason = "watchdog" });
+          (* A failure restores as journaled too, and a terminal record
+             whose submit never reached the log is an orphan. *)
+          Serve.Journal.append j
+            (Serve.Journal.Submitted
+               { id = "f"; line = submit_line ~seed:4 "f" });
+          Serve.Journal.append j
+            (Serve.Journal.Failed
+               { id = "f"; code = "bad_request"; msg = "engine raised" });
+          Serve.Journal.append j
+            (Serve.Journal.Cancelled { id = "ghost"; reason = "cancel" });
           Serve.Journal.close j);
+      (* Last, a crash mid-append tore the tail. *)
+      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+      output_string oc "0badc0de {\"k\":\"sub";
+      close_out oc;
       (* Generation 2 replays the journal before serving. *)
       let t2 = boot () in
       (match S.recovery t2 with
@@ -801,10 +815,10 @@ let test_recovery_restart () =
           Alcotest.(check int) "mismatched" 0 r.S.rec_mismatched;
           Alcotest.(check int) "completed" 1 r.S.rec_completed;
           Alcotest.(check int) "cancelled" 2 r.S.rec_cancelled;
-          Alcotest.(check int) "failed" 0 r.S.rec_failed;
-          Alcotest.(check int) "orphans" 0 r.S.rec_orphans;
+          Alcotest.(check int) "failed" 1 r.S.rec_failed;
+          Alcotest.(check int) "orphans" 1 r.S.rec_orphans;
           Alcotest.(check int) "unreplayable" 0 r.S.rec_unreplayable;
-          Alcotest.(check bool) "not torn" false r.S.rec_torn;
+          Alcotest.(check bool) "torn" true r.S.rec_torn;
           (* The summary and the metrics counters are the same numbers. *)
           List.iter
             (fun (name, v) ->
@@ -829,6 +843,10 @@ let test_recovery_restart () =
       Alcotest.(check string) "w keeps its watchdog reason"
         "session cancelled (watchdog)"
         (err_msg (result t2 "w"));
+      Alcotest.(check string) "f still failed" "bad_request"
+        (err_code (result t2 "f"));
+      Alcotest.(check string) "f keeps its message" "engine raised"
+        (err_msg (result t2 "f"));
       (* ...and the acked-but-unfinished one was finished by recovery. *)
       Alcotest.(check string) "c completed" "done" (state_of (status t2 "c"));
       (* Recovered ids stay taken; recovered keys stay claimed. *)
@@ -896,6 +914,47 @@ let test_recovery_rollback () =
       let r = req t2 (submit_key_line ~key:"kb" "c") in
       Alcotest.(check string) "c queued" "queued" (state_of r);
       Alcotest.(check (option string)) "kb is a fresh claim" None (key_of_resp r);
+      S.stop t2)
+
+(* A journaled cancel is restored as journaled, without a re-run, so it
+   needs neither its graph nor its protocol: after a reboot whose config
+   dropped the session's graph, the client still reads [cancelled]. *)
+let test_recovery_config_change () =
+  let path = Filename.temp_file "anonet-serve" ".journal" in
+  Sys.remove path;
+  let boot graphs =
+    let config =
+      {
+        S.default_config with
+        graphs;
+        workers = 0;
+        step_limit = 20_000;
+        journal = Some path;
+        journal_sync = false;
+      }
+    in
+    match S.create ~config () with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "server create: %s" e
+  in
+  let small = ("small", "comb:4") and mid = ("mid", "random:12:3") in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let t1 = boot [ small; mid ] in
+      Alcotest.(check bool) "m" true
+        (is_ok (req t1 (submit_line ~protocol:"counting" ~graph:"mid" "m")));
+      Alcotest.(check string) "m cancelled" "cancelled"
+        (state_of (cancel t1 "m"));
+      S.stop t1;
+      let t2 = boot [ small ] in
+      (match S.recovery t2 with
+      | None -> Alcotest.fail "no recovery summary"
+      | Some r ->
+          Alcotest.(check int) "cancelled" 1 r.S.rec_cancelled;
+          Alcotest.(check int) "unreplayable" 0 r.S.rec_unreplayable);
+      Alcotest.(check string) "m still cancelled" "cancelled"
+        (err_code (result t2 "m"));
       S.stop t2)
 
 (* {1 Model-based test}
@@ -1281,6 +1340,8 @@ let () =
           prop_serve_model;
           Alcotest.test_case "client backoff = supervisor policy" `Quick
             test_retry_policy_reuse;
+          Alcotest.test_case "a journaled cancel outlives its graph" `Quick
+            test_recovery_config_change;
         ] );
       ( "cancel",
         [
