@@ -295,8 +295,8 @@ let e10 () =
 
 (* {1 E11 — synchronous time complexity} *)
 
-module Sync_general = Runtime.Sync_engine.Make (Anonet.General_broadcast)
-module Sync_tree = Runtime.Sync_engine.Make (Anonet.Tree_broadcast)
+module Sync_general = Runtime.Engine.Make (Anonet.General_broadcast)
+module Sync_tree = Runtime.Engine.Make (Anonet.Tree_broadcast)
 
 let e11 () =
   header "E11" "Synchronous rounds (Sec 2 extension: time complexity)";
@@ -304,9 +304,9 @@ let e11 () =
   pf "%8s %8s %8s\n" "n" "rounds" "msgs";
   List.iter
     (fun n ->
-      let r = Sync_tree.run (F.path n) in
-      assert (r.base.outcome = E.Terminated);
-      pf "%8d %8d %8d\n" n r.rounds r.base.deliveries)
+      let r = Sync_tree.run ~scheduler:Rounds (F.path n) in
+      assert (r.outcome = E.Terminated);
+      pf "%8d %8d %8d\n" n r.rounds r.deliveries)
     [ 4; 16; 64; 256 ];
   pf "\n-- random digraphs (general protocol; rounds ~ diameter-ish) --\n";
   pf "%8s %8s %8s %8s %10s\n" "n" "|V|" "|E|" "rounds" "msgs";
@@ -316,10 +316,10 @@ let e11 () =
       let g =
         F.random_digraph prng ~n ~extra_edges:n ~back_edges:(n / 4) ~t_edge_prob:0.2
       in
-      let r = Sync_general.run g in
-      assert (r.base.outcome = E.Terminated);
+      let r = Sync_general.run ~scheduler:Rounds g in
+      assert (r.outcome = E.Terminated);
       pf "%8d %8d %8d %8d %10d\n" n (G.n_vertices g) (G.n_edges g) r.rounds
-        r.base.deliveries)
+        r.deliveries)
     [ 16; 32; 64; 128; 256 ]
 
 (* {1 E12 — channel-fault ablation} *)

@@ -359,15 +359,15 @@ let sync_cmd =
     match Anonet.protocol_of_name protocol with
     | None -> `Error (false, Printf.sprintf "unknown protocol %S" protocol)
     | Some (module P : Runtime.Protocol_intf.PROTOCOL) -> (
-        let module S = Runtime.Sync_engine.Make (P) in
+        let module S = Runtime.Engine.Make (P) in
         try
           check_payload payload;
           describe_graph g;
           pf "protocol: %s (synchronous rounds), payload: %d bits\n\n"
             protocol payload;
-          let r = S.run ~payload_bits:payload g in
+          let r = S.run ~scheduler:Rounds ~payload_bits:payload g in
           pf "rounds           : %d\n" r.rounds;
-          describe_stats (Anonet.stats_of_report r.base);
+          describe_stats (Anonet.stats_of_report r);
           `Ok 0
         with Invalid_argument msg -> `Error (false, msg))
   in

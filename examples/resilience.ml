@@ -63,11 +63,11 @@ let () =
   pf "announced out-edge, and facts are only minted by visited vertices.\n\n";
 
   (* Synchronous replay: same protocol, measurable time. *)
-  let module Sync = Runtime.Sync_engine.Make (Anonet.General_broadcast) in
+  let module Sync = Runtime.Engine.Make (Anonet.General_broadcast) in
   pf "Synchronous rounds on the same fleet (time complexity, Section 2):\n";
   pf "  %6s %8s %8s %8s\n" "net" "|V|" "rounds" "msgs";
   for i = 1 to 5 do
     let g = fleet 500 i in
-    let r = Sync.run g in
-    pf "  %6d %8d %8d %8d\n" i (G.n_vertices g) r.rounds r.base.deliveries
+    let r = Sync.run ~scheduler:Rounds g in
+    pf "  %6d %8d %8d %8d\n" i (G.n_vertices g) r.rounds r.deliveries
   done

@@ -19,7 +19,7 @@
 (** {1 Protocol modules}
 
     Each implements {!Runtime.Protocol_intf.PROTOCOL}; run them through the
-    engines below or through {!Runtime.Sync_engine} for the synchronous
+    engines below, with {!Runtime.Scheduler.Rounds} for the synchronous
     model. *)
 
 module Commodity = Commodity

@@ -70,6 +70,7 @@ type 'state report = {
   states : 'state array;
   fault_stats : fault_stats;
   vfault_stats : vertex_fault_stats;
+  rounds : int;
 }
 
 exception Codec_mismatch of string
@@ -365,7 +366,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
      has nothing to deliver; [drain] empties the pool and returns whatever
      was still held, so the engine can report undelivered messages at the
      end of a run (conservation-law checks need the full cut). *)
-  let make_pool s scheduler =
+  let make_pool s scheduler ~closed =
     (* A full id array, twice over.  Appending the array to itself keeps a
        full ring's order from [first]. *)
     let doubled arr =
@@ -382,7 +383,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       (arr, len, push)
     in
     match (scheduler : Scheduler.t) with
-    | Fifo ->
+    | Fifo | Rounds ->
         (* A growable ring: [len] ids from [first], wrapping; the capacity
            stays a power of two.  Doubling a full ring keeps [first]: its
            ids sit in order at [first ..] of the copy. *)
@@ -411,7 +412,14 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
           len := 0;
           l
         in
-        (push, pop, drain)
+        (* FIFO order delivers round by round (a copy's round is its causal
+           depth); [Rounds] holds back the rounds after [closed], the one
+           the terminal accepted in ([max_int] until then). *)
+        let pop_in_round () =
+          if !len > 0 && field s !arr.(!first) f_ld > !closed then -1
+          else pop ()
+        in
+        (push, (match scheduler with Rounds -> pop_in_round | _ -> pop), drain)
     | Lifo ->
         let arr, len, push = stack () in
         let pop () =
@@ -614,6 +622,9 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
        burst's length. *)
     let ring = ref (Array.make (List.length emits + ne + 1) 0) in
     let tail = ref 0 and head = ref 0 in
+    (* A round is the ring segment pushed while the previous one was
+       delivered: [round_end] is where the current one ends. *)
+    let rounds = ref 0 and round_end = ref 0 in
     let max_in_flight = ref 0 in
     (* Lineage rides in the unused upper bits of the edge ring itself:
        each pushed slot packs [edge lor (parent_id lsl journal_shift)]
@@ -665,6 +676,10 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
         running := false
       end
       else begin
+        if !head = !round_end then begin
+          incr rounds;
+          round_end := !tail
+        end;
         let e =
           Array.unsafe_get !ring !head
           land ((1 lsl Obs.Lineage.journal_shift) - 1)
@@ -762,6 +777,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       states;
       fault_stats = no_faults_stats;
       vfault_stats = no_vfaults_stats;
+      rounds = !rounds;
     }
 
   (* {1 The generic path}
@@ -804,6 +820,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     let total_bits = ref 0 in
     let max_message_bits = ref 0 in
     let deliveries = ref 0 in
+    let rounds = ref 0 in
     let corrupted_deliveries = ref 0 in
     let garbled_drops = ref 0 in
     let checksum_rejects = ref 0 in
@@ -826,7 +843,8 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
           slot
     in
     let slab = slab_create () in
-    let push, pop, drain = make_pool slab scheduler in
+    let closed = ref max_int in
+    let push, pop, drain = make_pool slab scheduler ~closed in
     (* Which adversary hooks this run calls is decided once, here. *)
     let faulty = Faults.sends faults and churny = Faults.offers faults in
     let fi = Faults.Instance.start faults in
@@ -987,6 +1005,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
             let slot = field slab id f_slot and msg = slab.msgs.(id) in
             slab_free slab id;
             incr deliveries;
+            if ld > !rounds then rounds := ld;
             decr in_flight;
             let sampled = !deliveries = !next_sample in
             if sampled then begin
@@ -1168,10 +1187,12 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                       send_all tv sends;
                       lin_parent := 0;
                       lin_depth := 0;
-                      if tv = t && P.accepting state' then begin
-                        outcome := Terminated;
-                        running := false
-                      end)
+                      if tv = t && P.accepting state' then
+                        match scheduler with
+                        | Rounds -> closed := Int.min !closed ld
+                        | _ ->
+                            outcome := Terminated;
+                            running := false)
             end)
       end
     done;
@@ -1231,6 +1252,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       states;
       fault_stats;
       vfault_stats;
+      rounds = !rounds;
     }
 
   let run ?(scheduler = Scheduler.Fifo) ?(payload_bits = 0)

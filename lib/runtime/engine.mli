@@ -122,6 +122,9 @@ type 'state report = {
   fault_stats : fault_stats;  (** What the edge adversary actually did. *)
   vfault_stats : vertex_fault_stats;
       (** What the vertex-fault plan and the supervisor actually did. *)
+  rounds : int;
+      (** The longest causal chain delivered ({!Obs.Lineage.max_depth}): the
+          synchronous round count under [Fifo] or [Rounds] without faults. *)
 }
 
 type event = {
@@ -165,6 +168,11 @@ module Make (P : Protocol_intf.PROTOCOL) : sig
       [step_limit = 10_000_000], no faults, no vertex faults, no
       supervisor, [verify_codec = false], no [stop] hook.
       Raises [Invalid_argument] if [payload_bits < 0].
+
+      Under {!Scheduler.Rounds} the run ends [Terminated] only after the
+      rest of the round the terminal accepted in: [final_in_flight] then
+      counts the next round's copies, and [max_in_flight] stays the channel
+      high-water mark, not the widest round.
 
       [stop], when given, is polled between deliveries; the first [true]
       ends the run with outcome {!Cancelled} at a message boundary — no

@@ -61,9 +61,10 @@ module Make (P : Protocol_intf.CHECKABLE) = struct
   (* A global configuration.  [next_seq] replicates the engine's send
      numbering exactly (sigma0 first, then each delivery's sends in emission
      order), so a recorded path of [seq]s replays through
-     [Scheduler.Replay]. *)
+     [Scheduler.Replay].  [digests] caches [P.digest] of each state. *)
   type sim = {
     vstates : P.state array;
+    digests : string array;
     visited : bool array;
     in_flight : flight list;
     next_seq : int;
@@ -121,7 +122,8 @@ module Make (P : Protocol_intf.CHECKABLE) = struct
       let in_flight, next_seq =
         flights_of_sends ~fv:s ~first_seq:0 (P.root_emit ~out_degree:out_deg.(s))
       in
-      { vstates; visited; in_flight; next_seq }
+      let digests = Array.map P.digest vstates in
+      { vstates; digests; visited; in_flight; next_seq }
     in
     (* Delivering [f]: returns the successor configuration and whether the
        engine would halt there (delivery to [t] leaving it accepting). *)
@@ -134,6 +136,8 @@ module Make (P : Protocol_intf.CHECKABLE) = struct
           vstates.(f.tv) f.msg ~in_port:f.tp
       in
       vstates.(f.tv) <- st';
+      let digests = Array.copy sim.digests in
+      digests.(f.tv) <- P.digest st';
       let fresh, next_seq = flights_of_sends ~fv:f.tv ~first_seq:sim.next_seq sends in
       let rec remove = function
         | [] -> []
@@ -141,7 +145,7 @@ module Make (P : Protocol_intf.CHECKABLE) = struct
       in
       let in_flight = remove sim.in_flight @ fresh in
       let halted = f.tv = t && P.accepting st' in
-      ({ vstates; visited; in_flight; next_seq }, halted)
+      ({ vstates; digests; visited; in_flight; next_seq }, halted)
     in
     (* {2 Transition identity} *)
     let tkey (f : flight) = string_of_int f.edge ^ "|" ^ f.enc in
@@ -183,7 +187,7 @@ module Make (P : Protocol_intf.CHECKABLE) = struct
     in
     let canon sim =
       let c = Canonical.create () in
-      Array.iter (fun st -> Canonical.add_string c (P.digest st)) sim.vstates;
+      Array.iter (Canonical.add_string c) sim.digests;
       Canonical.add_bool_array c sim.visited;
       Canonical.add_sorted_strings c (List.map tkey sim.in_flight);
       Canonical.contents c

@@ -5,7 +5,8 @@
     - {!Engine} — discrete-event executor with bit-exact accounting over
       the graph's CSR arrays, with an arena of encoded messages and a
       certified fast path for flood-shaped protocols;
-    - {!Scheduler} — asynchronous delivery orders, including adversarial ones;
+    - {!Scheduler} — delivery orders, including adversarial ones and the
+      synchronous model's rounds;
     - {!Faults} — the per-edge adversary: channel faults (drop / duplicate /
       delay / corrupt / kill) and edge churn (remove / heal / add) with a
       T-interval-connectivity contract, all seeded;
@@ -26,7 +27,6 @@
 module Protocol_intf = Protocol_intf
 module Arena = Arena
 module Engine = Engine
-module Sync_engine = Sync_engine
 module Scheduler = Scheduler
 module Faults = Faults
 module Vfaults = Vfaults

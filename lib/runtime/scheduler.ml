@@ -1,5 +1,6 @@
 type t =
   | Fifo
+  | Rounds
   | Lifo
   | Random of Prng.t
   | Edge_priority of (int -> int)
@@ -7,6 +8,7 @@ type t =
 
 let describe = function
   | Fifo -> "fifo"
+  | Rounds -> "rounds"
   | Lifo -> "lifo"
   | Random _ -> "random"
   | Edge_priority _ -> "edge-priority"

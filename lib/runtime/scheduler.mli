@@ -1,4 +1,4 @@
-(** Asynchronous delivery schedules.
+(** Delivery schedules.
 
     The model of Section 2 is fully asynchronous: an adversary may delay any
     in-flight message arbitrarily.  The paper's correctness claims hold for
@@ -6,10 +6,15 @@
     type and the test-suite re-runs protocols under many schedules.  Since
     the protocols are delta-based and state-monotone, no per-edge FIFO
     assumption is made — [Lifo] and [Random] freely reorder messages that
-    share an edge. *)
+    share an edge; [Rounds] runs Section 2's synchronous model. *)
 
 type t =
   | Fifo  (** Deliver in send order: the "synchronous-looking" schedule. *)
+  | Rounds
+      (** Section 2's synchronous model: [Fifo] order, which delivers round
+          by round (a copy's round is its causal depth), except that the
+          terminal's acceptance only closes its round; the run ends once
+          that round is delivered. *)
   | Lifo  (** Always deliver the newest message: depth-first progress. *)
   | Random of Prng.t
       (** Uniformly random in-flight message: the schedule used for

@@ -9,30 +9,30 @@ module E = Runtime.Engine
 module Is = Intervals.Iset
 open Helpers
 
-module Sync_general = Runtime.Sync_engine.Make (Anonet.General_broadcast)
-module Sync_tree = Runtime.Sync_engine.Make (Anonet.Tree_broadcast)
-module Sync_dag = Runtime.Sync_engine.Make (Anonet.Dag_broadcast_pow2)
-module Sync_label = Runtime.Sync_engine.Make (Anonet.Labeling)
-module Sync_map = Runtime.Sync_engine.Make (Anonet.Mapping)
+module Sync_general = Runtime.Engine.Make (Anonet.General_broadcast)
+module Sync_tree = Runtime.Engine.Make (Anonet.Tree_broadcast)
+module Sync_dag = Runtime.Engine.Make (Anonet.Dag_broadcast_pow2)
+module Sync_label = Runtime.Engine.Make (Anonet.Labeling)
+module Sync_map = Runtime.Engine.Make (Anonet.Mapping)
 
-(* {1 Synchronous engine} *)
+(* {1 Synchronous model} *)
 
 let test_sync_rounds_on_path () =
   (* s -> v1 -> ... -> vn -> t: the commodity needs exactly n+1 rounds. *)
   List.iter
     (fun n ->
-      let r = Sync_tree.run (F.path n) in
-      Alcotest.check outcome "terminates" E.Terminated r.base.outcome;
+      let r = Sync_tree.run ~scheduler:Rounds (F.path n) in
+      Alcotest.check outcome "terminates" E.Terminated r.outcome;
       Alcotest.(check int) (Printf.sprintf "rounds on path %d" n) (n + 1) r.rounds)
     [ 1; 3; 10; 50 ]
 
 let test_sync_matches_async_outcome () =
   List.iter
     (fun (name, g) ->
-      let sync = Sync_general.run g in
+      let sync = Sync_general.run ~scheduler:Rounds g in
       let asy = Anonet.broadcast_general g in
       Alcotest.check outcome (name ^ ": same outcome") asy.outcome
-        sync.base.outcome)
+        sync.outcome)
     [
       ("comb", F.comb 6);
       ("grid", F.grid_dag ~rows:3 ~cols:3);
@@ -43,37 +43,68 @@ let test_sync_matches_async_outcome () =
 
 let test_sync_dag_rounds_are_depth () =
   (* On a grid the DAG protocol's round count is the longest s->t path. *)
-  let r = Sync_dag.run (F.grid_dag ~rows:3 ~cols:4) in
-  Alcotest.check outcome "terminated" E.Terminated r.base.outcome;
+  let r = Sync_dag.run ~scheduler:Rounds (F.grid_dag ~rows:3 ~cols:4) in
+  Alcotest.check outcome "terminated" E.Terminated r.outcome;
   (* s -> (0,0) -> ... -> (2,3) -> t: 1 + (rows-1 + cols-1) + 1 + 1 hops. *)
   Alcotest.(check int) "rounds = depth" 7 r.rounds
+
+(* E11's rows, pinned: rounds, deliveries and total bits of tree broadcast
+   on paths and general broadcast on E11's random digraphs. *)
+let test_sync_e11_rows () =
+  List.iter
+    (fun (n, bits) ->
+      let r = Sync_tree.run ~scheduler:Rounds (F.path n) in
+      let name = Printf.sprintf "path %d" n in
+      Alcotest.check outcome name E.Terminated r.outcome;
+      Alcotest.(check int) (name ^ " rounds") (n + 1) r.rounds;
+      Alcotest.(check int) (name ^ " deliveries") (n + 1) r.deliveries;
+      Alcotest.(check int) (name ^ " bits") bits r.total_bits)
+    [ (4, 30); (16, 102); (64, 390); (256, 1542) ];
+  List.iter
+    (fun (n, rounds, deliveries, bits) ->
+      let g =
+        F.random_digraph (Prng.create (7000 + n)) ~n ~extra_edges:n
+          ~back_edges:(n / 4) ~t_edge_prob:0.2
+      in
+      let r = Sync_general.run ~scheduler:Rounds g in
+      let name = Printf.sprintf "general %d" n in
+      Alcotest.check outcome name E.Terminated r.outcome;
+      Alcotest.(check int) (name ^ " rounds") rounds r.rounds;
+      Alcotest.(check int) (name ^ " deliveries") deliveries r.deliveries;
+      Alcotest.(check int) (name ^ " bits") bits r.total_bits)
+    [
+      (16, 7, 99, 2846);
+      (32, 8, 487, 14428);
+      (64, 11, 628, 24668);
+      (128, 13, 9793, 404069);
+    ]
 
 let prop_sync_general_correct =
   qcheck_to_alcotest ~count:60 "sync general broadcast correct on digraphs"
     arb_digraph (fun g ->
-      let r = Sync_general.run g in
-      r.base.outcome = E.Terminated
-      && Array.for_all (fun v -> v) r.base.visited
+      let r = Sync_general.run ~scheduler:Rounds g in
+      r.outcome = E.Terminated
+      && Array.for_all (fun v -> v) r.visited
       && r.rounds > 0)
 
 let prop_sync_labeling_valid =
   qcheck_to_alcotest ~count:40 "sync labeling yields disjoint labels" arb_digraph
     (fun g ->
-      let r = Sync_label.run g in
+      let r = Sync_label.run ~scheduler:Rounds g in
       let labels =
-        List.map (fun v -> Anonet.Labeling.label r.base.states.(v))
+        List.map (fun v -> Anonet.Labeling.label r.states.(v))
           (G.internal_vertices g)
       in
-      r.base.outcome = E.Terminated
+      r.outcome = E.Terminated
       && List.for_all (fun l -> not (Is.is_empty l)) labels
       && pairwise_disjoint labels)
 
 let prop_sync_mapping_reconstructs =
   qcheck_to_alcotest ~count:30 "sync mapping reconstructs" arb_digraph (fun g ->
-      let r = Sync_map.run g in
-      r.base.outcome = E.Terminated
+      let r = Sync_map.run ~scheduler:Rounds g in
+      r.outcome = E.Terminated
       &&
-      match Anonet.Mapping.extract_map r.base.states.(G.terminal g) with
+      match Anonet.Mapping.extract_map r.states.(G.terminal g) with
       | Ok m -> Anonet.Mapping.map_isomorphic m g
       | Error _ -> false)
 
@@ -254,6 +285,7 @@ let () =
           Alcotest.test_case "matches async outcomes" `Quick
             test_sync_matches_async_outcome;
           Alcotest.test_case "dag rounds = depth" `Quick test_sync_dag_rounds_are_depth;
+          Alcotest.test_case "E11 rows" `Quick test_sync_e11_rows;
           prop_sync_general_correct;
           prop_sync_labeling_valid;
           prop_sync_mapping_reconstructs;

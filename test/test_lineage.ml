@@ -40,6 +40,9 @@ let parity_prop g =
   if L.dropped lc <> 0 || L.dropped lf <> 0 then fail "unexpected drops";
   if L.max_depth lc <> L.max_depth lf then
     fail "max_depth %d <> %d" (L.max_depth lc) (L.max_depth lf);
+  if cr.E.rounds <> fr.E.rounds || fr.E.rounds <> L.max_depth lc then
+    fail "rounds generic %d, fast %d, max_depth %d" cr.E.rounds fr.E.rounds
+      (L.max_depth lc);
   if L.width lc <> L.width lf then fail "width differs";
   if L.depth_histogram lc <> L.depth_histogram lf then
     fail "depth histogram differs";

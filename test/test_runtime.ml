@@ -71,10 +71,8 @@ let test_payload_bits_charged () =
     (base.total_bits + (100 * base.deliveries))
     loaded.total_bits
 
-module Sync_flood = Runtime.Sync_engine.Make (Anonet.Flood)
-
-(* Both engines, and both of Engine's paths (flood fast path under Fifo,
-   generic under Lifo), refuse a negative message size. *)
+(* Both of Engine's paths (flood fast path under Fifo, generic under Lifo)
+   and the synchronous schedule refuse a negative message size. *)
 let test_negative_payload_rejected () =
   let g = F.path 3 in
   let engine = Invalid_argument "Engine.run: payload_bits must be >= 0" in
@@ -83,9 +81,10 @@ let test_negative_payload_rejected () =
   Alcotest.check_raises "engine, generic path" engine (fun () ->
       ignore
         (Flood_engine.run ~scheduler:Runtime.Scheduler.Lifo ~payload_bits:(-1) g));
-  Alcotest.check_raises "sync engine"
-    (Invalid_argument "Sync_engine.run: payload_bits must be >= 0") (fun () ->
-      ignore (Sync_flood.run ~payload_bits:(-50) g))
+  Alcotest.check_raises "engine, rounds" engine (fun () ->
+      ignore
+        (Flood_engine.run ~scheduler:Runtime.Scheduler.Rounds ~payload_bits:(-1)
+           g))
 
 let test_step_limit () =
   let g = F.grid_dag ~rows:4 ~cols:4 in
