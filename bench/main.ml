@@ -503,7 +503,7 @@ let campaign_seeds = List.init 20 (fun i -> i + 1)
 let campaign_step_limit = 300_000
 
 (* One (runners, graph) pair per broadcast protocol, bare and behind
-   Redundant(3), each on its own graph family. *)
+   Redundant(3), each on its own graph family: the chaos suite's three. *)
 let campaign_sweeps () =
   let module C = Runtime.Campaign in
   let module K3 = struct
@@ -518,31 +518,13 @@ let campaign_sweeps () =
   let module Tree_r3_runner = C.Of_protocol (Tree_r3) in
   let module Dag_r3_runner = C.Of_protocol (Dag_r3) in
   let module General_r3_runner = C.Of_protocol (General_r3) in
-  [
-    ( [ Tree_runner.runner (); Tree_r3_runner.runner () ],
-      {
-        C.g_name = "random-tree-16";
-        build =
-          (fun ~seed ->
-            F.random_grounded_tree (Prng.create seed) ~n:16 ~t_edge_prob:0.3);
-      } );
-    ( [ Dag_runner.runner (); Dag_r3_runner.runner () ],
-      {
-        C.g_name = "random-dag-16";
-        build =
-          (fun ~seed ->
-            F.random_dag (Prng.create seed) ~n:16 ~extra_edges:16
-              ~t_edge_prob:0.25);
-      } );
-    ( [ General_runner.runner (); General_r3_runner.runner () ],
-      {
-        C.g_name = "random-digraph-16";
-        build =
-          (fun ~seed ->
-            F.random_digraph (Prng.create seed) ~n:16 ~extra_edges:10
-              ~back_edges:4 ~t_edge_prob:0.25);
-      } );
-  ]
+  List.combine
+    [
+      [ Tree_runner.runner (); Tree_r3_runner.runner () ];
+      [ Dag_runner.runner (); Dag_r3_runner.runner () ];
+      [ General_runner.runner (); General_r3_runner.runner () ];
+    ]
+    (Anonet.Resilient.chaos_graphs ())
 
 (* Machine-readable counterpart of E12: each broadcast protocol, bare and
    behind Redundant(3), swept on its own graph family over a full drop x
@@ -613,8 +595,8 @@ let check () =
 
 (* The three seed-parallel sweeps, each on 1 and 2 pool domains: the E12
    fault campaign through [Par.Campaign], the E17 supervised chaos search
-   through [Par.Chaos], and the model-checking suite through
-   [Par.Pool.map_list] over [Check_suite.cases].  Reports the sweep's work
+   through [Chaos.run ~map:(Par.map ())], and the model-checking suite
+   through [Par.Pool.map_list] over [Check_suite.cases].  Reports the sweep's work
    units (campaign runs, chaos trials, check cases) per wall-clock second
    at each domain count, and whether every 2-domain JSON rendering is
    byte-identical to the 1-domain one; ["pass"] requires all three. *)
@@ -648,7 +630,7 @@ let throughput ~small () =
       Anonet.Resilient.chaos_runner ~k:3 (module Anonet.General_broadcast)
     in
     let r =
-      Par.Chaos.run ~domains cfg ~runners:[ runner ]
+      Ch.run ~map:(Par.map ~domains ()) cfg ~runners:[ runner ]
         ~graphs:(Anonet.Resilient.chaos_graphs ())
     in
     (r.Ch.trials_run, Ch.to_json r)
@@ -687,7 +669,7 @@ let throughput ~small () =
   let sweeps =
     [
       ("faults", "Par.Campaign", "runs", measure faults);
-      ("chaos", "Par.Chaos", "trials", measure chaos);
+      ("chaos", "Chaos.run ~map", "trials", measure chaos);
       ("check", "Par.Pool.map_list", "cases", measure check);
     ]
   in
@@ -880,7 +862,7 @@ let chaos_bench ~small () =
     List.for_all
       (fun (w : Ch.witness) ->
         let gc =
-          List.find (fun gc -> gc.Runtime.Campaign.g_name = w.Ch.w_graph) graphs
+          List.find (fun gc -> gc.Runtime.Chaos.g_name = w.Ch.w_graph) graphs
         in
         Ch.confirms w (Ch.replay neg_cfg neg_runner gc w))
       neg.Ch.witnesses

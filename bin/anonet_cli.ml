@@ -892,7 +892,7 @@ let print_witnesses ?json_out cfg runner graphs (res : Runtime.Chaos.result) =
   List.iter
     (fun (w : Ch.witness) ->
       let gc =
-        List.find (fun gc -> gc.Runtime.Campaign.g_name = w.Ch.w_graph) graphs
+        List.find (fun gc -> gc.Runtime.Chaos.g_name = w.Ch.w_graph) graphs
       in
       let confirmed = Ch.confirms w (Ch.replay cfg runner gc w) in
       pf "\n%s on %s (trial %d, shrunk %d -> %d atoms)%s\n"
@@ -918,7 +918,7 @@ let replay_first ?obs ?lineage cfg runner graphs (res : Runtime.Chaos.result) =
   | w :: _ when obs <> None || lineage <> None ->
       let gc =
         List.find
-          (fun gc -> gc.Runtime.Campaign.g_name = w.Runtime.Chaos.w_graph)
+          (fun gc -> gc.Runtime.Chaos.g_name = w.Runtime.Chaos.w_graph)
           graphs
       in
       ignore (Runtime.Chaos.replay ?obs ?lineage cfg runner gc w)
@@ -1029,8 +1029,7 @@ let chaos_cmd =
             runner.Ch.r_name budget (List.length graphs) max_faults seed
             (if supervise then ", supervised" else "");
           let res =
-            if domains > 1 then Par.Chaos.run ~domains cfg ~runners:[ runner ] ~graphs
-            else Ch.run cfg ~runners:[ runner ] ~graphs
+            Ch.run ~map:(Par.map ~domains ()) cfg ~runners:[ runner ] ~graphs
           in
           print_witnesses ?json_out cfg runner graphs res;
           let obs = make_obs ~sample trace_out metrics_out csv_out in

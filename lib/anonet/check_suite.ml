@@ -156,7 +156,7 @@ let chaos_churn ?(budget = 40) ?(seed = 11) () =
    in mid-run by an [Add] atom — circulates tokens forever. *)
 let dynamic_case ~n =
   {
-    Runtime.Campaign.g_name = Printf.sprintf "random-dynamic-%d" n;
+    Runtime.Chaos.g_name = Printf.sprintf "random-dynamic-%d" n;
     build =
       (fun ~seed ->
         F.random_dynamic (Prng.create seed) ~n ~extra_edges:6 ~back_edges:2

@@ -74,7 +74,7 @@ val chaos_churn : ?budget:int -> ?seed:int -> unit -> Runtime.Chaos.result
     bounded outages heal under supervisor retransmission, so soundness
     survives churn.  Defaults: [budget = 40], [seed = 11]. *)
 
-val dynamic_case : n:int -> Runtime.Campaign.graph_case
+val dynamic_case : n:int -> Runtime.Chaos.graph_case
 (** [random-dynamic-n]: the {!Digraph.Families.random_dynamic} footprint
     that the churn searches add to their suite. *)
 

@@ -73,20 +73,20 @@ let chaos_graphs () =
   let module F = Digraph.Families in
   [
     {
-      Runtime.Campaign.g_name = "random-tree-16";
+      Runtime.Chaos.g_name = "random-tree-16";
       build =
         (fun ~seed ->
           F.random_grounded_tree (Prng.create seed) ~n:16 ~t_edge_prob:0.3);
     };
     {
-      Runtime.Campaign.g_name = "random-dag-16";
+      Runtime.Chaos.g_name = "random-dag-16";
       build =
         (fun ~seed ->
           F.random_dag (Prng.create seed) ~n:16 ~extra_edges:16
             ~t_edge_prob:0.25);
     };
     {
-      Runtime.Campaign.g_name = "random-digraph-16";
+      Runtime.Chaos.g_name = "random-digraph-16";
       build =
         (fun ~seed ->
           F.random_digraph (Prng.create seed) ~n:16 ~extra_edges:10

@@ -66,6 +66,6 @@ val run_escalating :
     [.default].  Stops at the first terminating attempt, when no loss was
     observed (escalating cannot help), or past [k_max]. *)
 
-val chaos_graphs : unit -> Runtime.Campaign.graph_case list
+val chaos_graphs : unit -> Runtime.Chaos.graph_case list
 (** [random-tree-16], [random-dag-16], [random-digraph-16] — the fault
     campaign's families, reused as the chaos default suite. *)

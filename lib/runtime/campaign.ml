@@ -42,41 +42,29 @@ let grid ?(drops = [ 0.0 ]) ?(duplicates = [ 0.0 ]) ?(max_delays = [ 0 ])
         duplicates)
     drops
 
-type run_summary = {
-  outcome : Engine.outcome;
-  visited : bool array;
-  deliveries : int;
-  total_bits : int;
-  final_in_flight : int;
-  fault_stats : Engine.fault_stats;
-}
-
 type runner = {
   r_name : string;
-  run : faults:Faults.t -> step_limit:int -> Digraph.t -> run_summary;
+  run : faults:Faults.t -> step_limit:int -> Digraph.t -> Chaos.summary;
 }
 
 module Of_protocol (P : Protocol_intf.PROTOCOL) = struct
-  module E = Engine.Make (P)
+  module R = Chaos.Of_protocol (P)
 
   let runner ?(scheduler = Scheduler.Fifo) ?name () =
+    let r = R.runner ?name () in
     {
-      r_name = (match name with Some n -> n | None -> P.name);
+      r_name = r.r_name;
       run =
         (fun ~faults ~step_limit g ->
-          let r = E.run ~scheduler ~faults ~step_limit g in
-          {
-            outcome = r.outcome;
-            visited = r.visited;
-            deliveries = r.deliveries;
-            total_bits = r.total_bits;
-            final_in_flight = r.final_in_flight;
-            fault_stats = r.fault_stats;
-          });
+          r.run ~scheduler ~record:false ~faults ~vfaults:Vfaults.none
+            ~supervisor:None ~step_limit g);
     }
 end
 
-type graph_case = { g_name : string; build : seed:int -> Digraph.t }
+type graph_case = Chaos.graph_case = {
+  g_name : string;
+  build : seed:int -> Digraph.t;
+}
 
 type violation = {
   v_runner : string;
@@ -116,177 +104,124 @@ type result = {
   starvations : starvation list;
 }
 
-(* Reachable-but-unvisited vertices: non-empty at [Terminated] is exactly a
-   soundness violation of the broadcast specification. *)
-let unreached_of g (s : run_summary) =
-  let reach = Digraph.reachable_from_s g in
-  List.filter
-    (fun v -> reach.(v) && not s.visited.(v))
-    (Digraph.vertices g)
-
-let execute ~step_limit (r : runner) (gc : graph_case) (pt : fault_point) seed =
+let execute ~step_limit r gc pt seed =
   let g = gc.build ~seed in
-  let faults = Faults.uniform pt.fault_plan ~seed in
-  (g, r.run ~faults ~step_limit g)
+  let s = r.run ~faults:(Faults.uniform pt.fault_plan ~seed) ~step_limit g in
+  (s, Chaos.missing g [] s)
 
 let violates ~step_limit r gc pt seed =
-  let g, s = execute ~step_limit r gc pt seed in
-  s.outcome = Engine.Terminated && unreached_of g s <> []
+  let s, unreached = execute ~step_limit r gc pt seed in
+  s.outcome = Engine.Terminated && unreached <> []
 
-(* Shrink a failing point: independently walk every rate down through a
-   small candidate ladder while the same (runner, graph, seed) still fails,
-   iterating to a fixpoint; then scan the sweep's seeds in order for the
-   smallest one failing at the shrunk rates. *)
+(* Shrink a failing point: walk every rate down through a small ladder
+   while the same (runner, graph, seed) still fails, at most three passes;
+   then scan the sweep's seeds in order for the smallest one failing at
+   the shrunk rates. *)
 let shrink ~step_limit r gc pt seed seeds =
   let fails plan = violates ~step_limit r gc (of_plan plan) seed in
   let lower_float v = if v = 0.0 then [] else [ 0.0; v /. 4.0; v /. 2.0 ] in
   let lower_int v = if v = 0 then [] else [ 0; v / 2 ] in
-  let try_field plan candidates set =
-    let rec first = function
-      | [] -> plan
-      | c :: rest -> if fails (set plan c) then set plan c else first rest
-    in
-    first candidates
+  let rates : (Faults.plan -> Faults.plan list) list =
+    [
+      (fun p -> List.map (fun v -> { p with drop = v }) (lower_float p.drop));
+      (fun p ->
+        List.map (fun v -> { p with duplicate = v }) (lower_float p.duplicate));
+      (fun p ->
+        List.map (fun v -> { p with max_delay = v }) (lower_int p.max_delay));
+      (fun p ->
+        List.map (fun v -> { p with corrupt = v }) (lower_float p.corrupt));
+      (fun p -> List.map (fun v -> { p with kill = v }) (lower_float p.kill));
+    ]
   in
-  let pass (plan : Faults.plan) =
-    let plan =
-      try_field plan (lower_float plan.drop) (fun p v -> { p with Faults.drop = v })
-    in
-    let plan =
-      try_field plan (lower_float plan.duplicate) (fun p v ->
-          { p with Faults.duplicate = v })
-    in
-    let plan =
-      try_field plan (lower_int plan.max_delay) (fun p v ->
-          { p with Faults.max_delay = v })
-    in
-    let plan =
-      try_field plan (lower_float plan.corrupt) (fun p v ->
-          { p with Faults.corrupt = v })
-    in
-    try_field plan (lower_float plan.kill) (fun p v -> { p with Faults.kill = v })
+  let shrunk_plan =
+    Chaos.fixpoint ~limit:3 (Chaos.first_failing fails rates) pt.fault_plan
   in
-  let rec fix plan budget =
-    if budget = 0 then plan
-    else
-      let plan' = pass plan in
-      if plan' = plan then plan else fix plan' (budget - 1)
-  in
-  let shrunk_plan = fix pt.fault_plan 3 in
   let shrunk_point = of_plan shrunk_plan in
-  let shrunk_seed =
-    match
-      List.find_opt
-        (fun s -> violates ~step_limit r gc shrunk_point s)
-        (List.sort compare seeds)
-    with
-    | Some s -> s
-    | None -> seed
-  in
-  (shrunk_point, shrunk_seed)
+  let failing = violates ~step_limit r gc shrunk_point in
+  ( shrunk_point,
+    Option.value ~default:seed (List.find_opt failing (List.sort compare seeds))
+  )
 
-let run ?(step_limit = 200_000) ?(max_shrinks = 8) ~runners ~graphs ~grid ~seeds
-    () =
-  let cells = ref [] in
-  let violations = ref [] in
-  let starvations = ref [] in
-  let shrinks_left = ref max_shrinks in
-  (* Shrink results memoized by the canonical fault-plan key: different
-     seeds of one (runner, graph, point) cell usually collapse onto the
-     same shrunk plan, and re-deriving it would burn the shrink budget on
-     repeats instead of fresh failures. *)
-  let shrink_memo : (string, fault_point * int) Hashtbl.t = Hashtbl.create 8 in
-  let shrink_key r gc (pt : fault_point) =
-    let p = pt.fault_plan in
-    Printf.sprintf "%s|%s|%g,%g,%d,%g,%g" r.r_name gc.g_name p.Faults.drop
-      p.Faults.duplicate p.Faults.max_delay p.Faults.corrupt p.Faults.kill
+(* One (runner, graph, point) cell over every seed.  The cell's first
+   violation is shrunk once and its witness shared by the cell's other
+   violations: they differ only in the seed, which the shrink rescans. *)
+let sweep_cell ~step_limit ~seeds (r, gc, pt) =
+  let runs =
+    List.map (fun seed -> (seed, execute ~step_limit r gc pt seed)) seeds
   in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun gc ->
-          List.iter
-            (fun pt ->
-              let terminated = ref 0 in
-              let false_terminated = ref 0 in
-              let quiescent = ref 0 in
-              let step_limited = ref 0 in
-              let total_deliveries = ref 0 in
-              let total_bits = ref 0 in
-              List.iter
-                (fun seed ->
-                  let g, s = execute ~step_limit r gc pt seed in
-                  total_deliveries := !total_deliveries + s.deliveries;
-                  total_bits := !total_bits + s.total_bits;
-                  match s.outcome with
-                  | Engine.Terminated -> (
-                      match unreached_of g s with
-                      | [] -> incr terminated
-                      | unreached ->
-                          incr false_terminated;
-                          let shrunk_point, shrunk_seed =
-                            let key = shrink_key r gc pt in
-                            match Hashtbl.find_opt shrink_memo key with
-                            | Some cached -> cached
-                            | None ->
-                                if !shrinks_left > 0 then begin
-                                  decr shrinks_left;
-                                  let res =
-                                    shrink ~step_limit r gc pt seed seeds
-                                  in
-                                  Hashtbl.add shrink_memo key res;
-                                  res
-                                end
-                                else (pt, seed)
-                          in
-                          violations :=
-                            {
-                              v_runner = r.r_name;
-                              v_graph = gc.g_name;
-                              v_point = pt;
-                              v_seed = seed;
-                              unreached;
-                              shrunk_point;
-                              shrunk_seed;
-                            }
-                            :: !violations)
-                  | Engine.Quiescent ->
-                      incr quiescent;
-                      let starved = unreached_of g s in
-                      if starved <> [] || s.fault_stats.dead_edges <> [] then
-                        starvations :=
-                          {
-                            s_runner = r.r_name;
-                            s_graph = gc.g_name;
-                            s_point = pt;
-                            s_seed = seed;
-                            starved;
-                            dark_edges = s.fault_stats.dead_edges;
-                          }
-                          :: !starvations
-                  | Engine.Step_limit | Engine.Cancelled -> incr step_limited)
-                seeds;
-              cells :=
-                {
-                  c_runner = r.r_name;
-                  c_graph = gc.g_name;
-                  c_point = pt;
-                  runs = List.length seeds;
-                  terminated = !terminated;
-                  false_terminated = !false_terminated;
-                  quiescent = !quiescent;
-                  step_limited = !step_limited;
-                  total_deliveries = !total_deliveries;
-                  total_bits = !total_bits;
-                }
-                :: !cells)
-            grid)
-        graphs)
-    runners;
+  let ended o =
+    List.filter (fun (_, ((s : Chaos.summary), _)) -> s.outcome = o) runs
+  in
+  let terminated = ended Engine.Terminated in
+  let quiescent = ended Engine.Quiescent in
+  let false_terminated = List.filter (fun (_, (_, u)) -> u <> []) terminated in
+  let violations =
+    match false_terminated with
+    | [] -> []
+    | (seed, _) :: _ ->
+        let shrunk_point, shrunk_seed = shrink ~step_limit r gc pt seed seeds in
+        List.map
+          (fun (seed, (_, unreached)) ->
+            {
+              v_runner = r.r_name;
+              v_graph = gc.g_name;
+              v_point = pt;
+              v_seed = seed;
+              unreached;
+              shrunk_point;
+              shrunk_seed;
+            })
+          false_terminated
+  in
+  let starvations =
+    List.filter_map
+      (fun (seed, ((s : Chaos.summary), starved)) ->
+        if starved = [] && s.fault_stats.dead_edges = [] then None
+        else
+          Some
+            {
+              s_runner = r.r_name;
+              s_graph = gc.g_name;
+              s_point = pt;
+              s_seed = seed;
+              starved;
+              dark_edges = s.fault_stats.dead_edges;
+            })
+      quiescent
+  in
+  let sum f = List.fold_left (fun acc (_, (s, _)) -> acc + f s) 0 runs in
+  let n_terminated = List.length terminated in
+  let n_violations = List.length violations in
+  ( {
+      c_runner = r.r_name;
+      c_graph = gc.g_name;
+      c_point = pt;
+      runs = List.length runs;
+      terminated = n_terminated - n_violations;
+      false_terminated = n_violations;
+      quiescent = List.length quiescent;
+      step_limited = List.length runs - n_terminated - List.length quiescent;
+      total_deliveries = sum (fun s -> s.deliveries);
+      total_bits = sum (fun s -> s.total_bits);
+    },
+    violations,
+    starvations )
+
+let run ?(map = Chaos.sequential) ?(step_limit = 200_000) ~runners ~graphs
+    ~grid ~seeds () =
+  let jobs =
+    List.concat_map
+      (fun r ->
+        List.concat_map (fun gc -> List.map (fun pt -> (r, gc, pt)) grid) graphs)
+      runners
+  in
+  let parts =
+    Array.to_list (map.map (sweep_cell ~step_limit ~seeds) (Array.of_list jobs))
+  in
   {
-    cells = List.rev !cells;
-    violations = List.rev !violations;
-    starvations = List.rev !starvations;
+    cells = List.map (fun (c, _, _) -> c) parts;
+    violations = List.concat_map (fun (_, v, _) -> v) parts;
+    starvations = List.concat_map (fun (_, _, s) -> s) parts;
   }
 
 let sound res = res.violations = []

@@ -41,29 +41,24 @@ val grid :
   fault_point list
 (** Cross product of the given axes (each defaults to [[0]]/[[0.0]]). *)
 
-type run_summary = {
-  outcome : Engine.outcome;
-  visited : bool array;
-  deliveries : int;
-  total_bits : int;
-  final_in_flight : int;
-  fault_stats : Engine.fault_stats;
-}
-
 type runner = {
   r_name : string;
-  run : faults:Faults.t -> step_limit:int -> Digraph.t -> run_summary;
+  run : faults:Faults.t -> step_limit:int -> Digraph.t -> Chaos.summary;
 }
 (** A protocol under test, abstracted so the campaign machinery does not
     depend on any concrete protocol library. *)
 
-(** Wrap a protocol's engine as a campaign runner. *)
+(** Wrap a protocol's engine as a campaign runner: the {!Chaos} runner with
+    no vertex faults, no supervisor and no schedule recording. *)
 module Of_protocol (P : Protocol_intf.PROTOCOL) : sig
   val runner : ?scheduler:Scheduler.t -> ?name:string -> unit -> runner
   (** Defaults: [Fifo] (keeps the campaign deterministic), [P.name]. *)
 end
 
-type graph_case = { g_name : string; build : seed:int -> Digraph.t }
+type graph_case = Chaos.graph_case = {
+  g_name : string;
+  build : seed:int -> Digraph.t;
+}
 (** A graph family; [build] must be deterministic in [seed]. *)
 
 type violation = {
@@ -107,21 +102,22 @@ type result = {
 }
 
 val run :
+  ?map:Chaos.map ->
   ?step_limit:int ->
-  ?max_shrinks:int ->
   runners:runner list ->
   graphs:graph_case list ->
   grid:fault_point list ->
   seeds:int list ->
   unit ->
   result
-(** Sweep everything.  Defaults: [step_limit = 200_000]; at most
-    [max_shrinks = 8] {e distinct} failures are shrunk: shrink results are
-    memoized by the canonical (runner, graph, fault-plan) key, so the many
-    seeds of one failing cell share a single shrink run instead of burning
-    the budget on identical witnesses (the rest keep their original
-    witness).  Fault seeds are taken verbatim from [seeds], so a reported
-    [(point, seed)] pair replays with
+(** Sweep everything: one job per (runner, graph, point) cell, evaluated
+    through [map] (default {!Chaos.sequential}) and listed in that nesting
+    order, so the result does not depend on [map].  Default
+    [step_limit = 200_000].  A cell shrinks its first violation once and
+    every violation of the cell carries that witness: the cell's seeds
+    share its fault plan, and the shrink rescans them for the smallest
+    failing one.  Fault seeds are taken verbatim from [seeds], so a
+    reported [(point, seed)] pair replays with
     [Faults.uniform point.fault_plan ~seed]. *)
 
 val sound : result -> bool

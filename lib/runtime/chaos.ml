@@ -153,7 +153,33 @@ module Of_protocol (P : Protocol_intf.PROTOCOL) = struct
     }
 end
 
+(* The one coverage rule: required-but-unvisited vertices.  Non-empty at
+   [Terminated] is a soundness violation; plain rate faults excuse nothing,
+   so a campaign checks against [required g []]. *)
+let missing g fs s =
+  let req = required g fs in
+  List.filter (fun v -> req.(v) && not s.visited.(v)) (Digraph.vertices g)
+
+(* {1 Shrinking} *)
+
+let first_failing fails moves x =
+  List.fold_left
+    (fun x move ->
+      match List.find_opt fails (move x) with Some y -> y | None -> x)
+    x moves
+
+let rec fixpoint ?(limit = max_int) pass x =
+  if limit = 0 then x
+  else
+    let x' = pass x in
+    if x' = x then x else fixpoint ~limit:(limit - 1) pass x'
+
 (* {1 Search} *)
+
+type graph_case = { g_name : string; build : seed:int -> Digraph.t }
+type map = { map : 'a 'b. ('a -> 'b) -> 'a array -> 'b array }
+
+let sequential = { map = Array.map }
 
 type config = {
   budget : int;
@@ -289,111 +315,72 @@ let eval_trial cfg r ~graph fs =
     r.run ~scheduler:Scheduler.Fifo ~record:false ~faults ~vfaults
       ~supervisor:cfg.supervisor ~step_limit:cfg.step_limit graph
   in
-  let req = required graph fs in
-  let missing =
-    List.filter
-      (fun v -> req.(v) && not s.visited.(v))
-      (Digraph.vertices graph)
-  in
-  if missing = [] then
-    (* Full coverage but the run never stopped spinning: the
-       amnesiac-flooding breakage class (a churned-in back edge closes a
-       cycle and tokens circulate forever). *)
-    if s.outcome = Engine.Step_limit then Some (Livelock, []) else None
-  else Some ((if s.outcome = Engine.Terminated then Unsound else Starved), missing)
+  match missing graph fs s with
+  | [] ->
+      (* Full coverage but the run never stopped spinning: the
+         amnesiac-flooding breakage class (a churned-in back edge closes a
+         cycle and tokens circulate forever). *)
+      if s.outcome = Engine.Step_limit then Some (Livelock, []) else None
+  | m -> Some ((if s.outcome = Engine.Terminated then Unsound else Starved), m)
 
-(* Delta-debugging shrink preserving the violation kind: bisection passes
-   (drop either half while it still fails) to a fixpoint, then single-atom
-   removal to a fixpoint, then per-crash parameter lowering (downtime to 1,
-   crash position toward 1) — each accepted only if the reduced set still
-   produces the same kind. *)
+(* Parameter-lowering steps, tried in this order on every atom: a crash's
+   downtime to 1, a churn outage to 0 offers, then the atom's position to
+   its first offer or delivery.  Kills have no parameter to lower. *)
+let lowerings =
+  [
+    (function
+    | Crash_vertex c when c.Vfaults.downtime > 1 ->
+        Some (Crash_vertex { c with Vfaults.downtime = 1 })
+    | Churn_edge (Faults.Remove r) when r.down_for > 0 ->
+        Some (Churn_edge (Faults.Remove { r with down_for = 0 }))
+    | _ -> None);
+    (function
+    | Crash_vertex c when c.Vfaults.at > 1 ->
+        Some (Crash_vertex { c with Vfaults.at = 1 })
+    | Churn_edge (Faults.Remove r) when r.at > 1 ->
+        Some (Churn_edge (Faults.Remove { r with at = 1 }))
+    | Churn_edge (Faults.Add a) when a.at > 1 ->
+        Some (Churn_edge (Faults.Add { a with at = 1 }))
+    | _ -> None);
+  ]
+
+(* Delta-debugging shrink preserving the violation kind: bisection (keep
+   either half while it still fails) to a fixpoint, then single-atom
+   removal to a fixpoint, then one left-to-right pass of parameter
+   lowering over the {e current} set — every move is accepted only if the
+   whole reduced set still produces the same kind. *)
 let shrink cfg r ~graph kind fs =
   let fails fs =
     match eval_trial cfg r ~graph fs with
     | Some (k, _) -> k = kind
     | None -> false
   in
-  let rec halve fs =
-    let len = List.length fs in
-    if len <= 1 then fs
-    else begin
-      let half = len / 2 in
-      let front = List.filteri (fun i _ -> i < half) fs in
-      let back = List.filteri (fun i _ -> i >= half) fs in
-      if fails front then halve front
-      else if fails back then halve back
-      else fs
-    end
+  let halves fs =
+    let half = List.length fs / 2 in
+    if half = 0 then []
+    else
+      [
+        List.filteri (fun i _ -> i < half) fs;
+        List.filteri (fun i _ -> i >= half) fs;
+      ]
   in
-  let rec drop_one fs =
-    let len = List.length fs in
-    let rec try_at i =
-      if i >= len then fs
-      else begin
-        let without = List.filteri (fun j _ -> j <> i) fs in
-        if fails without then drop_one without else try_at (i + 1)
-      end
-    in
-    if len <= 1 then fs else try_at 0
+  let removals fs =
+    if List.length fs <= 1 then []
+    else List.mapi (fun i _ -> List.filteri (fun j _ -> j <> i) fs) fs
   in
-  let lower fs =
-    List.mapi
-      (fun i f ->
-        match f with
-        | Kill_edge _ -> f
-        | Crash_vertex c ->
-            let try_with c' =
-              let fs' = List.mapi (fun j f' -> if j = i then Crash_vertex c' else f') fs in
-              if fails fs' then Some c' else None
-            in
-            let c =
-              if c.Vfaults.downtime > 1 then
-                match try_with { c with Vfaults.downtime = 1 } with
-                | Some c' -> c'
-                | None -> c
-              else c
-            in
-            let c =
-              if c.Vfaults.at > 1 then
-                match try_with { c with Vfaults.at = 1 } with
-                | Some c' -> c'
-                | None -> c
-              else c
-            in
-            Crash_vertex c
-        | Churn_edge ev ->
-            let try_with ev' =
-              let fs' =
-                List.mapi (fun j f' -> if j = i then Churn_edge ev' else f') fs
-              in
-              if fails fs' then Some ev' else None
-            in
-            let ev =
-              match ev with
-              | Faults.Remove { edge; at; down_for } when down_for > 0 -> (
-                  match try_with (Faults.Remove { edge; at; down_for = 0 }) with
-                  | Some ev' -> ev'
-                  | None -> ev)
-              | _ -> ev
-            in
-            let ev =
-              match ev with
-              | Faults.Remove { edge; at; down_for } when at > 1 -> (
-                  match try_with (Faults.Remove { edge; at = 1; down_for }) with
-                  | Some ev' -> ev'
-                  | None -> ev)
-              | Faults.Add { edge; at } when at > 1 -> (
-                  match try_with (Faults.Add { edge; at = 1 }) with
-                  | Some ev' -> ev'
-                  | None -> ev)
-              | _ -> ev
-            in
-            Churn_edge ev)
-      fs
+  let lower i step fs =
+    match step (List.nth fs i) with
+    | Some f -> [ List.mapi (fun j f' -> if j = i then f else f') fs ]
+    | None -> []
   in
-  lower (drop_one (halve fs))
+  let fs = fixpoint (first_failing fails [ halves ]) fs in
+  let fs = fixpoint (first_failing fails [ removals ]) fs in
+  let lowers =
+    List.init (List.length fs) (fun i -> List.map (lower i) lowerings)
+  in
+  first_failing fails (List.concat lowers) fs
 
-let run ?(map = fun f a -> Array.map f a) cfg ~runners ~graphs =
+let run ?(map = sequential) cfg ~runners ~graphs =
   let trials_run = ref 0 in
   let hits = ref 0 in
   let duplicates = ref 0 in
@@ -402,10 +389,10 @@ let run ?(map = fun f a -> Array.map f a) cfg ~runners ~graphs =
   List.iter
     (fun r ->
       List.iter
-        (fun (gc : Campaign.graph_case) ->
-          let graph = gc.Campaign.build ~seed:cfg.seed in
+        (fun gc ->
+          let graph = gc.build ~seed:cfg.seed in
           let sets = trials cfg ~graph in
-          let verdicts = map (eval_trial cfg r ~graph) sets in
+          let verdicts = map.map (eval_trial cfg r ~graph) sets in
           trials_run := !trials_run + Array.length sets;
           Array.iteri
             (fun i verdict ->
@@ -418,7 +405,7 @@ let run ?(map = fun f a -> Array.map f a) cfg ~runners ~graphs =
                      random supersets collapse onto one minimal core, and
                      re-witnessing it would just repeat the replay run. *)
                   let key =
-                    r.r_name ^ "|" ^ gc.Campaign.g_name ^ "|"
+                    r.r_name ^ "|" ^ gc.g_name ^ "|"
                     ^ describe_kind kind ^ "|" ^ canonical_key shrunk
                   in
                   if Hashtbl.mem seen key then incr duplicates
@@ -430,21 +417,15 @@ let run ?(map = fun f a -> Array.map f a) cfg ~runners ~graphs =
                         ~vfaults ~supervisor:cfg.supervisor
                         ~step_limit:cfg.step_limit graph
                     in
-                    let req = required graph shrunk in
-                    let missing =
-                      List.filter
-                        (fun v -> req.(v) && not s.visited.(v))
-                        (Digraph.vertices graph)
-                    in
                     witnesses :=
                       {
                         w_runner = r.r_name;
-                        w_graph = gc.Campaign.g_name;
+                        w_graph = gc.g_name;
                         w_kind = kind;
                         w_trial = i;
                         w_original_size = List.length sets.(i);
                         w_faults = shrunk;
-                        w_missing = missing;
+                        w_missing = missing graph shrunk s;
                         w_outcome = s.outcome;
                         w_deliveries = s.deliveries;
                         w_total_bits = s.total_bits;
@@ -467,8 +448,8 @@ let run ?(map = fun f a -> Array.map f a) cfg ~runners ~graphs =
       List.length (List.filter (fun w -> w.w_kind = Livelock) witnesses);
   }
 
-let replay ?obs ?lineage cfg r (gc : Campaign.graph_case) w =
-  let graph = gc.Campaign.build ~seed:cfg.seed in
+let replay ?obs ?lineage cfg r gc w =
+  let graph = gc.build ~seed:cfg.seed in
   let faults, vfaults = compiled cfg ~graph w.w_faults in
   r.run
     ~scheduler:(Scheduler.Replay w.w_schedule)

@@ -25,10 +25,14 @@
     the violating run, recorded seq-by-seq, re-runnable through
     {!Scheduler.Replay} for a byte-identical report.
 
-    Everything is deterministic from [config.seed].  The per-trial
-    evaluation is exposed ({!trials} / {!eval_trial}) so {!Par}[.Chaos] can
-    fan the generation phase over a domain pool without this module
-    depending on the multicore layer. *)
+    This module is also the fault-search core {!Campaign} runs on: one
+    runner and summary, one coverage rule ({!missing}), one shrink driver
+    ({!first_failing} moves iterated by {!fixpoint}) and one job map
+    ({!map}), which a domain pool ([Par.map]) can stand in for.
+
+    Everything is deterministic from [config.seed], whatever [map] does:
+    trial sets are keyed by (seed, trial), and shrinking, dedup and
+    witness recording run in trial order. *)
 
 type fault =
   | Kill_edge of int  (** Permanently kill a dense edge index. *)
@@ -86,7 +90,34 @@ module Of_protocol (P : Protocol_intf.PROTOCOL) : sig
   val runner : ?name:string -> unit -> runner
 end
 
+val missing : Digraph.t -> fault list -> summary -> int list
+(** The one coverage rule: vertices {!required} under the fault set but
+    not visited in the run, in vertex order.  Non-empty at [Terminated] is
+    a soundness violation.  Rate faults excuse nothing, so a campaign uses
+    [missing g []]. *)
+
+(** {1 Shrinking} *)
+
+val first_failing : ('a -> bool) -> ('a -> 'a list) list -> 'a -> 'a
+(** [first_failing fails moves x] is one greedy pass: each move, in order,
+    proposes candidates for the current value, and the first candidate
+    that still [fails] replaces it. *)
+
+val fixpoint : ?limit:int -> ('a -> 'a) -> 'a -> 'a
+(** Apply a pass until it changes nothing (structural equality), or at
+    most [limit] times (default unbounded). *)
+
 (** {1 Search} *)
+
+type graph_case = { g_name : string; build : seed:int -> Digraph.t }
+(** A graph family; [build] must be deterministic in [seed]. *)
+
+type map = { map : 'a 'b. ('a -> 'b) -> 'a array -> 'b array }
+(** How a search evaluates its independent jobs: it must return [f]'s
+    results in input order.  [Par.map] spreads them over a domain pool. *)
+
+val sequential : map
+(** [Array.map]: the default of {!run} and {!Campaign.run}. *)
 
 type config = {
   budget : int;  (** Random fault sets per (runner, graph). *)
@@ -163,34 +194,27 @@ type result = {
   livelocked : int;  (** Witnesses of kind [Livelock]. *)
 }
 
-val trials : config -> graph:Digraph.t -> fault list array
-(** The [budget] generated fault sets, deterministic from the config seed
-    and the graph shape. *)
-
 val eval_trial :
   config -> runner -> graph:Digraph.t -> fault list -> (kind * int list) option
 (** Run one fault set; [Some (kind, missing)] iff it violates. *)
 
 val run :
-  ?map:
-    ((fault list -> (kind * int list) option) ->
-    fault list array ->
-    (kind * int list) option array) ->
-  config ->
-  runners:runner list ->
-  graphs:Campaign.graph_case list ->
-  result
-(** Full search: generate, evaluate ([map] lets {!Par}[.Chaos] parallelize
-    this phase; default is sequential [Array.map]), shrink each hit
+  ?map:map -> config -> runners:runner list -> graphs:graph_case list -> result
+(** Full search: generate, evaluate (through [map]), shrink each hit
     preserving its kind, dedup by {!canonical_key}, and record a replay
-    schedule per witness.  Graphs are built with [seed = config.seed]. *)
+    schedule per witness.  Shrinking halves the set, then drops single
+    atoms, then lowers parameters in one left-to-right pass over the
+    current set (a crash's downtime, then its position; a churn outage's
+    length, then its position; an [Add]'s position), keeping each step
+    only if the whole set still violates with the same kind.  Graphs are
+    built with [seed = config.seed]. *)
 
 val replay :
   ?obs:Obs.t ->
   ?lineage:Obs.Lineage.t ->
   config ->
   runner ->
-  Campaign.graph_case ->
+  graph_case ->
   witness ->
   summary
 (** Re-run a witness through {!Scheduler.Replay} on its recorded schedule

@@ -15,8 +15,9 @@
     - {!Supervisor} — the self-healing layer: per-vertex checkpoints and
       backoff retransmission;
     - {!Chaos} — joint edge-and-vertex fault-space search with witness
-      shrinking and replay;
-    - {!Campaign} — deterministic fault-campaign harness with soundness
+      shrinking and replay, and the fault-search core (runner, coverage
+      rule, shrink driver, job map) that {!Campaign} runs on;
+    - {!Campaign} — deterministic rate-grid fault campaigns with soundness
       checking and witness shrinking;
     - {!Explore} — exhaustive schedule-space model checker with sleep-set
       partial-order reduction and replayable counterexamples;

@@ -183,6 +183,33 @@ let test_supervised_redundant_has_no_unsound_witness () =
   Alcotest.(check int) "zero soundness violations" 0 res.Ch.unsound;
   Alcotest.(check bool) "search actually ran" true (res.Ch.trials_run >= 75)
 
+(* Every witness's shrunk set must violate on its own, with the recorded
+   kind and missing set.  Seed 2 with churn draws sets whose atoms each
+   lower alone but not together (k = 1, trial 16: two crashes whose
+   parameters cannot both drop to 1), so lowering must re-check the whole
+   current set at every step. *)
+let test_witnesses_reproduce_their_verdict () =
+  let cfg = Ch.config ~budget:40 ~seed:2 ~p_churn:0.3 () in
+  let graphs = Anonet.Resilient.chaos_graphs () in
+  List.iter
+    (fun k ->
+      let runner =
+        Anonet.Resilient.chaos_runner ~k (module Anonet.General_broadcast)
+      in
+      let res = Ch.run cfg ~runners:[ runner ] ~graphs in
+      List.iter
+        (fun (w : Ch.witness) ->
+          let gc = List.find (fun gc -> gc.Ch.g_name = w.w_graph) graphs in
+          let graph = gc.build ~seed:cfg.seed in
+          Alcotest.(check bool)
+            (Printf.sprintf "k=%d %s trial %d violates as recorded" k w.w_graph
+               w.w_trial)
+            true
+            (Ch.eval_trial cfg runner ~graph w.w_faults
+            = Some (w.w_kind, w.w_missing)))
+        res.witnesses)
+    [ 1; 3 ]
+
 (* {1 Parallel chaos} *)
 
 let test_par_chaos_matches_sequential () =
@@ -190,7 +217,7 @@ let test_par_chaos_matches_sequential () =
   let runners = [ flood_runner () ] in
   let graphs = Anonet.Resilient.chaos_graphs () in
   let seq = Ch.run cfg ~runners ~graphs in
-  let par = Par.Chaos.run ~domains:2 cfg ~runners ~graphs in
+  let par = Ch.run ~map:(Par.map ~domains:2 ()) cfg ~runners ~graphs in
   Alcotest.(check string) "byte-identical JSON" (Ch.to_json seq)
     (Ch.to_json par)
 
@@ -234,6 +261,8 @@ let () =
             test_witnesses_deduplicated;
           Alcotest.test_case "supervised R3 never unsound" `Quick
             test_supervised_redundant_has_no_unsound_witness;
+          Alcotest.test_case "witnesses reproduce their verdict" `Quick
+            test_witnesses_reproduce_their_verdict;
         ] );
       ( "par",
         [

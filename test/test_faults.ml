@@ -370,10 +370,10 @@ let test_campaign_finds_and_shrinks_duplication_violation () =
           ~step_limit:300_000 g
       in
       let reach = G.reachable_from_s g in
-      Alcotest.check outcome "witness terminates" E.Terminated s.C.outcome;
+      Alcotest.check outcome "witness terminates" E.Terminated s.outcome;
       Alcotest.(check bool) "witness leaves a reachable vertex unvisited" true
         (List.exists
-           (fun v' -> reach.(v') && not s.C.visited.(v'))
+           (fun v' -> reach.(v') && not s.visited.(v'))
            (G.vertices g))
 
 let test_campaign_reports_starvation_and_dark_edges () =

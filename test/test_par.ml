@@ -190,34 +190,33 @@ let pool_domain_bounds () =
 
 (* {1 Parallel campaign} *)
 
+(* E12's tree sweep: the bare protocol falsely terminates under
+   duplication, so 12 of its cells shrink a violation, and a shrink must
+   come out the same whichever domain runs its cell. *)
 let campaign_matches_sequential () =
   let module C = Runtime.Campaign in
+  let module K3 = struct
+    let k = 3
+  end in
   let module TR = C.Of_protocol (Anonet.Tree_broadcast) in
-  let module GR = C.Of_protocol (Anonet.General_broadcast) in
-  let runners = [ TR.runner (); GR.runner () ] in
-  let graphs =
-    [
-      {
-        C.g_name = "random-tree-12";
-        build =
-          (fun ~seed ->
-            F.random_grounded_tree (Prng.create seed) ~n:12 ~t_edge_prob:0.3);
-      };
-      {
-        C.g_name = "random-digraph-10";
-        build =
-          (fun ~seed ->
-            F.random_digraph (Prng.create seed) ~n:10 ~extra_edges:6
-              ~back_edges:2 ~t_edge_prob:0.25);
-      };
-    ]
+  let module TR3 =
+    C.Of_protocol (Anonet.Redundant.Make (K3) (Anonet.Tree_broadcast))
   in
-  (* Drop-only grid: violations are impossible (a drop can only starve), so
-     per-job shrinking cannot make the merged result diverge. *)
-  let grid = C.grid ~drops:[ 0.0; 0.1 ] ~max_delays:[ 0; 2 ] () in
-  let seeds = [ 1; 2; 3 ] in
-  let seq = C.run ~runners ~graphs ~grid ~seeds () in
-  let par = Par.Campaign.run ~domains:4 ~runners ~graphs ~grid ~seeds () in
+  let runners = [ TR.runner (); TR3.runner () ] in
+  let graphs = [ List.hd (Anonet.Resilient.chaos_graphs ()) ] in
+  let grid =
+    C.grid ~drops:[ 0.0; 0.05; 0.15 ] ~duplicates:[ 0.0; 0.2 ]
+      ~max_delays:[ 0; 2 ] ~corrupts:[ 0.0; 0.02 ] ()
+  in
+  let seeds = List.init 20 (fun i -> i + 1) in
+  let step_limit = 300_000 in
+  let seq = C.run ~step_limit ~runners ~graphs ~grid ~seeds () in
+  let par =
+    Par.Campaign.run ~domains:4 ~step_limit ~runners ~graphs ~grid ~seeds ()
+  in
+  Alcotest.(check int) "failing cells" 12
+    (List.length
+       (List.filter (fun (c : C.cell) -> c.false_terminated > 0) seq.cells));
   Alcotest.(check string)
     "identical JSON rendering" (C.to_json seq) (C.to_json par);
   Alcotest.(check bool) "sound" (C.sound seq) (C.sound par)

@@ -1,5 +1,5 @@
 (* Vertex-level fault plans (Vfaults), the self-healing supervisor, the
-   Redundant checksum-reject accounting and the campaign shrink memo. *)
+   Redundant checksum-reject accounting and the campaign's per-cell shrink. *)
 
 open Helpers
 module G = Digraph
@@ -374,7 +374,7 @@ let test_bare_protocol_never_checksum_rejects () =
     (r.E.fault_stats.E.corrupted_deliveries + r.E.fault_stats.E.garbled_drops
     > 0)
 
-(* {1 Campaign shrink memo} *)
+(* {1 Campaign per-cell shrink} *)
 
 module General_runner = C.Of_protocol (Anonet.General_broadcast)
 
@@ -387,13 +387,12 @@ let general_case =
           ~t_edge_prob:0.25);
   }
 
-(* Many seeds of one failing cell share one canonical (runner, graph, plan)
-   key, so even with a shrink budget of 1 every violation must carry a
-   shrunk witness — and the same one. *)
+(* The many failing seeds of one (runner, graph, point) cell share one
+   shrink: every violation must carry a shrunk witness, and the same one. *)
 let test_shrink_memo_dedupes_identical_failures () =
   let seeds = List.init 60 (fun i -> i + 1) in
   let res =
-    C.run ~step_limit:300_000 ~max_shrinks:1
+    C.run ~step_limit:300_000
       ~runners:[ General_runner.runner () ]
       ~graphs:[ general_case ]
       ~grid:[ C.point ~duplicate:0.35 () ]
@@ -406,9 +405,9 @@ let test_shrink_memo_dedupes_identical_failures () =
         (List.length vs > 1);
       List.iter
         (fun v ->
-          Alcotest.(check string) "memoized shrink shared by all"
+          Alcotest.(check string) "one shrink shared by all"
             v0.C.shrunk_point.C.label v.C.shrunk_point.C.label;
-          Alcotest.(check int) "memoized seed shared by all" v0.C.shrunk_seed
+          Alcotest.(check int) "one seed shared by all" v0.C.shrunk_seed
             v.C.shrunk_seed;
           Alcotest.(check bool) "shrunk rate <= original" true
             (v.C.shrunk_point.C.fault_plan.Fl.duplicate
