@@ -26,10 +26,9 @@ let normalize (a : int array) : t =
 let of_int n =
   if n < 0 then invalid_arg "Bignat.of_int: negative";
   if n = 0 then zero
-  else begin
-    let rec limbs acc n = if n = 0 then List.rev acc else limbs ((n land limb_mask) :: acc) (n lsr limb_bits) in
-    Array.of_list (limbs [] n)
-  end
+  else if n < limb_base then [| n |]
+  else if n lsr (2 * limb_bits) = 0 then [| n land limb_mask; n lsr limb_bits |]
+  else [| n land limb_mask; (n lsr limb_bits) land limb_mask; n lsr (2 * limb_bits) |]
 
 let to_int_opt x =
   let n = Array.length x in

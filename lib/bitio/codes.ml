@@ -54,9 +54,9 @@ let write_bignat w x =
         Bit_writer.bit w (B.testbit x i)
       done
 
-(* Up to 62 bits per step rather than one bit. *)
-let read_bignat r =
-  let n = read_gamma0 r in
+(* The [n]-bit payload of a bignat, up to 62 bits per step rather than
+   one bit. *)
+let read_bignat_bits r n =
   let x = ref B.zero and left = ref n in
   while !left > 0 do
     let width = min 62 !left in
@@ -65,16 +65,29 @@ let read_bignat r =
   done;
   !x
 
+let read_bignat r = read_bignat_bits r (read_gamma0 r)
+
+(* A mantissa below 2^61 is written from its int, with the bits
+   [write_bignat] would write. *)
 let write_dyadic w d =
   Bit_writer.bit w (Dy.is_negative d);
   write_gamma0 w (Dy.exponent d);
-  write_bignat w (Dy.mantissa d)
+  let m = Dy.mantissa_int d in
+  if m < 0 then write_bignat w (Dy.mantissa d)
+  else begin
+    let n = B.int_width m in
+    write_gamma0 w n;
+    Bit_writer.bits w m n
+  end
 
+(* A payload of up to 62 bits is one read, as in [read_bignat_bits], so
+   a garbled message reads the same bits and fails the same way. *)
 let read_dyadic r =
   let negative = Bit_reader.bit r in
   let e = read_gamma0 r in
-  let m = read_bignat r in
-  Dy.make ~negative m e
+  let n = read_gamma0 r in
+  if n > 62 then Dy.make ~negative (read_bignat_bits r n) e
+  else Dy.make_int ~negative (if n > 0 then Bit_reader.bits r n else 0) e
 
 let write_rational w q =
   Bit_writer.bit w (Q.is_negative q);
@@ -95,5 +108,15 @@ let bignat_size x =
   let n = B.bit_length x in
   gamma0_size n + n
 
-let dyadic_size d = 1 + gamma0_size (Dy.exponent d) + bignat_size (Dy.mantissa d)
+let dyadic_size d =
+  let m = Dy.mantissa_int d in
+  let mant =
+    if m < 0 then bignat_size (Dy.mantissa d)
+    else begin
+      let n = B.int_width m in
+      gamma0_size n + n
+    end
+  in
+  1 + gamma0_size (Dy.exponent d) + mant
+
 let rational_size q = 1 + bignat_size (Q.num q) + bignat_size (Q.den q)

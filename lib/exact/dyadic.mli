@@ -7,7 +7,13 @@
     values are [2^-k].
 
     Values are normalized (mantissa odd unless the exponent is zero; zero is
-    canonical), so structural equality is numeric equality. *)
+    canonical).  A value whose mantissa magnitude is below [2^61] is one
+    block of two ints, a signed mantissa and an exponent; any other keeps
+    its mantissa as a {!Bignat.t}.  The form follows from the value alone,
+    so each value has one representation and structural equality is
+    numeric equality.  Arithmetic and comparison stay in native ints while
+    both operands are small and the aligned mantissas fit, and otherwise
+    run on {!Bignat} and pick the form of the result again. *)
 
 type t
 
@@ -18,11 +24,19 @@ val half : t
 val make : ?negative:bool -> Bignat.t -> int -> t
 (** [make m e] is [± m / 2^e], normalized. Requires [e >= 0]. *)
 
+val make_int : negative:bool -> int -> int -> t
+(** [make_int ~negative m e] is [make ~negative (Bignat.of_int m) e] without
+    building the {!Bignat.t}.  Requires [m >= 0] and [e >= 0]. *)
+
 val of_int : int -> t
 val of_bignat : Bignat.t -> t
 
 val mantissa : t -> Bignat.t
 (** Mantissa magnitude of the normal form. *)
+
+val mantissa_int : t -> int
+(** The mantissa magnitude when it is below [2^61], and [-1] otherwise;
+    unlike {!mantissa}, it allocates nothing. *)
 
 val exponent : t -> int
 (** Denominator exponent of the normal form: the value is

@@ -394,46 +394,55 @@ let run ?(map = sequential) cfg ~runners ~graphs =
           let sets = trials cfg ~graph in
           let verdicts = map.map (eval_trial cfg r ~graph) sets in
           trials_run := !trials_run + Array.length sets;
-          Array.iteri
-            (fun i verdict ->
-              match verdict with
-              | None -> ()
-              | Some (kind, _missing) -> (
-                  incr hits;
-                  let shrunk = shrink cfg r ~graph kind sets.(i) in
-                  (* Dedup by the canonical key of the {e shrunk} set: many
-                     random supersets collapse onto one minimal core, and
-                     re-witnessing it would just repeat the replay run. *)
-                  let key =
-                    r.r_name ^ "|" ^ gc.g_name ^ "|"
-                    ^ describe_kind kind ^ "|" ^ canonical_key shrunk
-                  in
-                  if Hashtbl.mem seen key then incr duplicates
-                  else begin
-                    Hashtbl.add seen key ();
-                    let faults, vfaults = compiled cfg ~graph shrunk in
-                    let s =
-                      r.run ~scheduler:Scheduler.Fifo ~record:true ~faults
-                        ~vfaults ~supervisor:cfg.supervisor
-                        ~step_limit:cfg.step_limit graph
-                    in
-                    witnesses :=
-                      {
-                        w_runner = r.r_name;
-                        w_graph = gc.g_name;
-                        w_kind = kind;
-                        w_trial = i;
-                        w_original_size = List.length sets.(i);
-                        w_faults = shrunk;
-                        w_missing = missing graph shrunk s;
-                        w_outcome = s.outcome;
-                        w_deliveries = s.deliveries;
-                        w_total_bits = s.total_bits;
-                        w_schedule = s.schedule;
-                      }
-                      :: !witnesses
-                  end))
-            verdicts)
+          (* Each shrink depends on its own hit alone, so the shrinks go
+             through [map]; the dedup and the witness runs then walk the
+             hits in trial order, so the result does not depend on
+             [map]. *)
+          let found =
+            Array.to_seqi verdicts
+            |> Seq.filter_map (fun (i, v) -> Option.map (fun (kind, _) -> (i, kind)) v)
+            |> Array.of_seq
+          in
+          let shrunk =
+            map.map (fun (i, kind) -> (i, kind, shrink cfg r ~graph kind sets.(i))) found
+          in
+          hits := !hits + Array.length found;
+          (* Dedup by the canonical key of the {e shrunk} set: many random
+             supersets collapse onto one minimal core, and re-witnessing it
+             would just repeat the replay run. *)
+          let fresh =
+            List.filter
+              (fun (_, kind, fs) ->
+                let key =
+                  r.r_name ^ "|" ^ gc.g_name ^ "|" ^ describe_kind kind ^ "|"
+                  ^ canonical_key fs
+                in
+                let dup = Hashtbl.mem seen key in
+                if dup then incr duplicates else Hashtbl.add seen key ();
+                not dup)
+              (Array.to_list shrunk)
+          in
+          let witness (i, kind, fs) =
+            let faults, vfaults = compiled cfg ~graph fs in
+            let s =
+              r.run ~scheduler:Scheduler.Fifo ~record:true ~faults ~vfaults
+                ~supervisor:cfg.supervisor ~step_limit:cfg.step_limit graph
+            in
+            {
+              w_runner = r.r_name;
+              w_graph = gc.g_name;
+              w_kind = kind;
+              w_trial = i;
+              w_original_size = List.length sets.(i);
+              w_faults = fs;
+              w_missing = missing graph fs s;
+              w_outcome = s.outcome;
+              w_deliveries = s.deliveries;
+              w_total_bits = s.total_bits;
+              w_schedule = s.schedule;
+            }
+          in
+          witnesses := List.rev_append (List.map witness fresh) !witnesses)
         graphs)
     runners;
   let witnesses = List.rev !witnesses in

@@ -201,12 +201,13 @@ val eval_trial :
 val run :
   ?map:map -> config -> runners:runner list -> graphs:graph_case list -> result
 (** Full search: generate, evaluate (through [map]), shrink each hit
-    preserving its kind, dedup by {!canonical_key}, and record a replay
-    schedule per witness.  Shrinking halves the set, then drops single
-    atoms, then lowers parameters in one left-to-right pass over the
-    current set (a crash's downtime, then its position; a churn outage's
-    length, then its position; an [Add]'s position), keeping each step
-    only if the whole set still violates with the same kind.  Graphs are
+    preserving its kind (through [map]), then dedup by {!canonical_key}
+    and record a replay schedule per witness, in trial order.  Shrinking
+    halves the set, then drops single atoms, then lowers parameters in
+    one left-to-right pass over the current set (a crash's downtime,
+    then its position; a churn outage's length, then its position; an
+    [Add]'s position), keeping each step only if the whole set still
+    violates with the same kind.  Graphs are
     built with [seed = config.seed]. *)
 
 val replay :

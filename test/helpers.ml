@@ -87,6 +87,19 @@ let gen_dyadic : Dy.t QCheck.Gen.t =
 
 let arb_dyadic = QCheck.make ~print:Dy.to_string gen_dyadic
 
+(* A mantissa of exactly [w] bits, [lo <= w <= hi] (at most 66), odd or
+   even: drawn around 2^61, where a dyadic switches from an int mantissa
+   to a [Bignat] one. *)
+let gen_wide_mantissa lo hi =
+  QCheck.Gen.(
+    map3
+      (fun w a b ->
+        let r = B.add (B.shift_left (B.of_int a) 31) (B.of_int b) in
+        B.add (B.pow2 (w - 1)) (B.shift_right r (67 - w)))
+      (int_range lo hi)
+      (int_bound ((1 lsl 35) - 1))
+      (int_bound ((1 lsl 31) - 1)))
+
 (* A dyadic in [0, 1), endpoint-like. *)
 let gen_unit_dyadic : Dy.t QCheck.Gen.t =
   QCheck.Gen.(

@@ -1,6 +1,9 @@
 module B = Bignat
 module Q = Exact.Rational
 module Dy = Exact.Dyadic
+module C = Bitio.Codes
+module W = Bitio.Bit_writer
+module R = Bitio.Bit_reader
 open Helpers
 
 (* {1 Unit tests} *)
@@ -154,6 +157,160 @@ let prop_div_pow2_normal =
       (Dy.exponent d = 0 || not (B.is_even (Dy.mantissa d)))
       && Q.equal (Dy.to_rational d) (Q.div (Dy.to_rational a) (Q.make (B.pow2 k) B.one)))
 
+(* {1 The 2^61 boundary}  A mantissa below 2^61 is held in an int and a
+   wider one in a [Bignat]; [gen_dyadic] seldom lands near the switch.
+   These draws have 55-66-bit mantissas and exponents up to 80, so
+   aligning two of them crosses 2^61 either way. *)
+
+let gen_boundary =
+  QCheck.Gen.(
+    map3 (fun negative m e -> Dy.make ~negative m e) bool (gen_wide_mantissa 55 66) (int_bound 80))
+
+let arb_boundary = QCheck.make ~print:Dy.to_string gen_boundary
+
+let arb_boundary_pair =
+  QCheck.(
+    make
+      ~print:(Print.pair Dy.to_string Dy.to_string)
+      Gen.(pair gen_boundary (oneof [ gen_boundary; gen_dyadic ])))
+
+let q = Dy.to_rational
+let same d r = Q.equal (q d) r
+
+let prop_boundary_arith =
+  qcheck_to_alcotest ~count:500 "near 2^61: add, sub and midpoint agree with rationals"
+    arb_boundary_pair (fun (a, b) ->
+      same (Dy.add a b) (Q.add (q a) (q b))
+      && same (Dy.add b a) (Q.add (q a) (q b))
+      && same (Dy.sub a b) (Q.sub (q a) (q b))
+      && same (Dy.sub b a) (Q.sub (q b) (q a))
+      && same (Dy.midpoint a b) (Q.div (Q.add (q a) (q b)) (Q.of_int 2)))
+
+let prop_boundary_order =
+  qcheck_to_alcotest ~count:500 "near 2^61: compare, min and max agree with rationals"
+    arb_boundary_pair (fun (a, b) ->
+      let c = Q.compare (q a) (q b) in
+      Dy.compare a b = c
+      && Dy.compare b a = -c
+      && same (Dy.min a b) (if c <= 0 then q a else q b)
+      && same (Dy.max a b) (if c >= 0 then q a else q b))
+
+(* [a] against [a ± 2^-k]: the same leading bit, so [compare] cannot
+   decide on magnitudes alone, and the two often differ in form. *)
+let prop_boundary_neighbours =
+  qcheck_to_alcotest ~count:500 "near 2^61: compare with a neighbour one low bit away"
+    QCheck.(triple arb_boundary (int_bound 100) bool)
+    (fun (a, k, up) ->
+      let eps = Dy.pow2 (-k) in
+      let b = if up then Dy.add a eps else Dy.sub a eps in
+      let c = Q.compare (q a) (q b) in
+      Dy.compare a b = c && Dy.compare b a = -c && c = if up then -1 else 1)
+
+let prop_boundary_pow2 =
+  qcheck_to_alcotest ~count:500 "near 2^61: mul_pow2 and div_pow2 agree with rationals"
+    QCheck.(pair arb_boundary (int_range (-90) 90))
+    (fun (a, k) ->
+      let p = Q.make (B.pow2 (Stdlib.abs k)) B.one in
+      let scaled = if k >= 0 then Q.mul (q a) p else Q.div (q a) p in
+      same (Dy.mul_pow2 a k) scaled && same (Dy.div_pow2 a (-k)) scaled)
+
+(* The form follows from the value: an int mantissa exactly when it is
+   below 2^61. *)
+let normal d =
+  let m = Dy.mantissa d in
+  (Dy.exponent d = 0 || not (B.is_even m))
+  && Dy.mantissa_int d = if B.bit_length m <= 61 then B.to_int_exn m else -1
+
+let prop_boundary_normal_form =
+  qcheck_to_alcotest ~count:500 "near 2^61: every result is in normal form"
+    QCheck.(pair arb_boundary_pair (int_range (-70) 70))
+    (fun ((a, b), k) ->
+      List.for_all normal
+        [ a; b; Dy.add a b; Dy.sub a b; Dy.midpoint a b; Dy.mul_pow2 a k; Dy.mul a b ])
+
+(* One representation per value: a copy rebuilt from a shifted mantissa,
+   or reached through the other form, is structurally the same. *)
+let prop_boundary_structural =
+  qcheck_to_alcotest ~count:500 "near 2^61: equal iff structurally equal, on rebuilt copies"
+    QCheck.(triple arb_boundary_pair (int_bound 40) bool)
+    (fun ((a, b), k, rebuild) ->
+      let b =
+        if not rebuild then b
+        else
+          Dy.make ~negative:(Dy.is_negative a)
+            (B.shift_left (Dy.mantissa a) k)
+            (Dy.exponent a + k)
+      in
+      let through = Dy.sub (Dy.add a b) b in
+      Dy.equal a b = (a = b) && through = a && Dy.equal through a)
+
+(* Sign, exponent, then [write_bignat] of the mantissa: the bits the int
+   path must write too. *)
+let reference_bits d =
+  let w = W.create () in
+  W.bit w (Dy.is_negative d);
+  C.write_gamma0 w (Dy.exponent d);
+  C.write_bignat w (Dy.mantissa d);
+  W.to_bit_string w
+
+(* Values a mantissa's width away from 2^61, where the two forms meet:
+   each result must be in normal form, right, and a codec round trip. *)
+let test_boundary_values () =
+  let p61 = B.pow2 61 in
+  let big_int m = Dy.make m 0 in
+  let at = big_int p61 and below = big_int (B.pred p61) and above = big_int (B.succ p61) in
+  let cases =
+    [
+      ("2^61", at, Q.make p61 B.one);
+      ("2^61 - 1", below, Q.make (B.pred p61) B.one);
+      ("2^60 + 2^60", Dy.add (Dy.pow2 60) (Dy.pow2 60), Q.make p61 B.one);
+      ("(2^61 - 1) + 1", Dy.add below Dy.one, Q.make p61 B.one);
+      ("2^61 - 1", Dy.sub at Dy.one, Q.make (B.pred p61) B.one);
+      ("-(2^61) + 1", Dy.add (Dy.neg at) Dy.one, Q.neg (Q.make (B.pred p61) B.one));
+      ("(2^61 + 1) - 2", Dy.sub above (Dy.of_int 2), Q.make (B.pred p61) B.one);
+      ("1 * 2^61", Dy.mul_pow2 Dy.one 61, Q.make p61 B.one);
+      ("2^60 * 2", Dy.mul_pow2 (Dy.pow2 60) 1, Q.make p61 B.one);
+      ("-(2^59) * 4", Dy.mul_pow2 (Dy.neg (Dy.pow2 59)) 2, Q.neg (Q.make p61 B.one));
+      ("(2^61 - 1) * 2", Dy.mul_pow2 below 1, Q.make (B.shift_left (B.pred p61) 1) B.one);
+      ("2^62 / 2", Dy.div_pow2 (Dy.pow2 62) 1, Q.make p61 B.one);
+      ("mid(2^61 - 1, 2^61 + 1)", Dy.midpoint below above, Q.make p61 B.one);
+      ("(2^61 - 1) / 2^70 + 2^-70", Dy.add (Dy.div_pow2 below 70) (Dy.pow2 (-70)),
+        Q.make B.one (B.pow2 9));
+    ]
+  in
+  List.iter
+    (fun (name, d, r) ->
+      Alcotest.check rational name r (Dy.to_rational d);
+      Alcotest.(check bool) (name ^ ": normal form") true (normal d);
+      let w = W.create () in
+      C.write_dyadic w d;
+      let back = C.read_dyadic (R.of_string ~length_bits:(W.length w) (W.to_string w)) in
+      Alcotest.(check bool) (name ^ ": codec") true (back = d && W.length w = C.dyadic_size d))
+    cases;
+  Alcotest.(check int) "2^61 - 1 is an int" (B.to_int_exn (B.pred p61)) (Dy.mantissa_int below);
+  Alcotest.(check int) "2^61 is not" (-1) (Dy.mantissa_int at);
+  Alcotest.(check int) "compare 2^61 - 1 with 2^61" (-1) (Dy.compare below at);
+  Alcotest.(check int) "compare -(2^61) with -(2^61 - 1)" (-1) (Dy.compare (Dy.neg at) (Dy.neg below))
+
+let prop_boundary_codec =
+  qcheck_to_alcotest ~count:500 "codec at mantissa widths 59-64: same bits, round trip, size"
+    QCheck.(
+      make ~print:Dy.to_string
+        Gen.(
+          map3
+            (fun negative m e -> Dy.make ~negative (if B.is_even m then B.succ m else m) (e + 1))
+            bool (gen_wide_mantissa 59 64) (int_bound 80)))
+    (fun d ->
+      let w = W.create () in
+      C.write_dyadic w d;
+      let r = R.of_string ~length_bits:(W.length w) (W.to_string w) in
+      let back = C.read_dyadic r in
+      W.to_bit_string w = reference_bits d
+      && back = d
+      && R.at_end r
+      && W.length w = C.dyadic_size d
+      && B.bit_length (Dy.mantissa d) >= 59)
+
 let test_div_pow2_even_integer () =
   let d = Dy.div_pow2 (Dy.of_int 4) 1 in
   Alcotest.(check int) "4/2 has exponent 0" 0 (Dy.exponent d);
@@ -193,5 +350,16 @@ let () =
           prop_of_rational_rejects_non_dyadic;
           prop_equal_is_compare_zero;
           prop_div_pow2_normal;
+        ] );
+      ( "boundary",
+        [
+          Alcotest.test_case "values at 2^61" `Quick test_boundary_values;
+          prop_boundary_arith;
+          prop_boundary_order;
+          prop_boundary_neighbours;
+          prop_boundary_pow2;
+          prop_boundary_normal_form;
+          prop_boundary_structural;
+          prop_boundary_codec;
         ] );
     ]

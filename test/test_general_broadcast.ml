@@ -189,6 +189,40 @@ let test_e5_counts_pinned () =
       Alcotest.(check int) (name "bandwidth") bandwidth st.max_message_bits)
     e5_pinned
 
+(* A LIFO run whose endpoints outgrow a machine int: a [Dyadic.t] keeps
+   its mantissa in an int below 2^61 and in a [Bignat] above, so the
+   arithmetic must agree across that switch.  The counts are the run's,
+   whichever form each endpoint takes. *)
+let test_lifo_wide_endpoints_pinned () =
+  let g =
+    F.random_digraph (Prng.create 5256) ~n:256 ~extra_edges:256 ~back_edges:32
+      ~t_edge_prob:0.2
+  in
+  let r = GB_engine.run ~scheduler:Runtime.Scheduler.Lifo g in
+  Alcotest.check outcome "outcome" E.Terminated r.outcome;
+  Alcotest.(check int) "deliveries" 19_747 r.deliveries;
+  Alcotest.(check int) "total bits" 2_911_206 r.total_bits;
+  let endpoints = ref 0 and wide = ref 0 and widest = ref 0 in
+  Array.iter
+    (fun (st : Anonet.Interval_core.t) ->
+      List.iter
+        (fun s ->
+          List.iter
+            (fun iv ->
+              List.iter
+                (fun d ->
+                  let w = Bignat.bit_length (Exact.Dyadic.mantissa d) in
+                  incr endpoints;
+                  if w > 61 then incr wide;
+                  widest := max !widest w)
+                [ Intervals.Interval.lo iv; Intervals.Interval.hi iv ])
+            (Is.intervals s))
+        (st.beta :: st.seen_alpha :: st.label :: Array.to_list st.alpha))
+    r.states;
+  Alcotest.(check int) "final-state endpoints" 15_876 !endpoints;
+  Alcotest.(check int) "endpoints wider than 61 bits" 3_678 !wide;
+  Alcotest.(check int) "widest mantissa" 72 !widest
+
 (* The delivery loop's allocation budget, on the benchmark's first
    general-cyclic graph: the stopping predicate, the state size and the
    in-flight pool allocate nothing per delivery, which leaves the interval
@@ -236,6 +270,8 @@ let () =
           Alcotest.test_case "monotone coverage" `Quick test_monotone_coverage_at_terminal;
           Alcotest.test_case "payload |m| term" `Quick test_payload_term;
           Alcotest.test_case "E5 counts pinned" `Quick test_e5_counts_pinned;
+          Alcotest.test_case "LIFO run past 2^61 pinned" `Quick
+            test_lifo_wide_endpoints_pinned;
           Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
         ] );
     ]

@@ -55,9 +55,24 @@ let test_split_edge_cases () =
   Alcotest.check_raises "k=0 rejected" (Invalid_argument "Interval.split: k must be >= 1")
     (fun () -> ignore (I.split I.unit 0))
 
+(* Endpoints with mantissas of up to six limbs or around 2^61, where a
+   dyadic switches from an int mantissa to a [Bignat] one, and exponents
+   up to 200. *)
+let gen_wide_endpoint =
+  QCheck.Gen.(
+    map3
+      (fun negative m e -> Dy.make ~negative m e)
+      (frequency [ (4, return false); (1, return true) ])
+      (oneof [ gen_bignat; gen_wide_mantissa 55 66 ])
+      (int_bound 200))
+
+let arb_any_interval =
+  QCheck.make ~print:I.to_string
+    QCheck.Gen.(oneof [ gen_interval; map2 I.make gen_wide_endpoint gen_wide_endpoint ])
+
 let prop_split_partitions =
   qcheck_to_alcotest "split: disjoint cover, all non-empty"
-    QCheck.(pair arb_interval (int_range 1 12))
+    QCheck.(pair arb_any_interval (int_range 1 12))
     (fun (ivl, k) ->
       QCheck.assume (not (I.is_empty ivl));
       let parts = I.split ivl k in
@@ -67,7 +82,7 @@ let prop_split_partitions =
       && Dy.equal (Dy.sum (List.map I.measure parts)) (I.measure ivl))
 
 let prop_interval_codec =
-  qcheck_to_alcotest "interval codec roundtrip" arb_interval (fun ivl ->
+  qcheck_to_alcotest "interval codec roundtrip" arb_any_interval (fun ivl ->
       let w = Bitio.Bit_writer.create () in
       I.write w ivl;
       let r =
@@ -255,13 +270,7 @@ end
 
 let gen_wide_iset_pair : (Is.t * Is.t) QCheck.Gen.t =
   QCheck.Gen.(
-    let endpoint =
-      map3
-        (fun negative m e -> Dy.make ~negative m e)
-        (frequency [ (4, return false); (1, return true) ])
-        gen_bignat (int_bound 200)
-    in
-    let* pool = array_size (int_range 2 7) endpoint in
+    let* pool = array_size (int_range 2 7) gen_wide_endpoint in
     let pick = map (fun i -> pool.(i)) (int_bound (Array.length pool - 1)) in
     let iset = map Is.of_intervals (list_size (int_range 0 6) (map2 I.make pick pick)) in
     pair iset iset)
