@@ -37,6 +37,7 @@ let family_conv =
 let parse_scheduler = function
   | "fifo" -> Ok Runtime.Scheduler.Fifo
   | "lifo" -> Ok Runtime.Scheduler.Lifo
+  | "rounds" -> Ok Runtime.Scheduler.Rounds
   | s -> (
       match String.split_on_char ':' s with
       | [ "random"; seed ] -> (
@@ -63,7 +64,8 @@ let scheduler_t =
   Arg.(
     value
     & opt scheduler_conv Runtime.Scheduler.Fifo
-    & info [ "scheduler" ] ~docv:"SCHED" ~doc:"fifo | lifo | random:SEED")
+    & info [ "scheduler" ] ~docv:"SCHED"
+        ~doc:"fifo | lifo | random:SEED | rounds")
 
 let payload_t =
   Arg.(

@@ -586,15 +586,36 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
 
   (* {1 The fast path}
 
-     Fault-free FIFO only: the pool degenerates to one int array of edge
-     indices consumed left to right (send order is delivery order, so the
-     k-th pop is seq k), and a vertex's first receive — executed for real,
-     so final states match the generic path bit-for-bit — flips it to
-     absorbed, after which its deliveries touch two arrays and nothing
-     else.  Total pushes are bounded by [root emissions + m] because an
-     absorbing vertex emits at most once. *)
-  let run_flood g ~payload_bits ~step_limit ~stop ~oh ~lineage (m0 : P.message)
-      (emits : (int * P.message) list) =
+     Fault-free, hook-free runs under [Fifo], [Lifo] or [Random]: the pool
+     degenerates to one int array of edge indices, and a vertex's first
+     receive — executed for real, so final states match the generic path
+     bit-for-bit — flips it to absorbed, after which its deliveries touch
+     two arrays and nothing else.  Absorption needs only [receive] to be
+     pure, not any delivery order, so the one loop serves three pools over
+     the same array:
+
+     - [Fifo]: a ring consumed left to right from [head] (send order is
+       delivery order, so the k-th pop is seq k).  It is sized for the
+       whole run — root emissions plus one burst per vertex, since an
+       absorbing vertex emits at most once — and never reuses a slot, so
+       it doubles as the lineage journal.  A round is the segment pushed
+       while the previous one was delivered.
+     - [Lifo]: a stack popped from the top.
+     - [Random g]: the same stack, popped at [Prng.int g len] and filled by
+       the top entry, as {!make_pool} does; pushes come in the same [sends]
+       order, so the run makes the generic path's draws from [g].
+
+     The stack starts at the root's emissions and doubles as it grows.
+     Each stack entry carries its causal depth in the bits above the edge
+     (a root emission has depth 1, a send its receive's depth + 1), so
+     [rounds] is the deepest pop, as on the generic path.
+
+     What stays generic: stack runs with [?lineage] (the stack reuses
+     slots, and the journal needs slots that never are), [Rounds] (its
+     hold-back reads the round the terminal accepted in), and
+     [Edge_priority] and [Replay] (their pools key on priority or seq). *)
+  let run_flood g ~scheduler ~payload_bits ~step_limit ~stop ~oh ~lineage
+      (m0 : P.message) (emits : (int * P.message) list) =
     let n = Digraph.n_vertices g and ne = Digraph.n_edges g in
     let s = Digraph.source g and t = Digraph.terminal g in
     let row = Digraph.out_offsets g
@@ -617,25 +638,33 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     let deliveries = ref 0 in
     let n_visited = ref 0 in
     let max_state_bits = ref 0 in
-    (* One push per root emission plus at most one emission burst per
-       vertex; grown defensively since the certificate does not bound a
+    let fifo, rng =
+      match (scheduler : Scheduler.t) with
+      | Fifo -> (true, None)
+      | Random g -> (false, Some g)
+      | _ -> (false, None)
+    in
+    (* The pool is [ring.(head .. tail-1)]; a stack keeps [head] at 0.  The
+       ring is grown defensively since the certificate does not bound a
        burst's length. *)
-    let ring = ref (Array.make (List.length emits + ne + 1) 0) in
+    let n_emits = List.length emits in
+    let ring =
+      ref (Array.make (if fifo then n_emits + ne + 1 else n_emits) 0)
+    in
     let tail = ref 0 and head = ref 0 in
-    (* A round is the ring segment pushed while the previous one was
-       delivered: [round_end] is where the current one ends. *)
+    (* [round_end] is where the ring's current round ends. *)
     let rounds = ref 0 and round_end = ref 0 in
     let max_in_flight = ref 0 in
-    (* Lineage rides in the unused upper bits of the edge ring itself:
-       each pushed slot packs [edge lor (parent_id lsl journal_shift)]
-       (edge and delivery counts are both far below 2^31).  With no
-       recorder [lin_parent] stays 0, the pack is the identity, and the
-       bare fast path pays one OR per push and one AND per pop. *)
+    (* Each slot packs [edge lor (tag lsl journal_shift)] (edge and
+       delivery counts are both far below 2^31).  On the ring [tag] is the
+       lineage id of the parent receive, 0 with no recorder, so the bare
+       ring pays one OR per push and one AND per pop; on the stack it is
+       the copy's causal depth. *)
     let lin_on = lineage <> None in
     (match lineage with
     | Some l -> Obs.Lineage.bind l ~n_vertices:n ~n_edges:ne
     | None -> ());
-    let lin_parent = ref 0 in
+    let tag = ref (if fifo then 0 else 1) in
     let stop_now = match stop with None -> (fun () -> false) | Some f -> f in
     let every = sample_every oh in
     let next_sample = ref every in
@@ -652,7 +681,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
         end
         else r
       in
-      r.(!tail) <- e lor (!lin_parent lsl Obs.Lineage.journal_shift);
+      r.(!tail) <- e lor (!tag lsl Obs.Lineage.journal_shift);
       incr tail;
       let fl = !tail - !head in
       if fl > !max_in_flight then max_in_flight := fl
@@ -676,15 +705,29 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
         running := false
       end
       else begin
-        if !head = !round_end then begin
-          incr rounds;
-          round_end := !tail
-        end;
-        let e =
-          Array.unsafe_get !ring !head
-          land ((1 lsl Obs.Lineage.journal_shift) - 1)
+        let x =
+          if fifo then begin
+            if !head = !round_end then begin
+              incr rounds;
+              round_end := !tail
+            end;
+            let x = Array.unsafe_get !ring !head in
+            incr head;
+            x
+          end
+          else begin
+            let r = !ring in
+            let top = !tail - 1 in
+            let i = match rng with None -> top | Some g -> Prng.int g !tail in
+            let x = r.(i) in
+            r.(i) <- r.(top);
+            tail := top;
+            let depth = x lsr Obs.Lineage.journal_shift in
+            if depth > !rounds then rounds := depth;
+            x
+          end
         in
-        incr head;
+        let e = x land ((1 lsl Obs.Lineage.journal_shift) - 1) in
         incr deliveries;
         if !deliveries = !next_sample then begin
           next_sample := !next_sample + every;
@@ -695,7 +738,8 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
              present. *)
           publish oh ~bpm ~in_flight:(!tail - !head) ~wavefront:!n_visited
             ~residual:0 ~deliveries:!deliveries
-            ~bits:((!deliveries - 1) * bpm) ~sends:!tail ()
+            ~bits:((!deliveries - 1) * bpm)
+            ~sends:(!deliveries + !tail - !head) ()
         end;
         Array.unsafe_set edge_messages e (Array.unsafe_get edge_messages e + 1);
         let tv = Array.unsafe_get head_arr e in
@@ -728,7 +772,8 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
           let b = P.state_bits st' in
           if b > !max_state_bits then max_state_bits := b;
           Bytes.unsafe_set absorbed tv '\001';
-          if lin_on then lin_parent := !deliveries;
+          if not fifo then tag := (x lsr Obs.Lineage.journal_shift) + 1
+          else if lin_on then tag := !deliveries;
           let base = row.(tv) in
           List.iter
             (fun (j, m) ->
@@ -755,7 +800,8 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
           ~count:!head ~track:0
     | None -> ());
     publish oh ~bpm ~in_flight:(!tail - !head) ~wavefront:!n_visited ~residual:0
-      ~deliveries:!deliveries ~bits:(!deliveries * bpm) ~sends:!tail ();
+      ~deliveries:!deliveries ~bits:(!deliveries * bpm)
+      ~sends:(!deliveries + !tail - !head) ();
     engine_span Obs.Timeline.end_span oh;
     let edge_bits = Array.make (Array.length edge_messages) 0 in
     for e = 0 to Array.length edge_messages - 1 do
@@ -1268,7 +1314,10 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       | None -> None
     in
     let plain =
-      (match scheduler with Scheduler.Fifo -> true | _ -> false)
+      (match scheduler with
+      | Scheduler.Fifo -> true
+      | Lifo | Random _ -> lineage = None
+      | Rounds | Edge_priority _ | Replay _ -> false)
       && Faults.is_none faults && Vfaults.is_none vfaults
       && supervisor = None && not verify_codec
       && on_deliver = None && on_pop = None && on_undelivered = None
@@ -1276,7 +1325,8 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     let report =
       match if plain then certify_flood g else None with
       | Some (m0, emits) ->
-          run_flood g ~payload_bits ~step_limit ~stop ~oh ~lineage m0 emits
+          run_flood g ~scheduler ~payload_bits ~step_limit ~stop ~oh ~lineage m0
+            emits
       | None ->
           run_generic g ~scheduler ~payload_bits ~step_limit ~faults ~vfaults
             ~supervisor ~verify_codec ~stop ~oh ~lineage ~on_deliver ~on_pop

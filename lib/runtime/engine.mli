@@ -38,11 +38,13 @@
     edge faults and are reproducible from their seeds.
 
     The executor walks the graph's CSR arrays, encodes each distinct
-    message value once into an arena, and — for a fault-free [Fifo] run of
-    a protocol a pre-run probe certifies as flood-shaped — delivers through
-    a specialized loop over an int ring of edge indices.  None of that is
+    message value once into an arena, and — for a fault-free, hook-free
+    [Fifo], [Lifo] or [Random] run of a protocol a pre-run probe certifies
+    as flood-shaped — delivers through a specialized loop over an int ring
+    (Fifo) or stack (Lifo, Random) of edge indices.  None of that is
     observable: reports, Obs counters and lineage are those of a plain
-    delivery-by-delivery execution, pinned by [test/test_engine_oracle.ml]. *)
+    delivery-by-delivery execution, pinned by [test/test_engine_oracle.ml],
+    and a [Random] run makes the same draws from its generator. *)
 
 type outcome =
   | Terminated  (** The terminal's stopping predicate fired. *)

@@ -71,8 +71,9 @@ let test_payload_bits_charged () =
     (base.total_bits + (100 * base.deliveries))
     loaded.total_bits
 
-(* Both of Engine's paths (flood fast path under Fifo, generic under Lifo)
-   and the synchronous schedule refuse a negative message size. *)
+(* Both of Engine's paths (the flood fast path, and the generic path forced
+   by a no-op [on_pop]) and the synchronous schedule refuse a negative
+   message size. *)
 let test_negative_payload_rejected () =
   let g = F.path 3 in
   let engine = Invalid_argument "Engine.run: payload_bits must be >= 0" in
@@ -80,7 +81,8 @@ let test_negative_payload_rejected () =
       ignore (Flood_engine.run ~payload_bits:(-50) g));
   Alcotest.check_raises "engine, generic path" engine (fun () ->
       ignore
-        (Flood_engine.run ~scheduler:Runtime.Scheduler.Lifo ~payload_bits:(-1) g));
+        (Flood_engine.run ~scheduler:Runtime.Scheduler.Lifo ~on_pop:ignore
+           ~payload_bits:(-1) g));
   Alcotest.check_raises "engine, rounds" engine (fun () ->
       ignore
         (Flood_engine.run ~scheduler:Runtime.Scheduler.Rounds ~payload_bits:(-1)
@@ -380,33 +382,140 @@ let class_graph classes =
   in
   G.make ~n:(k + 3) ~s:0 ~t ((0, 1) :: edges)
 
-(* The receives a plain Fifo run executes, net of the certificate's probe:
-   a [~step_limit:0] run does the same probe and delivers nothing. *)
-let executed_receives g =
+(* The receives a plain run under [sched ()] executes, net of the
+   certificate's probe: a [~step_limit:0] run does the same probe and
+   delivers nothing. *)
+let executed_receives sched g =
   Picky.calls := 0;
-  ignore (Picky_engine.run ~step_limit:0 g);
+  ignore (Picky_engine.run ~scheduler:(sched ()) ~step_limit:0 g);
   let probe = !Picky.calls in
   Picky.calls := 0;
-  let r = Picky_engine.run g in
+  let r = Picky_engine.run ~scheduler:(sched ()) g in
   (r, !Picky.calls - probe)
 
 (* The bad class sits between classes that share its in-degree or its
    out-degree, or whose degrees sum to the same value, so a class key that
-   drops or collides either degree probes one of those instead. *)
+   drops or collides either degree probes one of those instead.  The
+   certificate decides the path under every scheduler the fast path
+   serves. *)
 let test_certificate_granularity () =
   let near = [ (1, 2); (2, 1); (1, 3); (3, 1); (3, 2) ] in
   let bad = class_graph (near @ [ (2, 2) ] @ List.rev near) in
-  let r, executed = executed_receives bad in
-  Alcotest.(check int) "bad class: one delivery per edge" (G.n_edges bad)
-    r.deliveries;
-  Alcotest.(check int) "bad class: generic path, a receive per delivery"
-    r.deliveries executed;
   let good = class_graph (near @ List.rev near) in
-  let r, executed = executed_receives good in
-  Alcotest.(check int) "good classes: one delivery per edge" (G.n_edges good)
-    r.deliveries;
-  Alcotest.(check int) "good classes: fast path, a receive per vertex"
-    (G.n_vertices good - 1) executed
+  List.iter
+    (fun (name, sched) ->
+      let r, executed = executed_receives sched bad in
+      Alcotest.(check int) (name ^ ", bad class: one delivery per edge")
+        (G.n_edges bad) r.deliveries;
+      Alcotest.(check int)
+        (name ^ ", bad class: generic path, a receive per delivery")
+        r.deliveries executed;
+      let r, executed = executed_receives sched good in
+      Alcotest.(check int) (name ^ ", good classes: one delivery per edge")
+        (G.n_edges good) r.deliveries;
+      Alcotest.(check int)
+        (name ^ ", good classes: fast path, a receive per vertex")
+        (G.n_vertices good - 1) executed)
+    [
+      ("fifo", fun () -> Runtime.Scheduler.Fifo);
+      ("lifo", fun () -> Runtime.Scheduler.Lifo);
+      ("random", fun () -> Runtime.Scheduler.Random (Prng.create 3));
+    ];
+  (* A stack reuses its slots, so a Lifo run with a lineage recorder stays
+     on the generic path (no probe, a receive per delivery) and records
+     what a forced generic run records. *)
+  let lineage () = Obs.Lineage.create ~sample_every:1 () in
+  let l = lineage () in
+  Picky.calls := 0;
+  let r = Picky_engine.run ~scheduler:Runtime.Scheduler.Lifo ~lineage:l good in
+  Alcotest.(check int) "lifo with lineage: a receive per delivery" r.deliveries
+    !Picky.calls;
+  let l' = lineage () in
+  ignore
+    (Picky_engine.run ~scheduler:Runtime.Scheduler.Lifo ~lineage:l'
+       ~on_pop:ignore good);
+  let nodes l =
+    let acc = ref [] in
+    Obs.Lineage.iter_stored l (fun n ->
+        acc :=
+          Obs.Lineage.(n.n_id, n.n_parent, n.n_edge, n.n_vertex, n.n_depth)
+          :: !acc);
+    List.rev !acc
+  in
+  Alcotest.(check bool) "lifo with lineage: the generic path's lineage" true
+    (nodes l <> [] && nodes l = nodes l')
+
+(* The fast path's stack pools against the generic path, forced by a no-op
+   [on_pop]: the whole report, the [engine.*] registry entries (at the end
+   and between deliveries) and the sampled series agree at every step
+   limit, save the receive timings and the GC gauges (the fast path skips
+   absorbed receives).  A [Random] pair makes the same draws, so both
+   generators stand at the same point after it. *)
+let flood_paths_agree (g, seed) =
+  let engine_entries o =
+    List.filter
+      (fun (name, _) ->
+        String.starts_with ~prefix:"engine." name
+        && (not (String.starts_with ~prefix:"engine.receive_ns" name))
+        && not (String.starts_with ~prefix:"engine.gc." name))
+      (Obs.Registry.snapshot o.Obs.registry)
+  in
+  let series o =
+    List.filter_map
+      (fun (ev : Obs.Timeline.event) ->
+        match ev.kind with
+        | Sample -> Some (ev.name, ev.value)
+        | _ -> None)
+      (Obs.Timeline.events o.Obs.timeline)
+  in
+  (* [stop] reads the counters between deliveries, so each sample point's
+     publication is checked too, not only the last. *)
+  let run ?on_pop ?step_limit sched =
+    let o = Obs.create ~sample_every:3 () in
+    let counters =
+      List.map
+        (Obs.Registry.counter o.Obs.registry)
+        [ "engine.deliveries"; "engine.total_bits"; "engine.sends" ]
+    in
+    let seen = ref [] in
+    let stop () =
+      seen := List.map Obs.Registry.value counters :: !seen;
+      false
+    in
+    let r =
+      Flood_engine.run ~scheduler:sched ?step_limit ~obs:o ~stop ?on_pop g
+    in
+    (r, engine_entries o, series o, !seen)
+  in
+  let agree ?step_limit random =
+    let gf = Prng.create seed and gg = Prng.create seed in
+    let sched g = if random then Runtime.Scheduler.Random g else Lifo in
+    run ?step_limit (sched gf) = run ~on_pop:ignore ?step_limit (sched gg)
+    && Prng.bits64 gf = Prng.bits64 gg
+  in
+  List.for_all
+    (fun step_limit -> agree ?step_limit false && agree ?step_limit true)
+    [ Some 0; Some 1; Some 7; None ]
+
+let gen_layered_large =
+  QCheck.Gen.(
+    map2
+      (fun seed target_edges ->
+        F.random_layered_large (Prng.create seed) ~target_edges)
+      (int_bound 10_000) (oneofl [ 32; 300; 3000 ]))
+
+let prop_stack_pools_match_generic =
+  let arb graphs =
+    QCheck.(
+      make ~print:(fun (g, s) -> Printf.sprintf "seed %d, %s" s (graph_print g))
+        Gen.(pair graphs (int_bound 10_000)))
+  in
+  [
+    qcheck_to_alcotest ~count:60 "stack pools = generic: digraphs"
+      (arb gen_digraph) flood_paths_agree;
+    qcheck_to_alcotest ~count:12 "stack pools = generic: layered"
+      (arb gen_layered_large) flood_paths_agree;
+  ]
 
 let prop_flood_visits_all_digraphs =
   qcheck_to_alcotest ~count:80 "flood visits every vertex of any network"
@@ -455,7 +564,8 @@ let () =
           Alcotest.test_case "describe" `Quick test_scheduler_describe;
           prop_flood_visits_all_digraphs;
           prop_scheduler_invariant_visits;
-        ] );
+        ]
+        @ prop_stack_pools_match_generic );
       ( "binheap",
         [
           prop_binheap_order;
